@@ -37,7 +37,7 @@ import tracing  # noqa: E402
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("ramp", "search", "noise", "loss")
-SETUP_PROBES = {"full": 3, "smoke": 2}
+SETUP_PROBES = {"full": 5, "smoke": 2}
 PROBE_TIMEOUT_S = 60
 
 

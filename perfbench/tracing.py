@@ -58,12 +58,12 @@ def _scan_attrs(args, kwargs, scan):
 
 
 def _step_attrs(args, kwargs, step):
+    from spinmo.optimizer import _count_k
+
     state = _arg(args, kwargs, 0, "state")
     cfg = _arg(args, kwargs, 3, "cfg")
     reference = _arg(args, kwargs, 4, "reference")
-    pops = abs(reference.vectors.T @ state.amplitudes) ** 2
-    k_before = max(int((pops > cfg.k_threshold).sum()), 1)
-    return {"useful": step.k_star < k_before}
+    return {"useful": step.k_star < _count_k(state, reference, cfg.k_threshold)}
 
 
 def _records_attrs(args, kwargs, result):

@@ -47,6 +47,8 @@ THREE_STAGE = [RAMP, {"kind": "hold", "q_hz": 0.2936, "duration_s": 0.038},
                {"kind": "hold", "q_hz": 0.0, "duration_s": 0.5}]
 Q_ENTRY_HZ = float(reference_ramp().q_hz_at(0.9))  # 0.9188 Hz, end of the reference ramp
 
+# smoke loss stays at N = 100: at N = 16, 20 and 40 spinmo loss exits 3 on
+# norm drift (README.md, Known defects)
 SIZES = {
     "full": {"ramp": 200, "search": 1000, "noise": 100, "noise_traj": 4, "loss": 100, "loss_traj": 5},
     "smoke": {"ramp": 20, "search": 20, "noise": 16, "noise_traj": 1, "loss": 100, "loss_traj": 1},
