@@ -1,6 +1,6 @@
 """Regenerate reference.json, the outputs the benchmark checks against.
 
-    python3 perfbench/make_reference.py     # both scales, about 10 min
+    python3 perfbench/make_reference.py     # both scales, about 1 min
 
 * ``ramp``: the same config run at a fixed ``ramp_dt_s`` several times finer
   than the automatic step, so the check bounds the integration error of the
@@ -23,6 +23,10 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+
+# the BLAS thread count of run.py, set before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import workloads  # noqa: E402
 

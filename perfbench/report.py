@@ -5,8 +5,8 @@
 For each workload this runs run.py twice, one after the other: untraced
 for the end-to-end metrics (plus failed_frac, failed over attempted
 operations) and traced for the per-layer metrics, whose
-``trace.overhead_s`` is the traced minus the untraced wall time of the
-operation.  The full set takes about six minutes on two cores.
+``trace.overhead_s`` is the median traced minus the median untraced wall
+time of an operation.  The full set takes about four minutes on two cores.
 """
 
 import argparse
@@ -28,8 +28,8 @@ def run(workload: str, seed: int, seconds: int, trace: int) -> dict:
     if out.returncode != 0:
         sys.stderr.write(out.stderr)
         raise SystemExit(f"{workload}: run.py exited with {out.returncode}")
-    lines = out.stdout.strip().splitlines()
-    return {"environment": json.loads(lines[-2])["environment"], **json.loads(lines[-1])}
+    lines = [json.loads(line) for line in out.stdout.strip().splitlines()]
+    return {"environment": lines[0]["environment"], "spread": lines[-2], **lines[-1]}
 
 
 def main() -> int:
@@ -48,6 +48,7 @@ def main() -> int:
         for result in (plain, traced):
             for name, m in result["metrics"].items():
                 print(f"  {name:34s} {m['value']:14.6g}  {m['unit']}")
+            print("  operation times:", json.dumps(result["spread"]))
     return 0
 
 

@@ -28,9 +28,9 @@ def smoke(workload, trace):
     out = bench("--workload", workload, "--seed", "3", "--seconds", "0", "--trace", str(trace),
                 "--scale", "smoke")
     assert out.returncode == 0, out.stderr
-    lines = out.stdout.strip().splitlines()
-    assert "environment" in json.loads(lines[-2])
-    result = json.loads(lines[-1])
+    lines = [json.loads(line) for line in out.stdout.strip().splitlines()]
+    assert "environment" in lines[0]
+    result = lines[-1]
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] and result["failed"] == 0 and result["attempted"] >= 1, out.stderr
     return result["metrics"]

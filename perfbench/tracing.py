@@ -92,6 +92,7 @@ def _finalize_attrs(args, kwargs, result):
 
 # (module, attribute, span name, attribute extractor)
 LAYERS = (
+    ("spinmo.cli", "main", "cli.main", None),
     ("spinmo._kernels", "rk4_chain", "propagate.kernel", _kernel_attrs),
     ("spinmo.propagate", "evolve_ramp", "propagate.evolve_ramp", None),
     ("spinmo.spectra", "eigensolve_tridiagonal", "spectra.eigensolve", None),
@@ -204,6 +205,7 @@ LAYER_UNITS = {
     "observables.records.s": "s",
     "observables.us_per_record": "us",
     "schedule.run_schedule.self_s": "s",
+    "cli.main.self_s": "s",
     "noise.traj": "count",
     "noise.traj_s.p50": "s",
     "noise.traj_s.max": "s",
@@ -276,6 +278,7 @@ def layer_metrics(spans: list[Span], wall_s: float) -> dict[str, float]:
         "observables.records.s": rec_s,
         "observables.us_per_record": _ratio(rec_s, n_rec, 1e6),
         "schedule.run_schedule.self_s": self_s("schedule.run_schedule"),
+        "cli.main.self_s": self_s("cli.main"),
         "noise.traj": len(noise_traj),
         "noise.traj_s.p50": p50(noise_traj),
         "noise.traj_s.max": max(noise_traj, default=0.0),
