@@ -241,12 +241,31 @@ def validate(doc: dict) -> None:
         raise ConfigError(f"config invalid at {path}: {e.message}")
 
 
+def _check_atom_parity(cfg: dict) -> None:
+    """Settings that need an even atom number, which the schema cannot express."""
+    n = cfg["physics"]["n_atoms"]
+    if n % 2 == 0:
+        return
+    if cfg["optimizer"]["mode"] == "amoa":
+        raise ConfigError(
+            "config invalid at $.optimizer.mode: the mirrored protocol (amoa) "
+            f"requires an even atom number, got N={n}"
+        )
+    if cfg["initial_state"]["kind"] == "twin_fock":
+        raise ConfigError(
+            "config invalid at $.initial_state.kind: the twin-Fock state "
+            f"requires an even atom number, got N={n}"
+        )
+
+
 def resolve(doc: dict) -> dict:
     """Validate a raw config document and fill in every default."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     validate(doc)
-    return _merge_defaults(doc, DEFAULTS)
+    cfg = _merge_defaults(doc, DEFAULTS)
+    _check_atom_parity(cfg)
+    return cfg
 
 
 def load(path: str | Path) -> dict:

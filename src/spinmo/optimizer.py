@@ -99,9 +99,15 @@ def geometric_grid(q_min_hz: float, q_max_hz: float, points_per_decade: int) -> 
     return np.geomspace(q_min_hz, q_max_hz, n)
 
 
-def _reference_pops(amplitudes: np.ndarray, reference: EigenSystem) -> np.ndarray:
-    """Populations of the reference (q = 0) levels, one row per level."""
-    return np.abs(reference.vectors.T @ amplitudes) ** 2
+def _reference_pops(to_reference: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """Populations of the reference (q = 0) levels, one row per level.
+
+    ``to_reference`` is the real matrix taking ``amplitudes`` (a vector or
+    one column per sample) into the reference eigenbasis.  It multiplies
+    the real and imaginary parts separately, as two real products, so it
+    is never copied to complex.
+    """
+    return (to_reference @ amplitudes.real) ** 2 + (to_reference @ amplitudes.imag) ** 2
 
 
 def _k_of(pops: np.ndarray, threshold: float):
@@ -129,7 +135,7 @@ def first_local_min_k(
     could still have lowered K: the earliest global minimum of the capped
     scan is returned.
     """
-    pops0 = _reference_pops(state.amplitudes, reference)
+    pops0 = _reference_pops(reference.vectors.T, state.amplitudes)
     if _k_of(pops0, cfg.k_threshold) == 1:
         return HoldScan(
             q_hz=float(q_hz),
@@ -154,13 +160,14 @@ def first_local_min_k(
     have = 0  # samples evaluated so far
 
     def extend(upto: int):
+        """Evaluate whole chunks of samples until sample ``upto - 1`` exists."""
         nonlocal have
         upto = min(upto, j_max + 1)
         while have < upto:
-            hi = min(have + _SCAN_CHUNK, upto)
-            taus = np.arange(have, hi) * dt
-            phases = np.exp(-1j * np.outer(eig.values, taus))
-            pops = np.abs(change @ (phases * c0[:, None])) ** 2
+            hi = min(have + _SCAN_CHUNK, j_max + 1)
+            cols = np.exp(-1j * np.outer(eig.values, np.arange(have, hi) * dt))
+            cols *= c0[:, None]
+            pops = _reference_pops(change, cols)
             ks[have:hi] = _k_of(pops, cfg.k_threshold)
             pop2s[have:hi] = pops[:2].sum(axis=0)
             have = hi
@@ -194,7 +201,7 @@ def first_local_min_k(
 
     t_star = found * dt
     col = eig.vectors @ (np.exp(-1j * eig.values * t_star) * c0)
-    pops_star = _reference_pops(col, reference)
+    pops_star = _reference_pops(reference.vectors.T, col)
     return HoldScan(
         q_hz=float(q_hz),
         k=int(ks[found]),
@@ -248,7 +255,7 @@ def optimize_step(
 
 
 def _count_k(state: StateVector, reference: EigenSystem, threshold: float) -> int:
-    return int(_k_of(_reference_pops(state.amplitudes, reference), threshold))
+    return int(_k_of(_reference_pops(reference.vectors.T, state.amplitudes), threshold))
 
 
 def run_amo(

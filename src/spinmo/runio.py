@@ -19,6 +19,8 @@ from .observables import CSV_FIELDS, ObservableRecord
 
 
 def fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, int):

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -169,3 +171,51 @@ def test_loss_command_small(tmp_path):
     assert 0 <= ps["unselected_final_f_singlet"] <= 1
     jumps = json.loads((out / "jumps.json").read_text())
     assert len(jumps) == 20
+
+
+OPTIMIZE = {
+    "physics": {"c2p_hz": 25.0, "n_atoms": 12},
+    "optimizer": {
+        "points_per_decade": 10,
+        "max_steps": 2,
+        "step_time_cap_s": 0.5,
+        "ramp": {"q0_hz": 30.0, "T0_s": 0.08, "t_end_s": 0.05},  # short entry ramp
+    },
+    "output": {"sample_dt_s": 0.01},
+}
+
+
+@pytest.mark.parametrize("mode", ["amo", "amoa"])
+def test_optimize_command_small(tmp_path, mode):
+    doc = json.loads(json.dumps(OPTIMIZE))
+    doc["optimizer"]["mode"] = mode
+    cfg = write_cfg(tmp_path, doc)
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+    names = ["schedule.json", "diagnostics.csv", "curve.csv", "manifest.json"]
+    for name in names:
+        assert (runs[0] / name).exists()
+    with (runs[0] / "diagnostics.csv").open(newline="", encoding="utf-8") as fh:
+        flags = {row["flag"] for row in csv.DictReader(fh)}
+    assert flags and flags <= {"", "flat", "capped"}
+    for name in names:
+        assert sha(runs[0] / name) == sha(runs[1] / name)
+
+
+@pytest.mark.parametrize(
+    "section, value, path",
+    [
+        ("optimizer", {"mode": "amoa"}, "$.optimizer.mode"),
+        ("initial_state", {"kind": "twin_fock"}, "$.initial_state.kind"),
+    ],
+)
+def test_odd_atom_number_is_a_config_error(tmp_path, capsys, section, value, path):
+    doc = {"physics": {"c2p_hz": 25.0, "n_atoms": 11}, section: value}
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        resolve(doc)
+    out = tmp_path / "odd"
+    assert main(["optimize", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and path in err["message"]
+    assert not out.exists()  # rejected before the run directory, so before any evolution

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from spinmo import optimizer
 from spinmo.basis import StateVector, build_pair_basis, polar_state
-from spinmo.observables import reference_eigensystem, singlet_amplitudes
-from spinmo.operators import PhysicsParams, hamiltonian_pair
+from spinmo.observables import occupied_levels, reference_eigensystem, singlet_amplitudes
+from spinmo.operators import PhysicsParams, hamiltonian_pair, hamiltonian_sector
 from spinmo.optimizer import (
     OptimizerConfig,
     first_local_min_k,
@@ -48,6 +50,43 @@ def test_first_local_min_flags_flat_eigenstate():
     cfg = OptimizerConfig(step_time_cap_s=0.3)
     scan = first_local_min_k(st, q, p, cfg, reference_eigensystem(n))
     assert scan.flag == "flat" and scan.t_s == 0.0
+
+
+def test_scan_chunking_does_not_change_the_scan(monkeypatch):
+    # from the ground state at q = 0.9 Hz this grid gives all three flags
+    n = 20
+    p = PhysicsParams(25.0, n)
+    ref = reference_eigensystem(n)
+    g = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(0.9))).ground()
+    st = StateVector(build_pair_basis(n), g.astype(complex))
+    cfg = OptimizerConfig(step_time_cap_s=0.4)
+    grid = geometric_grid(1e-2, 10.0, 3)
+    runs = {}
+    for chunk in (1, 7, optimizer._SCAN_CHUNK):
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_SCAN_CHUNK", chunk)
+            runs[chunk] = [first_local_min_k(st, float(q), p, cfg, ref) for q in grid]
+    default = runs[optimizer._SCAN_CHUNK]
+    assert {s.flag for s in default} == {"", "flat", "capped"}
+    for scans in runs.values():
+        for a, b in zip(scans, default):
+            assert (a.k, a.t_s, a.flag) == (b.k, b.t_s, b.flag)
+            np.testing.assert_allclose(a.amplitudes, b.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_scan_amplitudes_match_dense_expm():
+    n = 10
+    p = PhysicsParams(25.0, n)
+    q = 3.0
+    ref = reference_eigensystem(n)
+    st = polar_state(build_pair_basis(n))
+    cfg = OptimizerConfig(step_time_cap_s=0.5)
+    scan = first_local_min_k(st, q, p, cfg, ref)
+    assert scan.t_s > 0
+    h = hamiltonian_sector(p.with_q(q), st.basis).to_dense()
+    want = expm(-1j * h * scan.t_s) @ st.amplitudes
+    np.testing.assert_allclose(scan.amplitudes, want, rtol=0, atol=1e-10)
+    assert occupied_levels(StateVector(st.basis, want), ref, cfg.k_threshold) == scan.k
 
 
 def test_optimize_step_grid_of_one():
