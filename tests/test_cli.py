@@ -179,7 +179,7 @@ OPTIMIZE = {
         "points_per_decade": 10,
         "max_steps": 2,
         "step_time_cap_s": 0.5,
-        "ramp": {"q0_hz": 30.0, "T0_s": 0.08, "t_end_s": 0.05},  # short entry ramp
+        "ramp": {"q0_hz": 30.0, "T0_s": 0.08, "t_end_s": 0.05},  # keeps a run under 1 s
     },
     "output": {"sample_dt_s": 0.01},
 }
