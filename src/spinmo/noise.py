@@ -144,6 +144,19 @@ def _aggregate(
     )
 
 
+def _parity_classes(
+    times: np.ndarray, curves: list[dict[str, np.ndarray]], draws: list[TrajectoryDraw]
+) -> dict[str, ParityAggregate]:
+    """Aggregates over all trajectories and over each atom-number parity drawn."""
+    members = list(range(len(draws)))
+    classes = {"all": _aggregate(times, curves, members)}
+    for name, parity in (("even", 0), ("odd", 1)):
+        sel = [i for i in members if draws[i].n_atoms % 2 == parity]
+        if sel:
+            classes[name] = _aggregate(times, curves, sel)
+    return classes
+
+
 def _curves_from_records(records: list[ObservableRecord]) -> dict[str, np.ndarray]:
     n_i = records[0].n_current
     out = {
@@ -191,22 +204,13 @@ def run_dephasing_ensemble(
         if times is None:
             times = np.array([r.t for r in records])
         curves.append(cur)
-
-    members_all = list(range(cfg.n_traj))
-    members_even = [i for i in members_all if draws[i].n_atoms % 2 == 0]
-    members_odd = [i for i in members_all if draws[i].n_atoms % 2 == 1]
-    classes = {"all": _aggregate(times, curves, members_all)}
-    if members_even:
-        classes["even"] = _aggregate(times, curves, members_even)
-    if members_odd:
-        classes["odd"] = _aggregate(times, curves, members_odd)
-    return EnsembleResult(times=times, classes=classes, draws=draws)
+    return EnsembleResult(times=times, classes=_parity_classes(times, curves, draws), draws=draws)
 
 
 def relaxation_params(
     params: PhysicsParams, cfg: NoiseConfig, draw: TrajectoryDraw
 ) -> ExtendedParams:
-    base = PhysicsParams(params.c2p_hz, params.n_atoms, params.q_hz, params.convention)
+    base = PhysicsParams(params.c2p_hz, draw.n_atoms, params.q_hz, params.convention)
     return ExtendedParams.from_fields(
         base,
         bz_gauss=cfg.bz_bias_gauss,
@@ -232,8 +236,9 @@ def run_relaxation_ensemble(
     pair-sector run with its quasi-static q offset (with delta_Bx = 0
     this reproduces the dephasing ensemble bit for bit).  Mode
     ``exact_scaled_p`` integrates the oscillating transverse term on the
-    full basis; only hold segments are supported there (the oscillation
-    stage), and it is meant for spot cross-checks at reduced p.
+    full basis of each trajectory's drawn atom number, with aggregates
+    split by its parity; only hold segments are supported there (the
+    oscillation stage), and it is meant for spot cross-checks at reduced p.
     """
     if mode == "averaged":
         # the secular term only shifts M != 0 blocks; M = 0 dynamics equal the
@@ -272,10 +277,9 @@ def run_relaxation_ensemble(
         )
         if times is None:
             times = np.array([r.t for r in recs])
-        curves.append(_curves_from_records_full(recs))
-    members = list(range(cfg.n_traj))
-    agg = _aggregate(times, curves, members)
-    return EnsembleResult(times=times, classes={"all": agg, "even": agg}, draws=draws)
+        # full-basis records: xi2 * N is <L^2> for M-symmetric states
+        curves.append(_curves_from_records(recs))
+    return EnsembleResult(times=times, classes=_parity_classes(times, curves, draws), draws=draws)
 
 
 def run_rotating_schedule(
@@ -286,13 +290,14 @@ def run_rotating_schedule(
     p_scale: float = 1.0,
     sample_boundaries: bool = True,
 ) -> list[ObservableRecord]:
-    """Drive the full-basis state through hold segments in exact mode."""
+    """Drive the full-basis state of the drawn atom number through hold
+    segments in exact mode."""
     from .observables import record_for
 
     for seg in schedule.segments:
         if not isinstance(seg, Hold):
             raise ConfigError("exact rotating-frame runs support hold segments only")
-    n = params.n_atoms
+    n = draw.n_atoms
     basis = FullBasis(n)
     psi = np.zeros(basis.size, dtype=np.complex128)
     blk = basis.block(0)
@@ -312,32 +317,3 @@ def run_rotating_schedule(
         if sample_boundaries:
             records.append(record_for(state, t, q_actual))
     return records
-
-
-def run_rotating_schedule_from(
-    state: StateVector,
-    schedule: Schedule,
-    params: PhysicsParams,
-    cfg: NoiseConfig,
-    draw: TrajectoryDraw,
-    mode: str = "exact_scaled_p",
-    p_scale: float = 1.0,
-) -> StateVector:
-    """Evolve a given full-basis state through hold segments (either mode)."""
-    t = 0.0
-    dq = q_offset(draw.delta_bz_gauss, cfg)
-    for seg in schedule.segments:
-        if not isinstance(seg, Hold):
-            raise ConfigError("rotating-frame runs support hold segments only")
-        ext = relaxation_params(params.with_q(float(seg.q_hz_at(0.0)) + dq), cfg, draw)
-        state = evolve_rotating(
-            state, ext, seg.duration, mode=mode, p_scale=p_scale, t0=t
-        )
-        t += seg.duration
-    return state
-
-
-def _curves_from_records_full(records: list[ObservableRecord]) -> dict[str, np.ndarray]:
-    # full-basis records: xi2 already contains all moment terms; reuse the
-    # same aggregation keys (l2 := xi2 * N is exact for M-symmetric states)
-    return _curves_from_records(records)

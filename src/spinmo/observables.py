@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import FullBasis, SectorBasis, StateVector
-from .operators import l2_sector, lx_full, ly_full, lz_full, n0_full
+from .operators import TriMatrix, l2_sector, lx_full, ly_full, lz_full, n0_full
 from .spectra import EigenSystem, eigensolve_tridiagonal
 
 K_THRESHOLD_DEFAULT = 1e-3
@@ -81,6 +81,23 @@ class SpinMoments:
 def reference_eigensystem(n_atoms: int, magnetization: int = 0) -> EigenSystem:
     """Eigenbasis of the q = 0 Hamiltonian (pure spin-exchange chain)."""
     return eigensolve_tridiagonal(l2_sector(n_atoms, magnetization))
+
+
+@lru_cache(maxsize=64)
+def reference_n0(n_atoms: int, magnetization: int = 0) -> TriMatrix:
+    """The m = 0 number operator in the q = 0 eigenbasis, ``R^T n0 R``.
+
+    The reference levels are the total spins L >= |M| of the parity of N,
+    in ascending order, and n0 couples L only to L and L +- 2, so the
+    matrix is tridiagonal: its three diagonals are summed directly,
+    without forming the dense product.
+    """
+    r = reference_eigensystem(n_atoms, magnetization).vectors
+    n0 = SectorBasis(n_atoms, magnetization).n_zero.astype(np.float64)
+    n0_ref = TriMatrix(n0 @ r**2, n0 @ (r[:, :-1] * r[:, 1:]))
+    n0_ref.diag.setflags(write=False)
+    n0_ref.offdiag.setflags(write=False)
+    return n0_ref
 
 
 @lru_cache(maxsize=64)

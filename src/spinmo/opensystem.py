@@ -508,15 +508,6 @@ class DenseLindblad:
         rho[blk, blk] = np.outer(vec, vec.conj())
         return rho
 
-    def rhs(self, rho: np.ndarray, q_hz: float) -> np.ndarray:
-        h = self.hamiltonian(q_hz)
-        out = -1j * (h @ rho - rho @ h)
-        g = self.gamma
-        for a in self._jump_ops:
-            ad = a.T
-            out += g * (2.0 * a @ rho @ ad - ad @ (a @ rho) - (rho @ ad) @ a)
-        return out
-
     def run(
         self,
         state0: StateVector,

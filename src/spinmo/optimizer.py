@@ -8,6 +8,14 @@ schedule through q -> -q then converts that state into the twin-Fock
 state.  The construction is deterministic: the grid is fixed by the
 config, grid points are scanned in ascending order and every tie-break
 is total.
+
+The q = 0 eigenbasis is the total-spin basis, and a hold is evolved in
+it: there the hold Hamiltonian is tridiagonal, because the m = 0 number
+operator couples total spin L only to L and L +- 2.  A hold from a state
+in the low-L levels only reaches the levels just above them before the
+time cap, so each scan solves a leading block of the chain, chosen so
+that every reference amplitude stays within 1e-12 of the whole chain's
+up to the time cap.
 """
 
 from __future__ import annotations
@@ -17,16 +25,19 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import SectorBasis, StateVector
-from .observables import reference_eigensystem
-from .operators import PhysicsParams, hamiltonian_sector
+from .observables import reference_eigensystem, reference_n0
+from .operators import PhysicsParams, TriMatrix
 from .schedule import Hold, Schedule, mirror_schedule, reference_ramp, run_schedule
 from .spectra import EigenSystem, eigensolve_tridiagonal
 
 log = logging.getLogger(__name__)
 
 _SCAN_CHUNK = 256
+# bound on the truncation error of every reference amplitude in a hold scan
+_TRUNCATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,8 @@ class OptimizerConfig:
             raise ValueError("step_time_cap_s must be finite and positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.dwell_window < 1:
+            raise ValueError("dwell_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -99,6 +112,12 @@ def geometric_grid(q_min_hz: float, q_max_hz: float, points_per_decade: int) -> 
     return np.geomspace(q_min_hz, q_max_hz, n)
 
 
+def _real_map(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``matrix @ z`` for a real matrix and complex ``z``, as two real
+    products, so that the matrix is never copied to complex."""
+    return matrix @ z.real + 1j * (matrix @ z.imag)
+
+
 def _reference_pops(to_reference: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """Populations of the reference (q = 0) levels, one row per level.
 
@@ -113,6 +132,63 @@ def _reference_pops(to_reference: np.ndarray, amplitudes: np.ndarray) -> np.ndar
 def _k_of(pops: np.ndarray, threshold: float):
     """Occupied-level count K of each population column, at least 1."""
     return np.maximum((pops > threshold).sum(axis=0), 1)
+
+
+def _hold_levels(
+    a: np.ndarray,
+    q_hz: float,
+    params: PhysicsParams,
+    basis: SectorBasis,
+    reference: EigenSystem,
+    cap_s: float,
+) -> tuple[EigenSystem, np.ndarray]:
+    """Eigensystem of a hold on the leading reference levels, and ``a`` in it.
+
+    ``a`` holds the state's reference amplitudes.  In that basis the hold
+    Hamiltonian is the tridiagonal ``f c2p/N diag(lambda) - f q A``, with
+    lambda the reference eigenvalues and A the m = 0 number operator
+    (:func:`reference_n0`).  Only its leading m x m block is solved.  m
+    starts at twice the support of ``a`` and doubles until the truncation
+    error of every reference amplitude up to ``cap_s`` is at most
+    ``_TRUNCATION_TOL``.  That error is at most the weight of ``a`` beyond
+    m plus what the coupling out of level m - 1 can carry off in ``cap_s``:
+
+        ||a[m:]|| + cap_s |H[m-1, m]| sum_j |c_j| |W[m-1, j]|,
+
+    with W the block's eigenvectors and c = W^T a[:m].  When no smaller
+    block qualifies, m is the whole chain, which is exact.
+    """
+    n0_ref = reference_n0(basis.n_atoms, basis.magnetization)
+    f = params.factor
+    diag = f * (params.c2p_hz / basis.n_atoms * reference.values - q_hz * n0_ref.diag)
+    off = -f * q_hz * n0_ref.offdiag
+    n = a.size
+    tail = np.append(np.sqrt(np.cumsum((a.real**2 + a.imag**2)[::-1])[::-1]), 0.0)
+    m = min(n, 2 * int(np.argmax(tail <= _TRUNCATION_TOL)))
+    while True:
+        eig = eigensolve_tridiagonal(TriMatrix(diag[:m], off[: m - 1]))
+        c = _real_map(eig.vectors.T, a[:m])
+        if m == n:
+            return eig, c
+        leak = cap_s * abs(off[m - 1]) * (np.abs(c) @ np.abs(eig.vectors[m - 1]))
+        if tail[m] + leak <= _TRUNCATION_TOL:
+            return eig, c
+        m = min(n, 2 * m)
+
+
+def _first_refocus(ks: np.ndarray, lo: int, w: int) -> int:
+    """First sample j >= lo at which K has refocused, or -1.
+
+    K has refocused at j when it lies below ``ks[0]`` and is no larger
+    than any K within ``w`` samples either side (clipped at sample 0).
+    Only samples whose following window lies inside ``ks`` are tested.
+    """
+    # padding with ks[0] leaves every clipped window's minimum unchanged
+    padded = np.concatenate((np.full(w, ks[0]), ks))
+    window_min = sliding_window_view(padded[lo:], 2 * w + 1).min(axis=1)
+    cand = ks[lo : lo + window_min.size]
+    hits = np.flatnonzero((cand < ks[0]) & (cand == window_min))
+    return lo + int(hits[0]) if hits.size else -1
 
 
 def first_local_min_k(
@@ -134,8 +210,19 @@ def first_local_min_k(
     flagged "flat".  "capped" means the time cap ended a search that
     could still have lowered K: the earliest global minimum of the capped
     scan is returned.
+
+    The hold is evolved in the total-spin frame where K is defined:
+    ``reference`` must be :func:`reference_eigensystem` of the state's
+    sector.  Only the leading reference levels are kept
+    (:func:`_hold_levels`), so every reference amplitude, and the
+    returned amplitudes, are within 1e-12 of the whole chain's up to
+    ``step_time_cap_s``.  Samples are evaluated in chunks of
+    ``_SCAN_CHUNK`` and each chunk is searched for a local minimum as a
+    whole; the first one found is the same as in a sample-by-sample
+    search.
     """
-    pops0 = _reference_pops(reference.vectors.T, state.amplitudes)
+    a = _real_map(reference.vectors.T, state.amplitudes)
+    pops0 = a.real**2 + a.imag**2
     if _k_of(pops0, cfg.k_threshold) == 1:
         return HoldScan(
             q_hz=float(q_hz),
@@ -146,11 +233,7 @@ def first_local_min_k(
             amplitudes=state.amplitudes.astype(complex),
         )
 
-    basis = state.basis
-    h = hamiltonian_sector(params.with_q(q_hz), basis)
-    eig = eigensolve_tridiagonal(h)
-    c0 = eig.vectors.T @ state.amplitudes
-    change = reference.vectors.T @ eig.vectors  # reference <- hold eigenbasis
+    eig, c0 = _hold_levels(a, q_hz, params, state.basis, reference, cfg.step_time_cap_s)
 
     dt = cfg.sample_dt_s
     w = cfg.dwell_window
@@ -158,6 +241,8 @@ def first_local_min_k(
     ks = np.empty(j_max + 1, dtype=np.int64)
     pop2s = np.empty(j_max + 1, dtype=np.float64)
     have = 0  # samples evaluated so far
+    # phases of a chunk's samples relative to its first sample
+    chunk_phases = np.exp(-1j * np.outer(eig.values, np.arange(min(_SCAN_CHUNK, j_max + 1)) * dt))
 
     def extend(upto: int):
         """Evaluate whole chunks of samples until sample ``upto - 1`` exists."""
@@ -165,25 +250,22 @@ def first_local_min_k(
         upto = min(upto, j_max + 1)
         while have < upto:
             hi = min(have + _SCAN_CHUNK, j_max + 1)
-            cols = np.exp(-1j * np.outer(eig.values, np.arange(have, hi) * dt))
-            cols *= c0[:, None]
-            pops = _reference_pops(change, cols)
+            first = np.exp(-1j * eig.values * (have * dt)) * c0
+            cols = chunk_phases[:, : hi - have] * first[:, None]
+            pops = _reference_pops(eig.vectors, cols)
             ks[have:hi] = _k_of(pops, cfg.k_threshold)
             pop2s[have:hi] = pops[:2].sum(axis=0)
             have = hi
 
     found = -1
     flag = ""
-    j = 1
-    while j + w <= j_max:
-        extend(j + w + 1)
-        if ks[j] < ks[0]:
-            following_ok = ks[j] <= ks[j + 1 : j + w + 1].min()
-            preceding_ok = ks[j] <= ks[max(0, j - w) : j].min()
-            if following_ok and preceding_ok:
-                found = j
-                break
-        j += 1
+    lo = 1  # first sample not yet tested
+    while lo + w <= j_max:
+        extend(lo + w + 1)
+        found = _first_refocus(ks[:have], lo, w)
+        if found >= 0:
+            break
+        lo = have - w  # every earlier sample had its following window
 
     if found < 0:
         extend(j_max + 1)
@@ -200,15 +282,14 @@ def first_local_min_k(
             flag = "capped"
 
     t_star = found * dt
-    col = eig.vectors @ (np.exp(-1j * eig.values * t_star) * c0)
-    pops_star = _reference_pops(reference.vectors.T, col)
+    b = _real_map(eig.vectors, np.exp(-1j * eig.values * t_star) * c0)
     return HoldScan(
         q_hz=float(q_hz),
         k=int(ks[found]),
         t_s=float(t_star),
-        pop_two_lowest=float(pops_star[:2].sum()),
+        pop_two_lowest=float((b.real[:2] ** 2 + b.imag[:2] ** 2).sum()),
         flag=flag,
-        amplitudes=col,
+        amplitudes=_real_map(reference.vectors[:, : b.size], b),
     )
 
 

@@ -122,8 +122,6 @@ def _segment_q_probes(segment) -> list[float]:
     d = segment.duration
     probes = [segment.q_hz_at(0.0), segment.q_hz_at(d), segment.q_hz_at(0.5 * d)]
     lo, hi = min(probes), max(probes)
-    if lo > 0 > segment.q_hz_at(d):  # pragma: no cover - defensive
-        probes.append(0.0)
     return [lo, hi, 0.0] if lo <= 0.0 <= hi else [lo, hi]
 
 

@@ -131,3 +131,22 @@ def test_ensemble_aggregation_order_independent_of_grouping():
     b = run_dephasing_ensemble(_tiny_schedule(), p, cfg, sample_dt=None)
     assert np.array_equal(a.classes["all"].xi2, b.classes["all"].xi2)
     assert np.array_equal(a.classes["all"].mean["F_singlet"], b.classes["all"].mean["F_singlet"])
+
+
+def test_relaxation_exact_mode_simulates_the_drawn_atom_numbers():
+    n = 7
+    p = PhysicsParams(25.0, n)
+    cfg = NoiseConfig(n_traj=6, seed=2)
+    ens = run_relaxation_ensemble(
+        Schedule((Hold(0.6, 0.01),)), p, cfg, mode="exact_scaled_p", sample_dt=None
+    )
+    drawn = [d.n_atoms for d in ens.draws]
+    assert drawn == [sample_trajectory_config(cfg, n, i).n_atoms for i in range(cfg.n_traj)]
+    assert {m % 2 for m in drawn} == {0, 1}
+    assert ens.classes["all"].n_traj == cfg.n_traj
+    for name, parity in (("even", 0), ("odd", 1)):
+        members = [m for m in drawn if m % 2 == parity]
+        agg = ens.classes[name]
+        assert agg.n_traj == len(members)
+        np.testing.assert_allclose(agg.mean["n_current"], np.mean(members), rtol=0, atol=1e-12)
+    assert np.all(ens.classes["odd"].mean["F_singlet"] == 0.0)

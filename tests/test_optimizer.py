@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from spinmo import optimizer
-from spinmo.basis import StateVector, build_pair_basis, polar_state
+from spinmo.basis import SectorBasis, StateVector, build_pair_basis, polar_state
 from spinmo.observables import occupied_levels, reference_eigensystem, singlet_amplitudes
 from spinmo.operators import PhysicsParams, hamiltonian_pair, hamiltonian_sector
 from spinmo.optimizer import (
@@ -87,6 +87,99 @@ def test_scan_amplitudes_match_dense_expm():
     want = expm(-1j * h * scan.t_s) @ st.amplitudes
     np.testing.assert_allclose(scan.amplitudes, want, rtol=0, atol=1e-10)
     assert occupied_levels(StateVector(st.basis, want), ref, cfg.k_threshold) == scan.k
+
+
+def dense_scan(state, q, p, cfg, ref):
+    """The hold scan sample by sample on the whole chain, as (q, K, t, flag)
+    and the amplitudes: a full eigensolve in the pair basis, every sample
+    taken into the reference basis by the dense change of basis."""
+    e, v = np.linalg.eigh(hamiltonian_sector(p.with_q(q), state.basis).to_dense())
+    c0 = v.T @ state.amplitudes
+    change = ref.vectors.T @ v
+    dt, w = cfg.sample_dt_s, cfg.dwell_window
+    j_max = int(np.floor(cfg.step_time_cap_s / dt))
+    pops = np.abs(change @ (np.exp(-1j * np.outer(e, np.arange(j_max + 1) * dt)) * c0[:, None])) ** 2
+    ks = np.maximum((pops > cfg.k_threshold).sum(axis=0), 1)
+    if ks[0] == 1:
+        return (q, 1, 0.0, "flat"), state.amplitudes
+    for j in range(1, j_max - w + 1):
+        if ks[j] < ks[0] and ks[j] <= ks[j + 1 : j + w + 1].min() and ks[j] <= ks[max(0, j - w) : j].min():
+            found, flag = j, ""
+            break
+    else:
+        if np.all(ks == ks[0]):
+            found, flag = 0, "flat"
+        else:
+            at_min = np.flatnonzero(ks == ks.min())
+            found, flag = int(at_min[np.argmax(pops[:2, at_min].sum(axis=0))]), "capped"
+    return (q, int(ks[found]), found * dt, flag), v @ (np.exp(-1j * e * found * dt) * c0)
+
+
+def solve_sizes(monkeypatch):
+    """Record the size of every eigensolve the hold scan makes."""
+    sizes = []
+
+    def recording(m):
+        sizes.append(m.size)
+        return eigensolve_tridiagonal(m)
+
+    monkeypatch.setattr(optimizer, "eigensolve_tridiagonal", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [20, 21, 60, 200])
+def test_scan_matches_dense_pair_basis_scan(n):
+    p = PhysicsParams(25.0, n)
+    basis = build_pair_basis(n)
+    ref = reference_eigensystem(n)
+    ground = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(4.5))).ground()
+    cfg = OptimizerConfig(step_time_cap_s=0.4)
+    flags = set()
+    for st in (polar_state(basis), StateVector(basis, ground.astype(complex))):
+        for q in geometric_grid(1e-2, 10.0, 3):
+            scan = first_local_min_k(st, float(q), p, cfg, ref)
+            want, amplitudes = dense_scan(st, float(q), p, cfg, ref)
+            assert (scan.q_hz, scan.k, scan.t_s, scan.flag) == want
+            np.testing.assert_allclose(scan.amplitudes, amplitudes, rtol=0, atol=1e-10)
+            flags.add(scan.flag)
+    assert flags == {"", "flat", "capped"}
+
+
+def test_scan_truncates_the_chain_only_below_its_top(monkeypatch):
+    n = 200
+    p = PhysicsParams(25.0, n)
+    basis = build_pair_basis(n)
+    ref = reference_eigensystem(n)
+    cfg = OptimizerConfig(step_time_cap_s=0.4)
+    q = 0.5
+    ground = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(4.5))).ground()
+    # every reference level occupied, up to the top of the L chain
+    spread = ref.vectors @ np.full(basis.size, basis.size**-0.5)
+    for amplitudes, truncated in ((ground, True), (spread, False)):
+        st = StateVector(basis, amplitudes.astype(complex))
+        sizes = solve_sizes(monkeypatch)
+        scan = first_local_min_k(st, q, p, cfg, ref)
+        assert (sizes[-1] < basis.size) == truncated
+        want, want_amplitudes = dense_scan(st, q, p, cfg, ref)
+        assert (scan.q_hz, scan.k, scan.t_s, scan.flag) == want
+        np.testing.assert_allclose(scan.amplitudes, want_amplitudes, rtol=0, atol=1e-10)
+
+
+def test_scan_matches_dense_expm_in_a_magnetized_sector(monkeypatch):
+    n, m = 201, 3
+    p = PhysicsParams(25.0, n)
+    basis = SectorBasis(n, m)
+    ref = reference_eigensystem(n, m)
+    g = eigensolve_tridiagonal(hamiltonian_sector(p.with_q(4.5), basis)).ground()
+    st = StateVector(basis, g.astype(complex))
+    cfg = OptimizerConfig(step_time_cap_s=0.5)
+    sizes = solve_sizes(monkeypatch)
+    scan = first_local_min_k(st, 0.4, p, cfg, ref)
+    assert scan.t_s > 0 and sizes[-1] < basis.size
+    h = hamiltonian_sector(p.with_q(0.4), basis).to_dense()
+    want = expm(-1j * h * scan.t_s) @ st.amplitudes
+    np.testing.assert_allclose(scan.amplitudes, want, rtol=0, atol=1e-10)
+    assert occupied_levels(StateVector(basis, want), ref, cfg.k_threshold) == scan.k
 
 
 def test_optimize_step_grid_of_one():
@@ -173,5 +266,7 @@ def test_config_validation():
         OptimizerConfig(q_min_hz=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_steps=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(dwell_window=0)
     with pytest.raises(ValueError):
         OptimizerConfig(step_time_cap_s=float("inf"))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinmo.basis import SectorBasis
+from spinmo.observables import reference_eigensystem, reference_n0
 from spinmo.operators import PhysicsParams, TriMatrix, hamiltonian_pair, l2_pair
 from spinmo.spectra import (
     adiabatic_beta,
@@ -132,3 +134,17 @@ def test_adiabatic_beta_convention_ratio():
     pp = PhysicsParams(25.0, 100, 0.5, convention="plain")
     ratio = adiabatic_beta(pp, 10.0) / adiabatic_beta(pa, 10.0)
     assert ratio == pytest.approx(2 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [10, 11, 40, 200])
+@pytest.mark.parametrize("m", [0, 2])
+def test_n0_is_tridiagonal_in_the_total_spin_basis(n, m):
+    # n0 couples total spin L only to L and L +- 2, the neighbouring levels
+    r = reference_eigensystem(n, m).vectors
+    dense = r.T @ (SectorBasis(n, m).n_zero[:, None] * r)
+    scale = np.abs(dense).max()
+    assert np.abs(np.triu(dense, 2)).max(initial=0.0) <= 1e-11 * scale
+    assert np.abs(np.tril(dense, -2)).max(initial=0.0) <= 1e-11 * scale
+    band = reference_n0(n, m)
+    np.testing.assert_allclose(band.diag, np.diag(dense), rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(band.offdiag, np.diag(dense, 1), rtol=0, atol=1e-12 * scale)
