@@ -214,8 +214,8 @@ def first_local_min_k(
     The hold is evolved in the total-spin frame where K is defined:
     ``reference`` must be :func:`reference_eigensystem` of the state's
     sector.  Only the leading reference levels are kept
-    (:func:`_hold_levels`), so every reference amplitude, and the
-    returned amplitudes, are within 1e-12 of the whole chain's up to
+    (:func:`_hold_levels`); that truncation moves every reference
+    amplitude, and the returned amplitudes, by at most 1e-12 up to
     ``step_time_cap_s``.  Samples are evaluated in chunks of
     ``_SCAN_CHUNK`` and each chunk is searched for a local minimum as a
     whole; the first one found is the same as in a sample-by-sample
