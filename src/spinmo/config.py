@@ -258,6 +258,16 @@ def _check_atom_parity(cfg: dict) -> None:
         )
 
 
+def _check_segments(cfg: dict) -> None:
+    """Segment constraints the schema cannot express."""
+    for i, seg in enumerate(cfg.get("schedule", {}).get("segments", [])):
+        if seg["kind"] == "parabolic_ramp" and seg["t_begin_s"] == seg["t_end_s"]:
+            raise ConfigError(
+                f"config invalid at $.schedule.segments[{i}]: a parabolic ramp "
+                "needs t_begin_s != t_end_s"
+            )
+
+
 def resolve(doc: dict) -> dict:
     """Validate a raw config document and fill in every default."""
     if not isinstance(doc, dict):
@@ -265,6 +275,7 @@ def resolve(doc: dict) -> dict:
     validate(doc)
     cfg = _merge_defaults(doc, DEFAULTS)
     _check_atom_parity(cfg)
+    _check_segments(cfg)
     return cfg
 
 

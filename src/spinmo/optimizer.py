@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .basis import SectorBasis, StateVector
 from .observables import reference_eigensystem, reference_n0
 from .operators import PhysicsParams, TriMatrix
+from .propagate import evolve_ramp, leading_window
 from .schedule import Hold, Schedule, mirror_schedule, reference_ramp, run_schedule
 from .spectra import EigenSystem, eigensolve_tridiagonal
 
@@ -163,8 +164,7 @@ def _hold_levels(
     diag = f * (params.c2p_hz / basis.n_atoms * reference.values - q_hz * n0_ref.diag)
     off = -f * q_hz * n0_ref.offdiag
     n = a.size
-    tail = np.append(np.sqrt(np.cumsum((a.real**2 + a.imag**2)[::-1])[::-1]), 0.0)
-    m = min(n, 2 * int(np.argmax(tail <= _TRUNCATION_TOL)))
+    m, tail = leading_window(a, _TRUNCATION_TOL)
     while True:
         eig = eigensolve_tridiagonal(TriMatrix(diag[:m], off[: m - 1]))
         c = _real_map(eig.vectors.T, a[:m])
@@ -431,8 +431,6 @@ def run_amo_protocol(
     ramp_dt: float | None = None,
 ) -> ProtocolResult:
     """Entry ramp plus optimized holds, from an arbitrary starting state."""
-    from .propagate import evolve_ramp
-
     if ramp is None:
         ramp = reference_ramp()
     current = state0

@@ -238,7 +238,8 @@ def run_schedule(
 
     Records are emitted at t = 0, at every multiple of ``sample_dt`` and
     at every segment boundary.  Holds evolve by exact spectral
-    decomposition; ramps and sweeps integrate with RK4.  ``q_offset_hz``
+    decomposition; ramps and sweeps take the fourth-order Magnus steps of
+    :func:`~spinmo.propagate.evolve_ramp`.  ``q_offset_hz``
     shifts the whole control curve, which is how quasi-static field
     noise enters.
     """

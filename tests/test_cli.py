@@ -1,11 +1,15 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import spinmo
 from spinmo.cli import main
 from spinmo.config import load as load_config, resolve
 from spinmo.errors import ConfigError
@@ -219,3 +223,60 @@ def test_odd_atom_number_is_a_config_error(tmp_path, capsys, section, value, pat
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit_code"] == 2 and path in err["message"]
     assert not out.exists()  # rejected before the run directory, so before any evolution
+
+
+def test_zero_length_ramp_is_a_config_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE))
+    doc["schedule"]["segments"].append(
+        {"kind": "parabolic_ramp", "q0_hz": 30.0, "T0_s": 0.08, "t_begin_s": 0.05, "t_end_s": 0.05}
+    )
+    path = "$.schedule.segments[2]"
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        resolve(doc)
+    out = tmp_path / "zero"
+    assert main(["evolve", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and path in err["message"]
+    assert not out.exists()
+
+
+REFERENCE_RAMP_START = {
+    "kind": "parabolic_ramp", "q0_hz": 277.0, "T0_s": 0.955, "t_begin_s": 0.0, "t_end_s": 0.005,
+}
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_evolve_short_ramp_piece(tmp_path, n):
+    doc = {
+        "physics": {"c2p_hz": 25.0, "n_atoms": n},
+        "schedule": {"segments": [REFERENCE_RAMP_START]},
+        "output": {"sample_dt_s": 1e-3},
+    }
+    out = tmp_path / "piece"
+    assert main(["evolve", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    with (out / "records.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 and float(rows[-1]["t"]) == pytest.approx(0.005)
+    assert max(abs(float(r["norm"]) - 1.0) for r in rows) <= 1e-12
+
+
+def test_loss_on_the_reference_ramp(tmp_path):
+    doc = {
+        "physics": {"c2p_hz": 25.0, "n_atoms": 20},
+        "schedule": {"preset": "reference_ramp"},
+        "loss": {"gamma_per_s": 0.5, "n_traj": 2},
+        "output": {"sample_dt_s": 0.1},
+    }
+    out = tmp_path / "loss"
+    assert main(["loss", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    assert len(json.loads((out / "jumps.json").read_text())) == 2
+
+
+def test_cli_import_leaves_out_numba_and_scipy_special():
+    # both cost import time and memory on every run; neither is needed
+    src = str(Path(spinmo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, spinmo.cli; print(sorted(m for m in ('numba', 'scipy.special') if m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

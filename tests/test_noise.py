@@ -150,3 +150,15 @@ def test_relaxation_exact_mode_simulates_the_drawn_atom_numbers():
         assert agg.n_traj == len(members)
         np.testing.assert_allclose(agg.mean["n_current"], np.mean(members), rtol=0, atol=1e-12)
     assert np.all(ens.classes["odd"].mean["F_singlet"] == 0.0)
+
+
+def test_relaxation_exact_mode_runs_at_the_relaxation_bias():
+    n = 7
+    cfg = NoiseConfig(bz_bias_gauss=0.85, delta_bx_gauss=1e-4, n_traj=3, seed=2)
+    ens = run_relaxation_ensemble(
+        Schedule((Hold(0.6, 0.01),)), PhysicsParams(25.0, n), cfg,
+        mode="exact_scaled_p", p_scale=1e-3, sample_dt=None,
+    )
+    agg = ens.classes["all"]
+    assert agg.n_traj == cfg.n_traj
+    assert np.all((agg.mean["F_singlet"] >= 0.0) & (agg.mean["F_singlet"] <= 1.0))
