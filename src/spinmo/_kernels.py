@@ -18,7 +18,9 @@ most quadratic in time).
 
 Each exponential is a Chebyshev series on the Gershgorin interval of the
 operator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), with
-Bessel coefficients from Miller's backward recurrence.
+Bessel coefficients from Miller's backward recurrence.  A batch of chains
+(an ensemble's trajectories, or a single state) is one block-diagonal
+operator, so a series costs one band product per term for the whole batch.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 from scipy.linalg.blas import zaxpy, zhbmv
 
 from .errors import ConvergenceError
-from .operators import TriMatrix
 
 # CF4:2 weights and Gauss nodes
 A1 = 0.25 + math.sqrt(3.0) / 6.0
@@ -39,6 +40,7 @@ GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 NORM_TOL = 1e-10        # per-step |norm - 1| before renormalizing
 _SERIES_TOL = 1e-17     # Bessel coefficients below this end the series
+_JOIN = np.zeros(1)     # the coupling between two blocks of a band
 
 
 def _lagrange_weights(theta: float) -> tuple[float, float, float]:
@@ -98,47 +100,87 @@ def expv(recur, v: np.ndarray, x: float) -> np.ndarray:
     return acc
 
 
-def chain_expv(v: np.ndarray, h: TriMatrix, tau: float) -> np.ndarray:
-    """``exp(-i tau h) v`` by a Chebyshev series on h's Gershgorin interval."""
-    lo, hi = h.gershgorin_bounds()
-    center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    phase = cmath.exp(-1j * tau * center)
-    if radius == 0.0:
-        return phase * v
-    # 2 (h - center) / radius in BLAS Hermitian band storage: the
-    # superdiagonal over the diagonal
-    band = np.zeros((2, h.size), dtype=np.complex128, order="F")
-    band[0, 1:] = h.offdiag * (2.0 / radius)
-    band[1] = (h.diag - center) * (2.0 / radius)
-
-    def recur(u, w):
-        # positional (k, alpha, a, x, incx, offx, beta, y, incy, offy, lower,
-        # overwrite_y): keyword parsing would cost a third of the call
-        return zhbmv(1, 1.0, band, u, 1, 0, -1.0, w, 1, 0, 0, 1)
-
-    return phase * expv(recur, v, tau * radius)
-
-
 def renormalized(v: np.ndarray) -> np.ndarray:
     """``v`` scaled to unit norm; a step that moved the norm by more than
     ``NORM_TOL`` raises :class:`ConvergenceError`."""
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:  # also catches a NaN norm
         raise ConvergenceError(f"step changed the norm by {abs(nrm - 1.0):.2e}")
     return v / nrm
 
 
-def cf4_chain(psi, diag0, qdiag, off, qgrid, dt, m, leak_tol):
-    """Advance psi in place through the half-step q grid on its leading
-    ``m`` levels, and return the window size reached.
+class _Band:
+    """The leading windows of B chains laid end to end as one Hermitian band,
+    with a zero coupling at each join, so that one band product applies all
+    B blocks.  Built once per change of the windows; only the q-dependent
+    diagonal is formed per exponential."""
 
-    ``psi`` must vanish beyond level m.  After each step the amplitude that
-    can have left the window is bounded by ``dt |off[m-1]| max|psi[m-1]|``,
-    the maximum taken over the start, middle and end of the step; when the
-    bound exceeds ``leak_tol``, m doubles (at most to the whole chain) and
-    the step is redone.  Each step ends with :func:`renormalized`.
+    def __init__(self, diag0, qdiag, off, ms):
+        self.ms = np.array(ms)
+        self.stops = np.cumsum(self.ms)
+        self.d0 = np.concatenate([d[:m] for d, m in zip(diag0, ms)])
+        self.dq = np.concatenate([d[:m] for d, m in zip(qdiag, ms)])
+        joined = []
+        for o, m in zip(off, ms):
+            joined += [o[: m - 1], _JOIN]
+        self.off = np.concatenate(joined[:-1])
+        # Gershgorin radius of every row
+        self.radius = np.zeros(self.d0.size)
+        if self.d0.size > 1:
+            self.radius[:-1] += np.abs(self.off)
+            self.radius[1:] += np.abs(self.off)
+        # coupling out of each window; zero where the window is the whole chain
+        self.edge_off = np.array(
+            [abs(o[m - 1]) if m <= o.size else 0.0 for o, m in zip(off, ms)]
+        )
+        self.band = np.zeros((2, self.d0.size), dtype=np.complex128, order="F")
+
+    def expv(self, v: np.ndarray, q: np.ndarray, tau: float) -> np.ndarray:
+        """``exp(-i tau H) v`` with ``H = D0 + q[b] Dq + Off`` on block b, by
+        one Chebyshev series on the union of the blocks' Gershgorin
+        intervals."""
+        diag = self.d0 + np.repeat(q, self.ms) * self.dq
+        lo = float(np.min(diag - self.radius))
+        hi = float(np.max(diag + self.radius))
+        if not math.isfinite(hi - lo):
+            raise ValueError("matrix entries must be finite")
+        center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        phase = cmath.exp(-1j * tau * center)
+        if radius == 0.0:
+            return phase * v
+        # 2 (H - center) / radius in BLAS Hermitian band storage: the
+        # superdiagonal over the diagonal
+        band = self.band
+        band[0, 1:] = self.off * (2.0 / radius)
+        band[1] = (diag - center) * (2.0 / radius)
+
+        def recur(u, w):
+            # positional (k, alpha, a, x, incx, offx, beta, y, incy, offy,
+            # lower, overwrite_y): keyword parsing would cost a third of the call
+            return zhbmv(1, 1.0, band, u, 1, 0, -1.0, w, 1, 0, 0, 1)
+
+        return phase * expv(recur, v, tau * radius)
+
+
+def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol):
+    """Advance B chains in place through a half-step q grid, each on its
+    leading window, and return the window sizes reached.
+
+    ``psis``, ``diag0``, ``qdiag`` and ``off`` hold one array per chain;
+    chain b has the Hamiltonian ``diag0[b] + q qdiag[b] + off[b]``, its
+    state ``psis[b]`` must vanish beyond level ``ms[b]``, and column b of
+    ``qgrid`` (shape ``(2 steps + 1, B)``) is its q.  Every exponential
+    acts on all windows at once (:class:`_Band`).  After each step the
+    amplitude that can have left window b is bounded by
+    ``dt |off[b][m-1]| max|psi_b[m-1]|``, the maximum taken over the start,
+    middle and end of the step; every block whose bound exceeds
+    ``leak_tol`` doubles its window (at most to its whole chain), and the
+    step is redone for the whole batch.  Each step ends with
+    :func:`renormalized` on every block.
     """
-    n = psi.shape[0]
+    ms = list(ms)
+    band = _Band(diag0, qdiag, off, ms)
+    v = np.concatenate([p[:m] for p, m in zip(psis, ms)])
     nsteps = (qgrid.shape[0] - 1) // 2
     for s in range(nsteps):
         q0, qm, q1 = qgrid[2 * s], qgrid[2 * s + 1], qgrid[2 * s + 2]
@@ -147,17 +189,33 @@ def cf4_chain(psi, diag0, qdiag, off, qgrid, dt, m, leak_tol):
         q_first = 2.0 * (A1 * qa + A2 * qb)
         q_second = 2.0 * (A2 * qa + A1 * qb)
         while True:
-            d0, dq, o = diag0[:m], qdiag[:m], off[: m - 1]
-            mid = chain_expv(psi[:m], TriMatrix(d0 + q_first * dq, o), 0.5 * dt)
-            end = chain_expv(mid, TriMatrix(d0 + q_second * dq, o), 0.5 * dt)
-            if m == n:
+            mid = band.expv(v, q_first, 0.5 * dt)
+            end = band.expv(mid, q_second, 0.5 * dt)
+            last = band.stops - 1
+            edge = np.maximum(np.maximum(np.abs(v[last]), np.abs(mid[last])), np.abs(end[last]))
+            grow = np.flatnonzero(dt * band.edge_off * edge > leak_tol)
+            if grow.size == 0:
                 break
-            edge = max(abs(psi[m - 1]), abs(mid[-1]), abs(end[-1]))
-            if dt * abs(off[m - 1]) * edge <= leak_tol:
-                break
-            m = min(n, 2 * m)
-        psi[:m] = renormalized(end)
-    return m
+            _scatter(v, psis, band.stops)
+            for b in grow.tolist():
+                ms[b] = min(psis[b].shape[0], 2 * ms[b])
+            band = _Band(diag0, qdiag, off, ms)
+            v = np.concatenate([p[:m] for p, m in zip(psis, ms)])
+        start = 0
+        for stop in band.stops.tolist():
+            end[start:stop] = renormalized(end[start:stop])
+            start = stop
+        v = end
+    _scatter(v, psis, band.stops)
+    return ms
+
+
+def _scatter(v: np.ndarray, psis, stops) -> None:
+    """Write the concatenated windows ``v`` back into the chains."""
+    start = 0
+    for p, stop in zip(psis, stops.tolist()):
+        p[: stop - start] = v[start:stop]
+        start = stop
 
 
 # the benchmark's tracer wraps the kernel under this name; kept until the

@@ -8,8 +8,9 @@
     spinmo phase-diagram   --config cfg.json --out dir
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 resource cap.
-Outputs are byte-identical for identical (config, seed) regardless of
---threads; see runio for the manifest layout.
+Outputs are byte-identical for identical (config, seed); see runio for the
+manifest layout.  Every command runs in one process: a noise ensemble is
+advanced as one batch rather than spread over workers.
 """
 
 from __future__ import annotations
@@ -189,6 +190,12 @@ def _write_ensemble(run: RunDir, result) -> None:
 
 
 def cmd_noise(cfg: dict, run: RunDir) -> None:
+    """Dephasing or relaxation ensemble over the schedule.
+
+    Known defect: ``initial_state`` is ignored; every trajectory starts
+    from the polar state of its drawn atom number
+    (:func:`~spinmo.noise.run_dephasing_ensemble`).
+    """
     params = _physics(cfg)
     sched = _schedule(cfg)
     ncfg = _noise_config(cfg)
@@ -349,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="run configuration JSON")
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--threads", type=int, default=None, help="worker pool size")
         sp.add_argument(
             "--convention", choices=["angular", "plain"], default=None,
             help="override unit convention",
@@ -365,8 +371,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg["seed"] = args.seed
         if args.convention is not None:
             cfg["physics"]["convention"] = args.convention
-        if args.threads is not None:
-            cfg["threads"] = args.threads
         run = RunDir(args.out, args.command, cfg)
         _COMMANDS[args.command](cfg, run)
         run.finalize()

@@ -56,7 +56,6 @@ SCHEMA = {
     "type": "object",
     "properties": {
         "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
         "physics": {
             "type": "object",
             "properties": {

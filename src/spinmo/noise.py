@@ -13,7 +13,7 @@ Hz/G^2 on every q value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,29 +181,26 @@ def run_dephasing_ensemble(
 
     The schedule is the one optimized for the nominal atom number; it is
     not re-optimized per trajectory (the experiment cannot adapt to an
-    unknown shot-to-shot N).  Aggregates are split by atom-number parity.
+    unknown shot-to-shot N).  All trajectories run as one batch of
+    :func:`~spinmo.schedule.run_schedule`, so each ramp step
+    advances the whole ensemble.  Aggregates are split by atom-number
+    parity.
+
+    Every trajectory starts from the polar state of its drawn atom number;
+    a configured ``initial_state`` is not used (a known defect: mending it
+    changes the outputs of existing runs).
     """
-    times = None
-    curves: list[dict[str, np.ndarray]] = []
-    draws: list[TrajectoryDraw] = []
-    for i in range(cfg.n_traj):
-        draw = sample_trajectory_config(cfg, params.n_atoms, i)
-        draws.append(draw)
-        basis = PairBasis(draw.n_atoms)
-        psi0 = polar_state(basis)
-        p_i = PhysicsParams(params.c2p_hz, draw.n_atoms, params.q_hz, params.convention)
-        records, _ = run_schedule(
-            psi0,
-            schedule,
-            p_i,
-            sample_dt=sample_dt,
-            q_offset_hz=q_offset(draw.delta_bz_gauss, cfg),
-            ramp_dt=ramp_dt,
-        )
-        cur = _curves_from_records(records)
-        if times is None:
-            times = np.array([r.t for r in records])
-        curves.append(cur)
+    draws = [sample_trajectory_config(cfg, params.n_atoms, i) for i in range(cfg.n_traj)]
+    records, _ = run_schedule(
+        [polar_state(PairBasis(d.n_atoms)) for d in draws],
+        schedule,
+        [PhysicsParams(params.c2p_hz, d.n_atoms, params.q_hz, params.convention) for d in draws],
+        sample_dt=sample_dt,
+        q_offset_hz=[q_offset(d.delta_bz_gauss, cfg) for d in draws],
+        ramp_dt=ramp_dt,
+    )
+    curves = [_curves_from_records(r) for r in records]
+    times = np.array([r.t for r in records[0]])
     return EnsembleResult(times=times, classes=_parity_classes(times, curves, draws), draws=draws)
 
 
@@ -251,15 +248,7 @@ def run_relaxation_ensemble(
                     f"averaged mode invalid for trajectory {i}: h/p = "
                     f"{abs(ext.h_hz / ext.p_hz):.2e} > 1e-2"
                 )
-        spread_off = NoiseConfig(
-            delta_bz_gauss=cfg.delta_bz_gauss,
-            delta_bx_gauss=cfg.delta_bx_gauss,
-            bz_bias_gauss=cfg.bz_bias_gauss,
-            q_coeff_hz_per_g2=cfg.q_coeff_hz_per_g2,
-            atom_number_spread=False,
-            n_traj=cfg.n_traj,
-            seed=cfg.seed,
-        )
+        spread_off = replace(cfg, atom_number_spread=False)
         return run_dephasing_ensemble(
             schedule, params, spread_off, sample_dt=sample_dt, ramp_dt=ramp_dt
         )

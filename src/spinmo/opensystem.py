@@ -161,11 +161,8 @@ def _evolve_sector(
         c = eig.vectors.T @ state.amplitudes
         return StateVector(state.basis, eig.vectors @ (np.exp(-1j * eig.values * (b - a)) * c))
     from .propagate import evolve_ramp
-    from .schedule import _OffsetSegment
 
-    sub = _slice_segment(seg, a, b)
-    use = _OffsetSegment(sub, q_offset_hz) if q_offset_hz else sub
-    final, _ = evolve_ramp(state, use, params)
+    final, _ = evolve_ramp(state, _slice_segment(seg, a, b), params, q_offset_hz=q_offset_hz)
     return final
 
 

@@ -135,14 +135,6 @@ class TriMatrix:
     def expectation(self, v: np.ndarray) -> float:
         return float(np.real(np.vdot(v, self.matvec(v))))
 
-    def gershgorin_bounds(self) -> tuple[float, float]:
-        """Enclosing interval for the spectrum (cheap, slightly loose)."""
-        r = np.zeros(self.size)
-        if self.size > 1:
-            r[:-1] += np.abs(self.offdiag)
-            r[1:] += np.abs(self.offdiag)
-        return float(np.min(self.diag - r)), float(np.max(self.diag + r))
-
     def scaled(self, a: float) -> "TriMatrix":
         return TriMatrix(a * self.diag, a * self.offdiag)
 

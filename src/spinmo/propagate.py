@@ -108,12 +108,13 @@ def leading_window(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
 
 
 def evolve_ramp(
-    state: StateVector,
+    state: StateVector | list[StateVector],
     segment,
-    params: PhysicsParams,
+    params: PhysicsParams | list[PhysicsParams],
     dt: float | None = None,
     sample_times: np.ndarray | None = None,
-) -> tuple[StateVector, list[tuple[float, StateVector]]]:
+    q_offset_hz: float | list[float] = 0.0,
+) -> tuple:
     """Integrate one time-dependent segment (parabolic ramp or linear sweep).
 
     Returns the final state and ``(local_t, state)`` snapshots at the
@@ -121,16 +122,28 @@ def evolve_ramp(
     fixed internal step grid, so the main trajectory (and therefore every
     shared sample) is bit-identical no matter how densely it is sampled.
 
+    ``state`` may also be a list of B chain-sector states, with ``params``
+    and ``q_offset_hz`` lists of the same length (state b has its own atom
+    number and sees the control curve shifted by ``q_offset_hz[b]``).  The
+    batch then advances together and the result holds lists: the final
+    states and ``(local_t, states)`` snapshots.  A single state is a batch
+    of one.
+
     Each step is the fourth-order commutator-free Magnus step of
     :func:`spinmo._kernels.cf4_chain`, ``RAMP_DT_S`` long (or ``dt``, which
     may only be finer), with Chebyshev exponentials on the leading m levels
-    of the chain.  m starts at twice the state's support (levels beyond it
-    hold a norm of at most ``WINDOW_TOL`` and are dropped) and doubles
-    whenever a step's bound on the amplitude leaving the window exceeds
-    its share of a ``WINDOW_TOL`` budget for the segment; sample branches
-    never grow the main window.  States carry their exact phase.
+    of every chain, all chains in one block-diagonal series.  Each m starts
+    at twice its state's support (levels beyond it hold a norm of at most
+    ``WINDOW_TOL`` and are dropped) and doubles whenever a step's bound on
+    the amplitude leaving that window exceeds its share of a ``WINDOW_TOL``
+    budget for the segment; sample branches never grow the main windows.
+    States carry their exact phase.
     """
-    if not isinstance(state.basis, SectorBasis):
+    single = isinstance(state, StateVector)
+    states = [state] if single else list(state)
+    params = [params] if single else list(params)
+    offsets = np.broadcast_to(np.asarray(q_offset_hz, dtype=np.float64), (len(states),))
+    if not all(isinstance(st.basis, SectorBasis) for st in states):
         raise TypeError("ramp evolution runs on chain sectors")
     duration = segment.duration
     if duration <= 0:
@@ -139,47 +152,55 @@ def evolve_ramp(
         dt = RAMP_DT_S
     elif dt > RAMP_DT_S:
         raise StepSizeError(f"dt={dt:.3e} s is coarser than the ramp step {RAMP_DT_S:.3e} s")
-    pieces = _ChainPieces.build(params, state.basis)
+    pieces = [_ChainPieces.build(p, st.basis) for p, st in zip(params, states)]
+    diag0 = [pc.diag0 for pc in pieces]
+    qdiag = [pc.qdiag for pc in pieces]
+    off = [pc.off for pc in pieces]
     n_steps = max(1, math.ceil(duration / dt - 1e-9))
     dt0 = duration / n_steps
     leak_tol = WINDOW_TOL / n_steps
 
-    samples: list[tuple[float, StateVector]] = []
+    samples: list[tuple[float, list[StateVector]]] = []
     wanted = np.sort(np.asarray(sample_times, dtype=float)) if sample_times is not None else np.empty(0)
     if wanted.size and (wanted[0] < -1e-12 or wanted[-1] > duration + 1e-12):
         raise ValueError("sample times must lie within the segment")
 
-    psi = state.amplitudes.copy()
-    m, _ = leading_window(psi, WINDOW_TOL)
-    psi[m:] = 0.0
+    psis = [st.amplitudes.copy() for st in states]
+    ms = []
+    for psi in psis:
+        m, _ = leading_window(psi, WINDOW_TOL)
+        psi[m:] = 0.0
+        ms.append(m)
     step = 0  # current position on the main grid
 
-    def q_at(local_t) -> np.ndarray | float:
-        return segment.q_hz_at(np.clip(local_t, 0.0, duration))
+    def q_grid(local_t: np.ndarray) -> np.ndarray:
+        """q of every state (columns) at the local times (rows)."""
+        q = np.asarray(segment.q_hz_at(np.clip(local_t, 0.0, duration)), dtype=np.float64)
+        return q[:, None] + offsets
 
     def advance(n_adv: int):
-        nonlocal m, step
+        nonlocal ms, step
         if n_adv <= 0:
             return
         ts = (step + 0.5 * np.arange(2 * n_adv + 1)) * dt0
-        grid = np.asarray(q_at(ts), dtype=np.float64)
-        m = _kernels.cf4_chain(psi, pieces.diag0, pieces.qdiag, pieces.off, grid, dt0, m, leak_tol)
+        ms = _kernels.cf4_chain(psis, diag0, qdiag, off, q_grid(ts), dt0, ms, leak_tol)
         step += n_adv
 
     for t_s in wanted:
         k = min(int(math.floor(t_s / dt0 + 1e-9)), n_steps)
         advance(k - step)
         delta = t_s - step * dt0
-        branch = psi.copy()
+        branch = [psi.copy() for psi in psis]
         if delta > 1e-12 * max(1.0, duration):
             t_here = step * dt0
-            grid = np.asarray(
-                q_at(np.array([t_here, t_here + 0.5 * delta, t_here + delta])), dtype=np.float64
-            )
-            _kernels.cf4_chain(branch, pieces.diag0, pieces.qdiag, pieces.off, grid, delta, m, leak_tol)
-        samples.append((float(t_s), StateVector(state.basis, branch)))
+            grid = q_grid(np.array([t_here, t_here + 0.5 * delta, t_here + delta]))
+            _kernels.cf4_chain(branch, diag0, qdiag, off, grid, delta, ms, leak_tol)
+        samples.append((float(t_s), [StateVector(st.basis, b) for st, b in zip(states, branch)]))
     advance(n_steps - step)
-    return StateVector(state.basis, psi), samples
+    finals = [StateVector(st.basis, psi) for st, psi in zip(states, psis)]
+    if single:
+        return finals[0], [(t, svs[0]) for t, svs in samples]
+    return finals, samples
 
 
 def _rotating_rho(h0_centered: sp.spmatrix, h_int: float, n_atoms: int) -> float:

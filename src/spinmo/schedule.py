@@ -200,19 +200,12 @@ def landau_zener(q0_hz: float, duration_s: float) -> Schedule:
     return Schedule((LinearSweep(q0_hz, -q0_hz, duration_s),))
 
 
-class _OffsetSegment:
-    """View of a segment with a constant q offset (quasi-static field noise)."""
-
-    def __init__(self, segment: Segment, q_offset_hz: float):
-        self._segment = segment
-        self._dq = q_offset_hz
-
-    @property
-    def duration(self) -> float:
-        return self._segment.duration
-
-    def q_hz_at(self, local_t):
-        return self._segment.q_hz_at(local_t) + self._dq
+def _shifted_q(segment: Segment, local_t: float, q_offset_hz: float) -> float:
+    """q of a segment at a local time, shifted by a quasi-static offset.
+    A zero offset leaves q as it is, so the -0.0 of a mirrored zero-q hold
+    keeps its sign in the records."""
+    q = segment.q_hz_at(local_t)
+    return float(q + q_offset_hz) if q_offset_hz else float(q)
 
 
 def _sample_grid(t_a: float, t_b: float, sample_dt: float) -> np.ndarray:
@@ -225,73 +218,90 @@ def _sample_grid(t_a: float, t_b: float, sample_dt: float) -> np.ndarray:
 
 
 def run_schedule(
-    state0: StateVector,
+    state0: StateVector | list[StateVector],
     schedule: Schedule,
-    params: PhysicsParams,
+    params: PhysicsParams | list[PhysicsParams],
     sample_dt: float | None = SAMPLE_DT_DEFAULT_S,
-    reference: EigenSystem | None = None,
-    q_offset_hz: float = 0.0,
+    reference: EigenSystem | list[EigenSystem | None] | None = None,
+    q_offset_hz: float | list[float] = 0.0,
     ramp_dt: float | None = None,
     k_threshold: float = 1e-3,
-) -> tuple[list[ObservableRecord], StateVector]:
+) -> tuple:
     """Drive a state through a schedule, recording diagnostics.
 
     Records are emitted at t = 0, at every multiple of ``sample_dt`` and
     at every segment boundary.  Holds evolve by exact spectral
     decomposition; ramps and sweeps take the fourth-order Magnus steps of
-    :func:`~spinmo.propagate.evolve_ramp`.  ``q_offset_hz``
-    shifts the whole control curve, which is how quasi-static field
-    noise enters.
+    :func:`~spinmo.propagate.evolve_ramp`.  ``q_offset_hz`` shifts the
+    whole control curve, which is how quasi-static field noise enters.
+
+    ``state0`` may also be a list of B states, with ``params`` and
+    ``q_offset_hz`` (and ``reference``, unless None) lists of the same
+    length.  The states then walk the schedule together: each ramp or
+    sweep advances the whole batch in one :func:`evolve_ramp` call, and
+    each hold evolves every state by its own eigensystem.  The result is
+    then a list of record lists and a list of final states.  A single
+    state is a batch of one.
     """
-    basis = state0.basis
-    if not isinstance(basis, SectorBasis):
+    single = isinstance(state0, StateVector)
+    states0 = [state0] if single else list(state0)
+    n_batch = len(states0)
+    params = [params] if single else list(params)
+    offsets = [float(q_offset_hz)] * n_batch if np.ndim(q_offset_hz) == 0 else list(q_offset_hz)
+    references = [reference] * n_batch if single or reference is None else list(reference)
+    if not all(isinstance(st.basis, SectorBasis) for st in states0):
         raise TypeError("run_schedule drives chain-sector states")
-    if reference is None:
-        reference = reference_eigensystem(basis.n_atoms, basis.magnetization)
+    refs = [
+        ref if ref is not None else reference_eigensystem(st.basis.n_atoms, st.basis.magnetization)
+        for ref, st in zip(references, states0)
+    ]
 
-    records: list[ObservableRecord] = []
-    state = state0.copy()
+    records: list[list[ObservableRecord]] = [[] for _ in range(n_batch)]
+    states = [st.copy() for st in states0]
 
-    def emit(states_cols, ts, qs):
-        records.extend(
-            batch_records(basis, states_cols, np.asarray(ts), np.asarray(qs), reference, k_threshold)
+    def emit(b, states_cols, ts, qs):
+        records[b].extend(
+            batch_records(
+                states[b].basis, states_cols, np.asarray(ts), np.asarray(qs), refs[b], k_threshold
+            )
         )
 
-    q_start = (schedule.q_hz_at(0.0) + q_offset_hz) if schedule.segments else 0.0
-    emit(state.amplitudes[:, None], [0.0], [q_start])
+    for b in range(n_batch):
+        q_start = (schedule.q_hz_at(0.0) + offsets[b]) if schedule.segments else 0.0
+        emit(b, states[b].amplitudes[:, None], [0.0], [q_start])
 
     t_global = 0.0
     for seg in schedule.segments:
-        use = _OffsetSegment(seg, q_offset_hz) if q_offset_hz else seg
         t_end = t_global + seg.duration
         interior = (
             _sample_grid(t_global, t_end, sample_dt) if sample_dt else np.empty(0)
         )
         if isinstance(seg, Hold):
-            q_hold = float(use.q_hz_at(0.0))
-            h = hamiltonian_sector(params.with_q(q_hold), basis)
-            eig = eigensolve_tridiagonal(h)
-            c0 = eig.vectors.T @ state.amplitudes
             taus = np.concatenate([interior - t_global, [seg.duration]])
-            # per-column products keep each sample's floats independent of
-            # how densely the hold is sampled (bitwise-superset contract)
-            cols = np.column_stack(
-                [eig.vectors @ (np.exp(-1j * eig.values * tau) * c0) for tau in taus]
-            )
-            emit(
-                cols,
-                np.concatenate([interior, [t_end]]),
-                np.full(taus.size, q_hold),
-            )
-            state = StateVector(basis, cols[:, -1].copy())
+            for b in range(n_batch):
+                q_hold = _shifted_q(seg, 0.0, offsets[b])
+                h = hamiltonian_sector(params[b].with_q(q_hold), states[b].basis)
+                eig = eigensolve_tridiagonal(h)
+                c0 = eig.vectors.T @ states[b].amplitudes
+                # per-column products keep each sample's floats independent
+                # of how densely the hold is sampled (bitwise-superset contract)
+                cols = np.column_stack(
+                    [eig.vectors @ (np.exp(-1j * eig.values * tau) * c0) for tau in taus]
+                )
+                emit(b, cols, np.concatenate([interior, [t_end]]), np.full(taus.size, q_hold))
+                states[b] = StateVector(states[b].basis, cols[:, -1].copy())
         else:
-            final, samples = evolve_ramp(
-                state, use, params, dt=ramp_dt, sample_times=interior - t_global
+            finals, samples = evolve_ramp(
+                states, seg, params, dt=ramp_dt, sample_times=interior - t_global,
+                q_offset_hz=offsets,
             )
-            if samples:
-                cols = np.column_stack([sv.amplitudes for _, sv in samples])
-                emit(cols, interior, [float(use.q_hz_at(tl)) for tl, _ in samples])
-            emit(final.amplitudes[:, None], [t_end], [float(use.q_hz_at(seg.duration))])
-            state = final
+            for b in range(n_batch):
+                if samples:
+                    cols = np.column_stack([svs[b].amplitudes for _, svs in samples])
+                    emit(b, cols, interior, [_shifted_q(seg, tl, offsets[b]) for tl, _ in samples])
+                emit(b, finals[b].amplitudes[:, None], [t_end], [_shifted_q(seg, seg.duration, offsets[b])])
+            states = finals
         t_global = t_end
-    return records, state
+    if single:
+        return records[0], states[0]
+    return records, states

@@ -92,6 +92,44 @@ def test_determinism_rerun_identical_sha(tmp_path):
     assert sha(out1 / "manifest.json") == sha(out2 / "manifest.json")
 
 
+def _rerun_identical(tmp_path, command, doc, names):
+    cfg = write_cfg(tmp_path, doc)
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    for name in names + ["manifest.json"]:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    return runs[0]
+
+
+def test_noise_determinism_rerun_identical_bytes(tmp_path):
+    doc = json.loads(json.dumps(BASE))
+    doc["physics"]["n_atoms"] = 30
+    doc["noise"] = {"atom_number_spread": True, "n_traj": 6}
+    doc["seed"] = 2
+    names = ["aggregate_all.csv", "aggregate_even.csv", "aggregate_odd.csv", "ensemble.json"]
+    out = _rerun_identical(tmp_path, "noise", doc, names)
+    # the batch mixes atom-number parities, so its chains differ in length
+    n_traj = json.loads((out / "ensemble.json").read_text())["n_traj"]
+    assert n_traj["even"] > 0 and n_traj["odd"] > 0
+
+
+def test_loss_determinism_rerun_identical_bytes(tmp_path):
+    doc = json.loads(json.dumps(BASE))
+    doc["loss"] = {"gamma_per_s": 2.0, "n_traj": 5}
+    names = ["aggregate.csv", "jumps.json", "postselect.json"]
+    out = _rerun_identical(tmp_path, "loss", doc, names)
+    assert any(s["jumps"] for s in json.loads((out / "jumps.json").read_text()))
+
+
+def test_threads_is_not_a_config_key(tmp_path, capsys):
+    doc = dict(BASE, threads=2)
+    rc = main(["evolve", "--config", str(write_cfg(tmp_path, doc)), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "threads" in err["message"]
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"physics": {"c2p_hz": 25.0}})
     rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x")])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spinmo.basis import build_pair_basis, polar_state
+from spinmo import _kernels
+from spinmo.basis import PairBasis, build_pair_basis, polar_state
 from spinmo.errors import ConfigError
 from spinmo.noise import (
     NoiseConfig,
@@ -13,7 +14,13 @@ from spinmo.noise import (
     sample_trajectory_config,
 )
 from spinmo.operators import PhysicsParams
-from spinmo.schedule import Hold, ParabolicRamp, Schedule, run_schedule
+from spinmo.schedule import (
+    Hold,
+    LinearSweep,
+    ParabolicRamp,
+    Schedule,
+    run_schedule,
+)
 
 
 def test_draws_reproducible():
@@ -80,6 +87,55 @@ def test_single_trajectory_zero_noise_matches_deterministic():
         assert agg.mean["F_singlet"][i] == r.F_singlet
         assert agg.xi2[i] == pytest.approx(r.xi2, abs=0)
         assert agg.mean["K"][i] == r.K
+
+
+def test_batched_trajectories_match_each_draw_run_alone(monkeypatch):
+    windows = []  # the window sizes of every band the kernel builds
+
+    class RecordingBand(_kernels._Band):
+        def __init__(self, diag0, qdiag, off, ms):
+            windows.append(list(ms))
+            super().__init__(diag0, qdiag, off, ms)
+
+    monkeypatch.setattr(_kernels, "_Band", RecordingBand)
+    n = 40
+    p = PhysicsParams(25.0, n)
+    cfg = NoiseConfig(delta_bz_gauss=5e-2, n_traj=6, seed=2)
+    sched = Schedule(
+        (ParabolicRamp(277.0, 0.955, 0.88, 0.9), Hold(0.3, 0.01), LinearSweep(0.3, 0.0, 0.01))
+    )
+    draws = [sample_trajectory_config(cfg, n, i) for i in range(cfg.n_traj)]
+    assert {d.n_atoms % 2 for d in draws} == {0, 1}
+    params = [PhysicsParams(25.0, d.n_atoms) for d in draws]
+    offsets = [q_offset(d.delta_bz_gauss, cfg) for d in draws]
+    batched, _ = run_schedule(
+        [polar_state(PairBasis(d.n_atoms)) for d in draws], sched, params,
+        sample_dt=5e-3, q_offset_hz=offsets,
+    )
+
+    # blocks grow their windows at different steps, and one reaches its chain
+    sizes = np.array([d.n_atoms // 2 + 1 for d in draws])
+    ms = np.array(windows)
+    assert np.all(ms <= sizes)
+    assert any(
+        np.any(cur > prev) and np.any((cur == prev) & (prev < sizes))
+        for prev, cur in zip(ms[:-1], ms[1:])
+    )
+    assert np.any(ms.max(axis=0) == sizes)
+
+    for d, p_b, dq, recs in zip(draws, params, offsets, batched):
+        alone, _ = run_schedule(
+            polar_state(PairBasis(d.n_atoms)), sched, p_b, sample_dt=5e-3, q_offset_hz=dq
+        )
+        assert [(r.t, r.q) for r in recs] == [(r.t, r.q) for r in alone]
+        for r, a in zip(recs, alone):
+            assert r.K == a.K
+            for field in ("F_singlet", "xi2", "pc"):
+                assert abs(getattr(r, field) - getattr(a, field)) <= 1e-12
+
+    ens = run_dephasing_ensemble(sched, p, cfg, sample_dt=5e-3)
+    f_singlet = np.mean([[r.F_singlet for r in recs] for recs in batched], axis=0)
+    np.testing.assert_array_equal(ens.classes["all"].mean["F_singlet"], f_singlet)
 
 
 def test_parity_split_is_exhaustive():
