@@ -154,6 +154,11 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
         ["step", "q_hz", "K", "t_s", "pop_two_lowest", "flag"],
         diag_rows,
     )
+    flags = [row[-1] for row in diag_rows]
+    run.info["hold_scans"] = {
+        "total": len(flags),
+        "by_flag": {flag: flags.count(flag) for flag in ("", "flat", "capped")},
+    }
     records, _ = run_schedule(
         _initial_state(cfg, params),
         result.schedule,

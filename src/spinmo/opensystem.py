@@ -251,12 +251,13 @@ def gillespie_trajectory(
     for seg in schedule.segments:
         t_seg_end = t_seg_start + seg.duration
         while t < t_seg_end - 1e-15:
-            if terminated:
-                break
             t_next = min(next_jump, next_sample, t_seg_end)
-            state = _evolve_sector(
-                state, seg, t - t_seg_start, t_next - t_seg_start, params, cache, q_offset_hz
-            )
+            # an empty trajectory does not evolve but is still sampled, so
+            # that every trajectory has a record at every sample time
+            if not terminated:
+                state = _evolve_sector(
+                    state, seg, t - t_seg_start, t_next - t_seg_start, params, cache, q_offset_hz
+                )
             t = t_next
             if t == next_jump:
                 probs = _channel_probabilities(state)

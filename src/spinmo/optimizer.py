@@ -16,6 +16,13 @@ in the low-L levels only reaches the levels just above them before the
 time cap, so each scan solves a leading block of the chain, chosen so
 that every reference amplitude stays within 1e-12 of the whole chain's
 up to the time cap.
+
+K is sampled in chunks of samples.  A chunk's phases are a table built by
+doubling, each entry a product of at most 8 rounded exponentials
+(:func:`_phase_table`).  Its populations are one real matrix product,
+over only the levels whose population can pass the K threshold at some
+time; the triangle inequality bounds every other level below it for the
+whole hold (:func:`_reachable_rows`), so K is unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import SectorBasis, StateVector
 from .observables import reference_eigensystem, reference_n0
@@ -114,20 +120,13 @@ def geometric_grid(q_min_hz: float, q_max_hz: float, points_per_decade: int) -> 
 
 
 def _real_map(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``matrix @ z`` for a real matrix and complex ``z``, as two real
-    products, so that the matrix is never copied to complex."""
-    return matrix @ z.real + 1j * (matrix @ z.imag)
-
-
-def _reference_pops(to_reference: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """Populations of the reference (q = 0) levels, one row per level.
-
-    ``to_reference`` is the real matrix taking ``amplitudes`` (a vector or
-    one column per sample) into the reference eigenbasis.  It multiplies
-    the real and imaginary parts separately, as two real products, so it
-    is never copied to complex.
-    """
-    return (to_reference @ amplitudes.real) ** 2 + (to_reference @ amplitudes.imag) ** 2
+    """``matrix @ z`` for a real matrix and complex ``z`` (a vector or one
+    column per sample), as one real product on the float view of ``z``, so
+    that the matrix is never copied to complex and ``z`` is never split
+    into strided real and imaginary copies."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    out = matrix @ z.reshape(z.shape[0], -1).view(np.float64)
+    return out.view(complex).reshape(matrix.shape[:1] + z.shape[1:])
 
 
 def _k_of(pops: np.ndarray, threshold: float):
@@ -176,6 +175,62 @@ def _hold_levels(
         m = min(n, 2 * m)
 
 
+def _phase_table(values: np.ndarray, dt: float, width: int) -> np.ndarray:
+    """``exp(-i values[l] j dt)`` for ``j < width``, one row per value.
+
+    Built by doubling: columns ``[s, 2s)`` are columns ``[0, s)`` times
+    ``exp(-i values s dt)``, so a row costs about ``log2(width) + 1``
+    complex exponentials instead of ``width``.  Column j is the product of
+    the factors of the set bits of j: popcount(j) rounded exponentials and
+    popcount(j) - 1 rounded products, at most 8 of each for ``width`` =
+    256.  Beyond those roundings, each of order 1e-16, the only error is
+    the rounding of the factors' phase arguments, which a direct
+    ``exp(-i values j dt)`` has as well.
+    """
+    table = np.empty((values.size, width), dtype=complex)
+    table[:, 0] = 1.0
+    s = 1
+    while s < width:
+        n = min(s, width - s)
+        np.multiply(table[:, :n], np.exp(-1j * values * (s * dt))[:, None], out=table[:, s : s + n])
+        s *= 2
+    return table
+
+
+def _reachable_rows(vectors: np.ndarray, c: np.ndarray, threshold: float) -> np.ndarray:
+    """Reference levels whose population can pass ``threshold`` in a hold,
+    and always levels 0 and 1.
+
+    The amplitude of level r at time t is ``sum_j W[r, j] exp(-i lambda_j
+    t) c_j``, at most ``sum_j |W[r, j]| |c_j|`` in modulus at every t (the
+    triangle inequality).  A level whose bound squared is at most the
+    threshold never counts toward K; the 1e-9 margin keeps a level whose
+    bound is within rounding of the threshold.
+    """
+    bound = np.abs(vectors) @ np.abs(c)
+    keep = bound**2 > threshold * (1.0 - 1e-9)
+    keep[:2] = True
+    return np.flatnonzero(keep)
+
+
+def _window_min(x: np.ndarray, width: int) -> np.ndarray:
+    """Minimum of every ``width``-long window of ``x``, in O(len(x)).
+
+    van Herk / Gil-Werman: cut ``x`` into blocks of ``width``.  A window
+    is either one whole block or the tail of one block and the head of the
+    next, so its minimum is that of a block suffix minimum and a block
+    prefix minimum.  The result is exact.
+    """
+    n = x.size - width + 1
+    if n <= 0:
+        return x[:0]
+    # padding with the maximum leaves every window's minimum unchanged
+    blocks = np.concatenate((x, np.full(-x.size % width, x.max()))).reshape(-1, width)
+    prefix = np.minimum.accumulate(blocks, axis=1).ravel()
+    suffix = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.minimum(suffix[:n], prefix[width - 1 : width - 1 + n])
+
+
 def _first_refocus(ks: np.ndarray, lo: int, w: int) -> int:
     """First sample j >= lo at which K has refocused, or -1.
 
@@ -183,9 +238,11 @@ def _first_refocus(ks: np.ndarray, lo: int, w: int) -> int:
     than any K within ``w`` samples either side (clipped at sample 0).
     Only samples whose following window lies inside ``ks`` are tested.
     """
-    # padding with ks[0] leaves every clipped window's minimum unchanged
-    padded = np.concatenate((np.full(w, ks[0]), ks))
-    window_min = sliding_window_view(padded[lo:], 2 * w + 1).min(axis=1)
+    seg = ks[max(lo - w, 0) :]
+    if lo < w:
+        # padding with ks[0] leaves every clipped window's minimum unchanged
+        seg = np.concatenate((np.full(w - lo, ks[0]), seg))
+    window_min = _window_min(seg, 2 * w + 1)
     cand = ks[lo : lo + window_min.size]
     hits = np.flatnonzero((cand < ks[0]) & (cand == window_min))
     return lo + int(hits[0]) if hits.size else -1
@@ -220,6 +277,16 @@ def first_local_min_k(
     ``_SCAN_CHUNK`` and each chunk is searched for a local minimum as a
     whole; the first one found is the same as in a sample-by-sample
     search.
+
+    A chunk's populations are one real product of the reachable rows of
+    the block's eigenvectors with the float view of its phased
+    coefficients.  Only levels whose population can pass ``k_threshold``
+    at some time enter it (:func:`_reachable_rows`), plus levels 0 and 1
+    for ``pop_two_lowest``; no other level can ever count toward K, so K
+    is that of the whole block.  The phases relative to a chunk's first
+    sample come from :func:`_phase_table` by doubling; beyond the rounding
+    of its phase argument, each carries at most 8 rounded exponentials and
+    7 rounded products.
     """
     a = _real_map(reference.vectors.T, state.amplitudes)
     pops0 = a.real**2 + a.imag**2
@@ -234,6 +301,7 @@ def first_local_min_k(
         )
 
     eig, c0 = _hold_levels(a, q_hz, params, state.basis, reference, cfg.step_time_cap_s)
+    rows = eig.vectors[_reachable_rows(eig.vectors, c0, cfg.k_threshold)]
 
     dt = cfg.sample_dt_s
     w = cfg.dwell_window
@@ -242,7 +310,7 @@ def first_local_min_k(
     pop2s = np.empty(j_max + 1, dtype=np.float64)
     have = 0  # samples evaluated so far
     # phases of a chunk's samples relative to its first sample
-    chunk_phases = np.exp(-1j * np.outer(eig.values, np.arange(min(_SCAN_CHUNK, j_max + 1)) * dt))
+    chunk_phases = _phase_table(eig.values, dt, min(_SCAN_CHUNK, j_max + 1))
 
     def extend(upto: int):
         """Evaluate whole chunks of samples until sample ``upto - 1`` exists."""
@@ -252,9 +320,10 @@ def first_local_min_k(
             hi = min(have + _SCAN_CHUNK, j_max + 1)
             first = np.exp(-1j * eig.values * (have * dt)) * c0
             cols = chunk_phases[:, : hi - have] * first[:, None]
-            pops = _reference_pops(eig.vectors, cols)
+            amps = _real_map(rows, cols)
+            pops = amps.real**2 + amps.imag**2
             ks[have:hi] = _k_of(pops, cfg.k_threshold)
-            pop2s[have:hi] = pops[:2].sum(axis=0)
+            pop2s[have:hi] = pops[0] + pops[1]
             have = hi
 
     found = -1
@@ -336,7 +405,8 @@ def optimize_step(
 
 
 def _count_k(state: StateVector, reference: EigenSystem, threshold: float) -> int:
-    return int(_k_of(_reference_pops(reference.vectors.T, state.amplitudes), threshold))
+    a = _real_map(reference.vectors.T, state.amplitudes)
+    return int(_k_of(a.real**2 + a.imag**2, threshold))
 
 
 def run_amo(

@@ -4,7 +4,8 @@ Floats serialize with 17 significant digits (round-trip exact for
 float64).  Every run directory gets `manifest.json` -- resolved config,
 seed, unit convention, code version and the SHA-256 of every data file,
 all byte-stable across reruns -- plus `run_info.json` holding the wall
-clock, which is the one file excluded from the determinism contract.
+clock and the command's counters (``RunDir.info``), which is the one file
+excluded from the determinism contract.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ class RunDir:
         self.t_start = time.monotonic()
         self.wall_start = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         self.files: list[str] = []
+        # counters a command reports in run_info.json
+        self.info: dict = {}
 
     def file(self, name: str) -> Path:
         if name not in self.files:
@@ -85,6 +88,7 @@ class RunDir:
         run_info = {
             "wall_clock_s": time.monotonic() - self.t_start,
             "started_utc": self.wall_start,
+            **self.info,
         }
         (self.path / "run_info.json").write_text(
             json.dumps(run_info, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -215,6 +215,28 @@ def test_loss_command_small(tmp_path):
     assert len(jumps) == 20
 
 
+def test_loss_when_a_trajectory_loses_every_atom(tmp_path):
+    doc = {
+        "physics": {"c2p_hz": 25.0, "n_atoms": 12},
+        "schedule": {
+            "segments": [
+                {"kind": "parabolic_ramp", "q0_hz": 277.0, "T0_s": 0.955, "t_begin_s": 0.85, "t_end_s": 0.9},
+                {"kind": "hold", "q_hz": 0.3, "duration_s": 0.03},
+            ]
+        },
+        "loss": {"gamma_per_s": 20.0, "n_traj": 5},
+        "output": {"sample_dt_s": 0.01},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "loss"
+    assert main(["loss", "--config", str(cfg), "--out", str(out), "--seed", "0"]) == 0
+    assert 0 in [t["final_n"] for t in json.loads((out / "jumps.json").read_text())]
+    with (out / "aggregate.csv").open(newline="", encoding="utf-8") as fh:
+        times = [float(row["t"]) for row in csv.DictReader(fh)]
+    # samples every 10 ms over the 80 ms schedule
+    assert times == pytest.approx([0.01 * i for i in range(9)], abs=1e-12)
+
+
 OPTIMIZE = {
     "physics": {"c2p_hz": 25.0, "n_atoms": 12},
     "optimizer": {
@@ -243,6 +265,16 @@ def test_optimize_command_small(tmp_path, mode):
     assert flags and flags <= {"", "flat", "capped"}
     for name in names:
         assert sha(runs[0] / name) == sha(runs[1] / name)
+
+
+def test_optimize_run_info_counts_hold_scans_by_flag(tmp_path):
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(write_cfg(tmp_path, OPTIMIZE)), "--out", str(out)]) == 0
+    with (out / "diagnostics.csv").open(newline="", encoding="utf-8") as fh:
+        flags = [row["flag"] for row in csv.DictReader(fh)]
+    scans = json.loads((out / "run_info.json").read_text())["hold_scans"]
+    assert scans["total"] == len(flags) > 0
+    assert scans["by_flag"] == {flag: flags.count(flag) for flag in ("", "flat", "capped")}
 
 
 @pytest.mark.parametrize(

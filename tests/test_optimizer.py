@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 
 from spinmo import optimizer
@@ -180,6 +181,54 @@ def test_scan_matches_dense_expm_in_a_magnetized_sector(monkeypatch):
     want = expm(-1j * h * scan.t_s) @ st.amplitudes
     np.testing.assert_allclose(scan.amplitudes, want, rtol=0, atol=1e-10)
     assert occupied_levels(StateVector(basis, want), ref, cfg.k_threshold) == scan.k
+
+
+def test_window_min_matches_sliding_window_view():
+    rng = np.random.default_rng(3)
+    for width in range(1, 12):
+        sizes = {0, 1, width - 1}
+        sizes |= {k * width + d for k in (1, 2, 5) for d in (-1, 0, 1)}
+        for size in sorted(sizes):
+            x = rng.integers(-5, 6, size)
+            got = optimizer._window_min(x, width)
+            if size < width:
+                assert got.size == 0
+                continue
+            np.testing.assert_array_equal(got, sliding_window_view(x, width).min(axis=1))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 255, 256])
+def test_phase_table_by_doubling_matches_exp(width):
+    # phases of up to 5 rad, where np.exp's own argument rounding is small
+    rng = np.random.default_rng(width)
+    values = rng.uniform(-20.0, 20.0, 40)
+    dt = 1e-3
+    want = np.exp(-1j * np.outer(values, np.arange(width) * dt))
+    got = optimizer._phase_table(values, dt, width)
+    assert got.shape == (values.size, width)
+    np.testing.assert_allclose(got, want, rtol=0, atol=2e-15)
+
+
+@pytest.mark.parametrize("n", [60, 200])
+def test_dropped_levels_never_reach_the_k_threshold(n):
+    p = PhysicsParams(25.0, n)
+    basis = build_pair_basis(n)
+    ref = reference_eigensystem(n)
+    ground = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(4.5))).ground()
+    cfg = OptimizerConfig(step_time_cap_s=0.5)
+    times = np.arange(int(np.floor(cfg.step_time_cap_s / cfg.sample_dt_s)) + 1) * cfg.sample_dt_s
+    dropped_any = False
+    for st in (polar_state(basis), StateVector(basis, ground.astype(complex))):
+        a = ref.vectors.T @ st.amplitudes
+        for q in geometric_grid(1e-2, 10.0, 3):
+            eig, c0 = optimizer._hold_levels(a, float(q), p, basis, ref, cfg.step_time_cap_s)
+            kept = optimizer._reachable_rows(eig.vectors, c0, cfg.k_threshold)
+            assert kept[:2].tolist() == [0, 1]
+            dropped = np.setdiff1d(np.arange(eig.values.size), kept)
+            dropped_any |= dropped.size > 0
+            amps = eig.vectors[dropped] @ (np.exp(-1j * np.outer(eig.values, times)) * c0[:, None])
+            assert np.all(np.abs(amps) ** 2 <= cfg.k_threshold)
+    assert dropped_any
 
 
 def test_optimize_step_grid_of_one():
