@@ -291,19 +291,15 @@ def cmd_oscillator_demo(cfg: dict, run: RunDir) -> None:
     alpha = o["displacement_quanta"]
     x0 = alpha * np.sqrt(2.0 / (mass * omega))
     force = x0 * mass * omega**2
-    h_tilt = oscillator_hamiltonian(mass, omega, force, d)
-    g_left = eigensolve_tridiagonal(h_tilt).ground().astype(np.complex128)
+    g_left = eigensolve_tridiagonal(oscillator_hamiltonian(mass, omega, force, d)).ground()
     g_right = eigensolve_tridiagonal(oscillator_hamiltonian(mass, omega, -force, d)).ground()
-    h_free = oscillator_hamiltonian(mass, omega, 0.0, d)
-    eig = eigensolve_tridiagonal(h_free)
+    eig = eigensolve_tridiagonal(oscillator_hamiltonian(mass, omega, 0.0, d))
     n = np.arange(d - 1)
     xs = np.sqrt((n + 1) / (2.0 * mass * omega))
 
-    c0 = eig.vectors.T @ g_left
     times = np.linspace(0.0, np.pi / omega, o["n_samples"])
     rows = []
-    for t in times:
-        psi = eig.vectors @ (np.exp(-1j * eig.values * t) * c0)
+    for t, psi in zip(times, eig.evolve(g_left, times).T):
         xval = 2.0 * float(np.real(np.sum(xs * psi[:-1].conj() * psi[1:])))
         fid = float(abs(np.vdot(g_right, psi)) ** 2)
         rows.append((t, xval, fid))

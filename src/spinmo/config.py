@@ -267,6 +267,22 @@ def _check_segments(cfg: dict) -> None:
             )
 
 
+def _check_hold_grid(cfg: dict) -> None:
+    """The hold grid must not start above its end: ``q_max_hz``, or when
+    that is null the q at the end of the entry ramp."""
+    o = cfg["optimizer"]
+    q_max, what = o["q_max_hz"], "q_max_hz"
+    if q_max is None:
+        ramp = o["ramp"]
+        q_max = ramp["q0_hz"] * (1.0 - ramp["t_end_s"] / ramp["T0_s"]) ** 2
+        what = "the q at the end of the entry ramp"
+    if o["q_min_hz"] > q_max:
+        raise ConfigError(
+            f"config invalid at $.optimizer.q_min_hz: {o['q_min_hz']} Hz is above "
+            f"{what} ({q_max} Hz)"
+        )
+
+
 def resolve(doc: dict) -> dict:
     """Validate a raw config document and fill in every default."""
     if not isinstance(doc, dict):
@@ -275,6 +291,7 @@ def resolve(doc: dict) -> dict:
     cfg = _merge_defaults(doc, DEFAULTS)
     _check_atom_parity(cfg)
     _check_segments(cfg)
+    _check_hold_grid(cfg)
     return cfg
 
 

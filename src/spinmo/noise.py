@@ -111,6 +111,14 @@ class EnsembleResult:
 _CURVE_FIELDS = ("K", "F_singlet", "F_twinfock", "pc", "n_current")
 
 
+def mean_stderr(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the trajectories (rows) of ``stack`` and its standard
+    error, 0 for a single trajectory."""
+    n = stack.shape[0]
+    stderr = stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(stack.shape[1])
+    return stack.mean(axis=0), stderr
+
+
 def _aggregate(
     times: np.ndarray,
     curves: list[dict[str, np.ndarray]],
@@ -121,18 +129,12 @@ def _aggregate(
     mean: dict[str, np.ndarray] = {}
     stderr: dict[str, np.ndarray] = {}
     for f in _CURVE_FIELDS:
-        stack = np.stack([c[f] for c in sel])
-        mean[f] = stack.mean(axis=0)
-        stderr[f] = (
-            stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(stack.shape[1])
-        )
+        mean[f], stderr[f] = mean_stderr(np.stack([c[f] for c in sel]))
     # spin moments are averaged over the ensemble before combining into xi^2
-    l2 = np.stack([c["l2"] for c in sel])
+    l2_mean, l2_stderr = mean_stderr(np.stack([c["l2"] for c in sel]))
     n_mean = mean["n_current"]
-    xi2 = l2.mean(axis=0) / n_mean
-    xi2_stderr = (
-        l2.std(axis=0, ddof=1) / math.sqrt(n) / n_mean if n > 1 else np.zeros(l2.shape[1])
-    )
+    xi2 = l2_mean / n_mean
+    xi2_stderr = l2_stderr / n_mean
     return ParityAggregate(
         n_traj=n,
         times=times,
@@ -299,9 +301,7 @@ def run_rotating_schedule(
     for seg in schedule.segments:
         q_actual = float(seg.q_hz_at(0.0)) + dq
         ext = relaxation_params(params.with_q(q_actual), cfg, draw)
-        state = evolve_rotating(
-            state, ext, seg.duration, mode="exact_scaled_p", p_scale=p_scale, t0=t
-        )
+        state = evolve_rotating(state, ext, seg.duration, p_scale=p_scale, t0=t)
         t += seg.duration
         if sample_boundaries:
             records.append(record_for(state, t, q_actual))

@@ -118,8 +118,12 @@ def occupied_levels(
     """Number of reference levels with population above the threshold."""
     if reference.size != state.basis.size:
         raise ValueError("reference eigensystem is from a different sector")
-    pops = reference.populations(state.amplitudes)
-    return max(int(np.sum(pops > threshold)), 1)
+    return int(level_count(reference.populations(state.amplitudes), threshold))
+
+
+def level_count(pops: np.ndarray, threshold: float):
+    """Occupied-level count K of each population column, at least 1."""
+    return np.maximum((pops > threshold).sum(axis=0), 1)
 
 
 def fidelity_singlet(state: StateVector) -> float:
@@ -215,23 +219,21 @@ def record_for(
     reference: EigenSystem | None = None,
     threshold: float = K_THRESHOLD_DEFAULT,
 ) -> ObservableRecord:
-    """All diagnostics of one state at one time."""
+    """All diagnostics of one state at one time.
+
+    Chain-sector states go to :func:`batch_records`; a full-basis state
+    counts K on its M = 0 block.
+    """
     basis = state.basis
-    if reference is None and isinstance(basis, SectorBasis):
-        reference = reference_eigensystem(basis.n_atoms, basis.magnetization)
-    if isinstance(basis, FullBasis):
-        # project onto the M = 0 pair chain for the level count
-        blk = basis.block(0)
-        sub = state.amplitudes[blk]
-        ref0 = reference_eigensystem(basis.n_atoms, 0)
-        pops = np.abs(ref0.vectors.T @ sub) ** 2
-        k = max(int(np.sum(pops > threshold)), 1)
-    else:
-        k = occupied_levels(state, reference, threshold)
+    if isinstance(basis, SectorBasis):
+        if reference is None:
+            reference = reference_eigensystem(basis.n_atoms, basis.magnetization)
+        return batch_records(basis, state.amplitudes[:, None], [t], [q_hz], reference, threshold)[0]
+    ref0 = reference_eigensystem(basis.n_atoms, 0)
     return ObservableRecord(
         t=float(t),
         q=float(q_hz),
-        K=k,
+        K=int(level_count(ref0.populations(state.amplitudes[basis.block(0)]), threshold)),
         F_singlet=fidelity_singlet(state),
         F_twinfock=fidelity_twinfock(state),
         xi2=squeezing_xi2(state),
@@ -249,36 +251,37 @@ def batch_records(
     reference: EigenSystem,
     threshold: float = K_THRESHOLD_DEFAULT,
 ) -> list[ObservableRecord]:
-    """:func:`record_for` over the columns of ``states`` with shared setup.
+    """The records of the columns of ``states``, one chain sector, with
+    shared setup.
 
     Every column is reduced by fixed-shape operations so that the floats
     for a given state do not depend on how many other samples share the
     batch; that is what makes re-sampling at a finer grid a bitwise
-    superset of the coarser run.
+    superset of the coarser run.  An empty sector (N = 0, left by a loss
+    trajectory that lost every atom) reads K = 1 and 0 for every other
+    diagnostic but the norm.
     """
+    n = basis.n_atoms
     m = basis.magnetization
-    l2 = l2_sector(basis.n_atoms, m)
+    l2 = l2_sector(n, m)
     n0 = basis.n_zero.astype(np.float64)
-    target = singlet_amplitudes(basis.n_atoms) if m == 0 else None
-    tf_idx = basis.n_atoms // 2 if (m == 0 and basis.n_atoms % 2 == 0) else None
+    paired = n > 0 and m == 0 and n % 2 == 0
+    target = singlet_amplitudes(n) if paired else None
     out = []
     for j in range(states.shape[1]):
         col = np.ascontiguousarray(states[:, j])
-        pops = np.abs(reference.vectors.T @ col) ** 2
-        k = max(int(np.sum(pops > threshold)), 1)
-        l2e = l2.expectation(col)
         dens = np.abs(col) ** 2
         out.append(
             ObservableRecord(
                 t=float(times[j]),
                 q=float(q_values[j]),
-                K=k,
-                F_singlet=float(abs(np.vdot(target, col)) ** 2) if target is not None else 0.0,
-                F_twinfock=float(abs(col[tf_idx]) ** 2) if tf_idx is not None else 0.0,
-                xi2=float((l2e - m * m) / basis.n_atoms),
-                pc=float((basis.n_atoms - float(n0 @ dens)) / basis.n_atoms),
+                K=int(level_count(reference.populations(col), threshold)),
+                F_singlet=float(abs(np.vdot(target, col)) ** 2) if paired else 0.0,
+                F_twinfock=float(dens[n // 2]) if paired else 0.0,
+                xi2=float((l2.expectation(col) - m * m) / n) if n else 0.0,
+                pc=float((n - float(n0 @ dens)) / n) if n else 0.0,
                 norm=float(np.sqrt(dens.sum())),
-                n_current=float(basis.n_atoms),
+                n_current=float(n),
             )
         )
     return out

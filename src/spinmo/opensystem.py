@@ -19,8 +19,9 @@ import numpy as np
 
 from .basis import FullBasis, SectorBasis, StateVector
 from .errors import ConfigError, ResourceCapError
-from .observables import ObservableRecord, reference_eigensystem, singlet_amplitudes
+from .observables import ObservableRecord, batch_records, reference_eigensystem, singlet_amplitudes
 from .operators import PhysicsParams, hamiltonian_sector, l2_full, l2_sector, n0_full
+from .propagate import evolve_ramp
 from .schedule import Hold, LinearSweep, ParabolicRamp, Schedule, Segment
 from .spectra import EigenSystem, eigensolve_tridiagonal
 
@@ -127,79 +128,38 @@ def _channel_probabilities(state: StateVector) -> np.ndarray:
     )
 
 
-class _SectorEigCache:
-    """Eigen-decompositions keyed by (N, M, q) for hold evolution."""
-
-    def __init__(self, params: PhysicsParams):
-        self.params = params
-        self._cache: dict[tuple[int, int, float], EigenSystem] = {}
-
-    def get(self, basis: SectorBasis, q_hz: float) -> EigenSystem:
-        key = (basis.n_atoms, basis.magnetization, q_hz)
-        eig = self._cache.get(key)
-        if eig is None:
-            h = hamiltonian_sector(self.params.with_q(q_hz), basis)
-            eig = eigensolve_tridiagonal(h)
-            self._cache[key] = eig
-        return eig
-
-
 def _evolve_sector(
     state: StateVector,
     seg: Segment,
     a: float,
     b: float,
     params: PhysicsParams,
-    cache: _SectorEigCache,
+    eigs: dict[tuple[int, int, float], EigenSystem],
     q_offset_hz: float,
 ) -> StateVector:
-    """Unitary evolution through local times [a, b] of one segment."""
+    """Unitary evolution through local times [a, b] of one segment; a hold
+    reuses its sector's eigensystem from ``eigs``, keyed by (N, M, q)."""
     if b <= a:
         return state
     if isinstance(seg, Hold):
-        eig = cache.get(state.basis, seg.q_hz + q_offset_hz)
-        c = eig.vectors.T @ state.amplitudes
-        return StateVector(state.basis, eig.vectors @ (np.exp(-1j * eig.values * (b - a)) * c))
-    from .propagate import evolve_ramp
-
+        basis = state.basis
+        q = seg.q_hz + q_offset_hz
+        key = (basis.n_atoms, basis.magnetization, q)
+        eig = eigs.get(key)
+        if eig is None:
+            eig = eigs[key] = eigensolve_tridiagonal(hamiltonian_sector(params.with_q(q), basis))
+        return StateVector(basis, eig.evolve(state.amplitudes, [b - a])[:, 0])
     final, _ = evolve_ramp(state, _slice_segment(seg, a, b), params, q_offset_hz=q_offset_hz)
     return final
 
 
-def _sector_record(
-    state: StateVector, t: float, q: float, ref_cache: dict, k_threshold: float = 1e-3
-) -> ObservableRecord:
+def _record(state: StateVector, t: float, q: float) -> ObservableRecord:
+    """The record of one sector state.  It calls :func:`batch_records`
+    directly, not through :func:`~spinmo.observables.record_for`, so that
+    each record is one call of the record builder in a traced run."""
     basis = state.basis
-    key = (basis.n_atoms, basis.magnetization)
-    ref = ref_cache.get(key)
-    if ref is None:
-        ref = reference_eigensystem(basis.n_atoms, basis.magnetization)
-        ref_cache[key] = ref
-    pops = np.abs(ref.vectors.T @ state.amplitudes) ** 2
-    k = max(int((pops > k_threshold).sum()), 1)
-    m = basis.magnetization
-    l2e = l2_sector(basis.n_atoms, m).expectation(state.amplitudes)
-    dens = np.abs(state.amplitudes) ** 2
-    n = basis.n_atoms
-    n0 = float(basis.n_zero @ dens)
-    target = singlet_amplitudes(n) if (m == 0 and n > 0) else None
-    fs = float(abs(np.vdot(target, state.amplitudes)) ** 2) if target is not None else 0.0
-    ftf = (
-        float(abs(state.amplitudes[n // 2]) ** 2)
-        if (m == 0 and n % 2 == 0 and n > 0)
-        else 0.0
-    )
-    return ObservableRecord(
-        t=float(t),
-        q=float(q),
-        K=k,
-        F_singlet=fs,
-        F_twinfock=ftf,
-        xi2=float((l2e - m * m) / n) if n > 0 else 0.0,
-        pc=float((n - n0) / n) if n > 0 else 0.0,
-        norm=state.norm,
-        n_current=float(n),
-    )
+    ref = reference_eigensystem(basis.n_atoms, basis.magnetization)
+    return batch_records(basis, state.amplitudes[:, None], [t], [q], ref)[0]
 
 
 def gillespie_trajectory(
@@ -222,8 +182,7 @@ def gillespie_trajectory(
     if not isinstance(state0.basis, SectorBasis):
         raise TypeError("loss trajectories run on chain sectors")
     rng = np.random.default_rng([cfg.seed, 7, index])
-    cache = _SectorEigCache(params)
-    ref_cache: dict = {}
+    eigs: dict[tuple[int, int, float], EigenSystem] = {}
     state = state0.copy()
     gamma = cfg.gamma_per_s
 
@@ -234,9 +193,7 @@ def gillespie_trajectory(
 
     t = 0.0
     if sample_dt:
-        records.append(
-            _sector_record(state, 0.0, schedule.q_hz_at(0.0) + q_offset_hz, ref_cache)
-        )
+        records.append(_record(state, 0.0, schedule.q_hz_at(0.0) + q_offset_hz))
     if keep_states:
         states.append((0.0, state.copy()))
 
@@ -256,7 +213,7 @@ def gillespie_trajectory(
             # that every trajectory has a record at every sample time
             if not terminated:
                 state = _evolve_sector(
-                    state, seg, t - t_seg_start, t_next - t_seg_start, params, cache, q_offset_hz
+                    state, seg, t - t_seg_start, t_next - t_seg_start, params, eigs, q_offset_hz
                 )
             t = t_next
             if t == next_jump:
@@ -274,15 +231,13 @@ def gillespie_trajectory(
                     next_jump = t + rng.exponential(1.0 / (2.0 * gamma * n_now))
             if t == next_sample:
                 records.append(
-                    _sector_record(
-                        state, t, float(seg.q_hz_at(t - t_seg_start)) + q_offset_hz, ref_cache
-                    )
+                    _record(state, t, float(seg.q_hz_at(t - t_seg_start)) + q_offset_hz)
                 )
                 next_sample = next_sample + sample_dt
         t_seg_start = t_seg_end
         if sample_dt and (not records or abs(records[-1].t - t_seg_end) > 1e-12):
             q_b = float(seg.q_hz_at(seg.duration)) + q_offset_hz
-            records.append(_sector_record(state, t_seg_end, q_b, ref_cache))
+            records.append(_record(state, t_seg_end, q_b))
 
     basis = state.basis
     m = basis.magnetization
@@ -294,7 +249,7 @@ def gillespie_trajectory(
         final_m=m,
         n_jumps=len(jumps),
         terminated_empty=terminated,
-        final_f_singlet=_sector_record(state, t, 0.0, ref_cache).F_singlet,
+        final_f_singlet=_record(state, t, 0.0).F_singlet,
         final_l2=float(l2e),
         final_n0=float(basis.n_zero @ dens) if basis.n_atoms else 0.0,
         jumps=jumps,
@@ -351,13 +306,9 @@ def run_loss_study(
     dephasing: "NoiseConfig | None" = None,
 ) -> LossStudyResult:
     """Trajectory ensemble of the loss process, optionally with dephasing draws."""
-    from .noise import NoiseConfig, q_offset, sample_trajectory_config
+    from .noise import NoiseConfig, mean_stderr, q_offset, sample_trajectory_config
 
-    sum_l2 = sum_l2sq = None
-    sum_m = sum_m2 = None
-    sum_n = sum_nsq = None
-    sum_f = sum_fsq = None
-    times = None
+    samples = []
     summaries = []
     for i in range(cfg.n_traj):
         dq = 0.0
@@ -367,46 +318,30 @@ def run_loss_study(
         traj = gillespie_trajectory(
             state0, schedule, params, cfg, index=i, sample_dt=sample_dt, q_offset_hz=dq
         )
-        s = traj.samples
-        if times is None:
-            times = s["t"]
-            z = np.zeros(times.size)
-            sum_l2, sum_l2sq = z.copy(), z.copy()
-            sum_m, sum_m2 = z.copy(), z.copy()
-            sum_n, sum_nsq = z.copy(), z.copy()
-            sum_f, sum_fsq = z.copy(), z.copy()
-        sum_l2 += s["l2_t"]
-        sum_l2sq += s["l2_t"] ** 2
-        sum_m += s["m"]
-        sum_m2 += s["m"] ** 2
-        sum_n += s["n"]
-        sum_nsq += s["n"] ** 2
-        sum_f += s["f_singlet"]
-        sum_fsq += s["f_singlet"] ** 2
+        samples.append(traj.samples)
         summaries.append(traj.summary)
 
-    nt = cfg.n_traj
-    n_mean = sum_n / nt
-    mean_l2 = sum_l2 / nt
-    mean_m = sum_m / nt
-    mean_m2 = sum_m2 / nt
+    def stacked(key):
+        return np.stack([s[key] for s in samples])
+
+    l2_mean, l2_stderr = mean_stderr(stacked("l2_t"))
+    n_mean, n_stderr = mean_stderr(stacked("n"))
+    f_mean, f_stderr = mean_stderr(stacked("f_singlet"))
+
+    def per_atom(x):
+        # xi2 is undefined (nan) where no trajectory keeps an atom
+        return np.divide(x, n_mean, out=np.full_like(x, np.nan), where=n_mean > 0)
+
     # ensemble moments: transverse variances from per-traj (<L^2> - M^2),
     # longitudinal from the spread of M across trajectories
-    xi2 = (mean_l2 + (mean_m2 - mean_m**2)) / n_mean
-    def _se(s, s2):
-        if nt < 2:
-            return np.zeros_like(s)
-        var = (s2 - s**2 / nt) / (nt - 1)
-        return np.sqrt(np.maximum(var, 0.0) / nt)
-
     return LossStudyResult(
-        times=times,
-        xi2=xi2,
-        xi2_stderr=_se(sum_l2, sum_l2sq) / n_mean,
+        times=samples[0]["t"],
+        xi2=per_atom(l2_mean + stacked("m").var(axis=0)),
+        xi2_stderr=per_atom(l2_stderr),
         n_mean=n_mean,
-        n_stderr=_se(sum_n, sum_nsq),
-        f_singlet_mean=sum_f / nt,
-        f_singlet_stderr=_se(sum_f, sum_fsq),
+        n_stderr=n_stderr,
+        f_singlet_mean=f_mean,
+        f_singlet_stderr=f_stderr,
         summaries=summaries,
     )
 
@@ -429,7 +364,10 @@ def postselect(summaries: list[TrajectorySummary], predicate) -> dict:
     n_mean = n.mean()
     result["final_f_singlet_mean"] = float(f.mean())
     result["final_f_singlet_stderr"] = float(f.std(ddof=1) / math.sqrt(len(keep))) if len(keep) > 1 else 0.0
-    result["final_xi2"] = float(((l2 - m**2).mean() + (np.mean(m**2) - m.mean() ** 2)) / n_mean)
+    # xi2 is undefined (null) when no selected trajectory keeps an atom
+    result["final_xi2"] = (
+        float(((l2 - m**2).mean() + (np.mean(m**2) - m.mean() ** 2)) / n_mean) if n_mean else None
+    )
     result["final_n_mean"] = float(n_mean)
     return result
 

@@ -34,11 +34,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import SectorBasis, StateVector
-from .observables import reference_eigensystem, reference_n0
+from .observables import level_count, occupied_levels, reference_eigensystem, reference_n0
 from .operators import PhysicsParams, TriMatrix
 from .propagate import evolve_ramp, leading_window
 from .schedule import Hold, Schedule, mirror_schedule, reference_ramp, run_schedule
-from .spectra import EigenSystem, eigensolve_tridiagonal
+from .spectra import EigenSystem, eigensolve_tridiagonal, real_map
 
 log = logging.getLogger(__name__)
 
@@ -119,21 +119,6 @@ def geometric_grid(q_min_hz: float, q_max_hz: float, points_per_decade: int) -> 
     return np.geomspace(q_min_hz, q_max_hz, n)
 
 
-def _real_map(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``matrix @ z`` for a real matrix and complex ``z`` (a vector or one
-    column per sample), as one real product on the float view of ``z``, so
-    that the matrix is never copied to complex and ``z`` is never split
-    into strided real and imaginary copies."""
-    z = np.ascontiguousarray(z, dtype=complex)
-    out = matrix @ z.reshape(z.shape[0], -1).view(np.float64)
-    return out.view(complex).reshape(matrix.shape[:1] + z.shape[1:])
-
-
-def _k_of(pops: np.ndarray, threshold: float):
-    """Occupied-level count K of each population column, at least 1."""
-    return np.maximum((pops > threshold).sum(axis=0), 1)
-
-
 def _hold_levels(
     a: np.ndarray,
     q_hz: float,
@@ -166,7 +151,7 @@ def _hold_levels(
     m, tail = leading_window(a, _TRUNCATION_TOL)
     while True:
         eig = eigensolve_tridiagonal(TriMatrix(diag[:m], off[: m - 1]))
-        c = _real_map(eig.vectors.T, a[:m])
+        c = eig.project(a[:m])
         if m == n:
             return eig, c
         leak = cap_s * abs(off[m - 1]) * (np.abs(c) @ np.abs(eig.vectors[m - 1]))
@@ -288,9 +273,9 @@ def first_local_min_k(
     of its phase argument, each carries at most 8 rounded exponentials and
     7 rounded products.
     """
-    a = _real_map(reference.vectors.T, state.amplitudes)
+    a = reference.project(state.amplitudes)
     pops0 = a.real**2 + a.imag**2
-    if _k_of(pops0, cfg.k_threshold) == 1:
+    if level_count(pops0, cfg.k_threshold) == 1:
         return HoldScan(
             q_hz=float(q_hz),
             k=1,
@@ -320,9 +305,9 @@ def first_local_min_k(
             hi = min(have + _SCAN_CHUNK, j_max + 1)
             first = np.exp(-1j * eig.values * (have * dt)) * c0
             cols = chunk_phases[:, : hi - have] * first[:, None]
-            amps = _real_map(rows, cols)
+            amps = real_map(rows, cols)
             pops = amps.real**2 + amps.imag**2
-            ks[have:hi] = _k_of(pops, cfg.k_threshold)
+            ks[have:hi] = level_count(pops, cfg.k_threshold)
             pop2s[have:hi] = pops[0] + pops[1]
             have = hi
 
@@ -351,14 +336,14 @@ def first_local_min_k(
             flag = "capped"
 
     t_star = found * dt
-    b = _real_map(eig.vectors, np.exp(-1j * eig.values * t_star) * c0)
+    b = real_map(eig.vectors, np.exp(-1j * eig.values * t_star) * c0)
     return HoldScan(
         q_hz=float(q_hz),
         k=int(ks[found]),
         t_s=float(t_star),
         pop_two_lowest=float((b.real[:2] ** 2 + b.imag[:2] ** 2).sum()),
         flag=flag,
-        amplitudes=_real_map(reference.vectors[:, : b.size], b),
+        amplitudes=real_map(reference.vectors[:, : b.size], b),
     )
 
 
@@ -404,9 +389,9 @@ def optimize_step(
     )
 
 
-def _count_k(state: StateVector, reference: EigenSystem, threshold: float) -> int:
-    a = _real_map(reference.vectors.T, state.amplitudes)
-    return int(_k_of(a.real**2 + a.imag**2, threshold))
+# the benchmark's tracer imports the level count under this name; kept until
+# the benchmark's next change drops it
+_count_k = occupied_levels
 
 
 def run_amo(
@@ -430,7 +415,7 @@ def run_amo(
     if cfg.q_max_hz is None:
         raise ValueError("cfg.q_max_hz must be set (q at the end of the entry ramp)")
 
-    k_now = _count_k(state, reference, cfg.k_threshold)
+    k_now = occupied_levels(state, reference, cfg.k_threshold)
     k_history = [k_now]
     holds: list[Hold] = []
     steps: list[StepResult] = []

@@ -1,8 +1,8 @@
 """Time evolution under constant and time-dependent Hamiltonians.
 
-Constant-q evolution is always done by exact spectral decomposition
-(chain sectors) or a Krylov-style exponential action (full basis), never
-by time stepping, so the optimizer's inner loop carries no integrator
+Constant-q evolution on a chain is always done by exact spectral
+decomposition (:meth:`~spinmo.spectra.EigenSystem.evolve`), never by
+time stepping, so the optimizer's inner loop carries no integrator
 error.  Ramps, sweeps and the exact rotating frame take fourth-order
 commutator-free Magnus steps with Chebyshev exponentials
 (:mod:`spinmo._kernels`); on chain sectors the step runs on a leading
@@ -17,23 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from . import _kernels
 from .basis import FullBasis, SectorBasis, StateVector
-from .errors import ConvergenceError, StepSizeError
+from .errors import StepSizeError
 from .operators import (
     ExtendedParams,
     PhysicsParams,
     TriMatrix,
-    hamiltonian_sector,
     l2_sector,
     lx_full,
     ly_full,
     n0_full,
     l2_full,
 )
-from .spectra import EigenSystem, eigensolve_tridiagonal
+from .spectra import eigensolve_tridiagonal
 
 # ramp step of the CF4:2 integrator.  On the first 5 ms of the reference ramp
 # at N = 200 the final xi2 is within 5.0e-8 of a run at a 2e-6 s step; a
@@ -42,41 +40,17 @@ RAMP_DT_S = 2.5e-4
 WINDOW_TOL = 1e-12  # norm outside the starting window; leakage budget per segment
 
 
-def evolve_constant(
-    state: StateVector,
-    h,
-    t: float,
-    eig: EigenSystem | None = None,
-) -> StateVector:
-    """``exp(-i H t)`` applied to a state.
-
-    ``h`` may be a :class:`TriMatrix` (spectral path, optionally with a
-    precomputed eigensystem) or a sparse/dense full-basis operator
-    (Krylov exponential action).
-    """
-    if isinstance(h, TriMatrix):
-        if h.size != state.basis.size:
-            raise ValueError(
-                f"operator dimension {h.size} does not match state dimension "
-                f"{state.basis.size}"
-            )
-        if eig is None:
-            eig = eigensolve_tridiagonal(h)
-        c = eig.vectors.T @ state.amplitudes
-        out = eig.vectors @ (np.exp(-1j * eig.values * t) * c)
-        return StateVector(state.basis, out)
-    if sp.issparse(h) or isinstance(h, np.ndarray):
-        if h.shape[0] != state.basis.size:
-            raise ValueError(
-                f"operator dimension {h.shape[0]} does not match state dimension "
-                f"{state.basis.size}"
-            )
-        out = expm_multiply((-1j * t) * h, state.amplitudes)
-        nrm = np.linalg.norm(out)
-        if abs(nrm - 1.0) > 1e-9:
-            raise ConvergenceError(f"exponential action lost unitarity: |norm-1|={abs(nrm-1):.2e}")
-        return StateVector(state.basis, out / nrm)
-    raise TypeError(f"unsupported Hamiltonian type {type(h)!r}")
+def evolve_constant(state: StateVector, h: TriMatrix, t: float) -> StateVector:
+    """``exp(-i H t)`` applied to a state, by the spectrum of the
+    tridiagonal ``h`` (:meth:`~spinmo.spectra.EigenSystem.evolve`)."""
+    if not isinstance(h, TriMatrix):
+        raise TypeError(f"unsupported Hamiltonian type {type(h)!r}")
+    if h.size != state.basis.size:
+        raise ValueError(
+            f"operator dimension {h.size} does not match state dimension "
+            f"{state.basis.size}"
+        )
+    return StateVector(state.basis, eigensolve_tridiagonal(h).evolve(state.amplitudes, [t])[:, 0])
 
 
 @dataclass(frozen=True)
@@ -214,7 +188,6 @@ def evolve_rotating(
     state: StateVector,
     ext: ExtendedParams,
     t: float,
-    mode: str = "averaged",
     p_scale: float = 1.0,
     t0: float = 0.0,
     dt: float | None = None,
@@ -222,41 +195,18 @@ def evolve_rotating(
     """Constant-q evolution in the frame rotating at the linear Zeeman rate.
 
     In that frame the transverse coupling becomes
-    ``-h (Lx cos(p t) - Ly sin(p t))``.  Mode ``exact_scaled_p``
-    integrates it directly (practical only with ``p_scale`` << 1) by the
-    Magnus step of :mod:`spinmo._kernels`, with the Hamiltonian evaluated
-    at the Gauss nodes and a step of at most ``RAMP_DT_S`` and 1/24 of a
-    rotation period; a finer ``dt`` may be given.  Mode
-    ``averaged`` keeps its second-order secular part ``+ (h^2/2p) Lz``,
-    valid for h << p.  All reported observables are frame-invariant.
+    ``-h (Lx cos(p t) - Ly sin(p t))``.  It is integrated directly, with
+    the Zeeman rate scaled by ``p_scale`` (practical only with
+    ``p_scale`` << 1), by the Magnus step of :mod:`spinmo._kernels`, with
+    the Hamiltonian evaluated at the Gauss nodes and a step of at most
+    ``RAMP_DT_S`` and 1/24 of a rotation period; a finer ``dt`` may be
+    given.  All reported observables are frame-invariant.
     """
     basis = state.basis
     if not isinstance(basis, FullBasis):
         raise TypeError("rotating-frame evolution runs on the full basis")
     params = ext.base
     f = params.factor
-    if mode == "averaged":
-        if ext.p_hz == 0 or abs(ext.h_hz / ext.p_hz) > 1e-2:
-            raise ValueError(
-                f"averaged mode requires h/p <= 1e-2, got h={ext.h_hz} Hz, p={ext.p_hz} Hz"
-            )
-        shift_hz = ext.h_hz**2 / (2.0 * ext.p_hz)
-        out = np.empty_like(state.amplitudes)
-        for m in range(-basis.n_atoms, basis.n_atoms + 1):
-            blk = basis.block(m)
-            amp = state.amplitudes[blk]
-            if not np.any(amp):
-                out[blk] = 0.0
-                continue
-            h_m = hamiltonian_sector(params, SectorBasis(basis.n_atoms, m))
-            h_m = h_m.add_diagonal(f * shift_hz * m)
-            sub = evolve_constant(StateVector(SectorBasis(basis.n_atoms, m), amp / np.linalg.norm(amp)), h_m, t)
-            out[blk] = sub.amplitudes * np.linalg.norm(amp)
-        return StateVector(basis, out)
-
-    if mode != "exact_scaled_p":
-        raise ValueError(f"unknown rotating-frame mode {mode!r}")
-
     p_int = f * ext.p_hz * p_scale
     h_int = f * ext.h_hz
     h0 = f * (params.c2p_hz / basis.n_atoms) * l2_full(basis) - sp.diags(

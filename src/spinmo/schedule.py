@@ -281,13 +281,7 @@ def run_schedule(
             for b in range(n_batch):
                 q_hold = _shifted_q(seg, 0.0, offsets[b])
                 h = hamiltonian_sector(params[b].with_q(q_hold), states[b].basis)
-                eig = eigensolve_tridiagonal(h)
-                c0 = eig.vectors.T @ states[b].amplitudes
-                # per-column products keep each sample's floats independent
-                # of how densely the hold is sampled (bitwise-superset contract)
-                cols = np.column_stack(
-                    [eig.vectors @ (np.exp(-1j * eig.values * tau) * c0) for tau in taus]
-                )
+                cols = eigensolve_tridiagonal(h).evolve(states[b].amplitudes, taus)
                 emit(b, cols, np.concatenate([interior, [t_end]]), np.full(taus.size, q_hold))
                 states[b] = StateVector(states[b].basis, cols[:, -1].copy())
         else:

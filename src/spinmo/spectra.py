@@ -37,10 +37,33 @@ class EigenSystem:
 
     def project(self, amplitudes: np.ndarray) -> np.ndarray:
         """Amplitudes in the eigenbasis (vectors are real orthonormal)."""
-        return self.vectors.T @ amplitudes
+        return real_map(self.vectors.T, amplitudes)
 
     def populations(self, amplitudes: np.ndarray) -> np.ndarray:
-        return np.abs(self.project(amplitudes)) ** 2
+        c = self.project(amplitudes)
+        return c.real**2 + c.imag**2
+
+    def evolve(self, amplitudes: np.ndarray, taus) -> np.ndarray:
+        """``exp(-i H tau) a`` for each tau, one column per tau.
+
+        Each column is its own product, so its floats do not depend on
+        how many other times share the call.
+        """
+        c = self.project(amplitudes)
+        out = np.empty((self.size, len(taus)), dtype=complex)
+        for j, tau in enumerate(taus):
+            out[:, j] = real_map(self.vectors, np.exp(-1j * self.values * tau) * c)
+        return out
+
+
+def real_map(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``matrix @ z`` for a real matrix and complex ``z`` (a vector or one
+    column per sample), as one real product on the float view of ``z``, so
+    that the matrix is never copied to complex and ``z`` is never split
+    into strided real and imaginary copies."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    out = matrix @ z.reshape(z.shape[0], -1).view(np.float64)
+    return out.view(complex).reshape(matrix.shape[:1] + z.shape[1:])
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,30 @@ def test_loss_when_a_trajectory_loses_every_atom(tmp_path):
     assert times == pytest.approx([0.01 * i for i in range(9)], abs=1e-12)
 
 
+def test_loss_aggregates_when_no_atoms_remain(tmp_path):
+    doc = {
+        "physics": {"c2p_hz": 25.0, "n_atoms": 2},
+        "schedule": {"segments": [{"kind": "hold", "q_hz": 0.3, "duration_s": 0.05}]},
+        "loss": {"gamma_per_s": 200.0, "n_traj": 3},
+        "output": {"sample_dt_s": 0.01},
+    }
+    out = tmp_path / "loss"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["loss", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    ps = json.loads((out / "postselect.json").read_text(), parse_constant=no_constants)
+    assert ps["all"]["final_n_mean"] == 0.0 and ps["all"]["final_xi2"] is None
+    with (out / "aggregate.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    # the three trajectories are identical at t = 0
+    assert all(float(rows[0][k]) <= 1e-15 for k in ("xi2_stderr", "n_stderr", "f_singlet_stderr"))
+    assert rows[-1]["n_mean"] == "0" and rows[-1]["xi2"] == "nan"
+
+
 OPTIMIZE = {
     "physics": {"c2p_hz": 25.0, "n_atoms": 12},
     "optimizer": {
@@ -265,6 +290,24 @@ def test_optimize_command_small(tmp_path, mode):
     assert flags and flags <= {"", "flat", "capped"}
     for name in names:
         assert sha(runs[0] / name) == sha(runs[1] / name)
+
+
+@pytest.mark.parametrize(
+    "q_min_hz, q_max_hz",
+    [(0.01, 0.001), (10.0, None)],  # the test ramp ends at 4.2 Hz
+    ids=["above-q_max", "above-the-ramp-end"],
+)
+def test_optimize_q_min_above_the_grid_end_is_a_config_error(tmp_path, capsys, q_min_hz, q_max_hz):
+    doc = json.loads(json.dumps(OPTIMIZE))
+    doc["optimizer"].update(q_min_hz=q_min_hz, q_max_hz=q_max_hz)
+    path = "$.optimizer.q_min_hz"
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        resolve(doc)
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and path in err["message"]
+    assert not out.exists()  # rejected before the entry ramp
 
 
 def test_optimize_run_info_counts_hold_scans_by_flag(tmp_path):
@@ -342,11 +385,12 @@ def test_loss_on_the_reference_ramp(tmp_path):
     assert len(json.loads((out / "jumps.json").read_text())) == 2
 
 
-def test_cli_import_leaves_out_numba_and_scipy_special():
-    # both cost import time and memory on every run; neither is needed
+def test_cli_import_leaves_out_numba_scipy_special_and_sparse_linalg():
+    # each costs import time and memory on every run; none is needed
     src = str(Path(spinmo.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, spinmo.cli; print(sorted(m for m in ('numba', 'scipy.special') if m in sys.modules))"
+    unwanted = ("numba", "scipy.special", "scipy.sparse.linalg")
+    code = f"import sys, spinmo.cli; print(sorted(m for m in {unwanted!r} if m in sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -38,6 +38,20 @@ def test_gamma_zero_reduces_to_unitary():
     assert abs(abs(np.vdot(fin.amplitudes, ref.amplitudes)) ** 2 - 1) < 1e-10
 
 
+def test_emptied_trajectory_records_read_the_empty_sector():
+    # two atoms at 200/s are both lost within the 50 ms hold
+    n = 2
+    st = polar_state(build_pair_basis(n))
+    sched = Schedule((Hold(0.3, 0.05),))
+    cfg = LossConfig(gamma_per_s=200.0, n_traj=1)
+    traj = gillespie_trajectory(st, sched, PhysicsParams(25.0, n), cfg, index=0, sample_dt=0.01)
+    assert traj.summary.terminated_empty and traj.summary.final_f_singlet == 0.0
+    last = traj.records[-1]
+    assert (last.K, last.F_singlet, last.F_twinfock, last.xi2, last.pc, last.n_current) == (
+        1, 0.0, 0.0, 0.0, 0.0, 0.0
+    )
+
+
 def test_channel_probabilities_sum_to_one():
     n = 9
     rng = np.random.default_rng(2)

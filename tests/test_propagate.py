@@ -142,25 +142,17 @@ def test_evolve_constant_dimension_mismatch():
         evolve_constant(st, hamiltonian_pair(p), 0.1)
 
 
-def test_full_basis_krylov_evolution_matches_dense():
-    n = 5
-    basis = build_full_basis(n)
-    base = PhysicsParams(25.0, n, 1.0, convention="plain")
-    ext = ExtendedParams(base, p_hz=3.0, h_hz=7.0)
-    h = hamiltonian_full(ext, basis)
-    psi0 = polar_state(basis)
-    out = evolve_constant(psi0, h, 0.11)
-    dense = scipy.linalg.expm(-1j * 0.11 * h.toarray()) @ psi0.amplitudes
-    assert np.max(np.abs(out.amplitudes - dense)) < 1e-9
-
-
 def test_rotating_h0_reduces_to_block_evolution():
     n = 6
     basis = build_full_basis(n)
     base = PhysicsParams(25.0, n, 0.7)
     ext = ExtendedParams(base, p_hz=1e4, h_hz=0.0)
     psi0 = polar_state(basis)
-    rot = evolve_rotating(psi0, ext, 0.15, mode="averaged")
+    # a scaled rotation period of 24 steps of RAMP_DT_S or more leaves the
+    # step at RAMP_DT_S
+    p_scale = 1e-2
+    assert 2 * math.pi / (24 * base.factor * ext.p_hz * p_scale) >= RAMP_DT_S
+    rot = evolve_rotating(psi0, ext, 0.15, p_scale=p_scale)
     pair = polar_state(build_pair_basis(n))
     ref = evolve_constant(pair, hamiltonian_pair(base), 0.15)
     blk = basis.block(0)
@@ -174,19 +166,10 @@ def test_rotating_p0_matches_static_transverse():
     base = PhysicsParams(25.0, n, 0.5, convention="plain")
     ext = ExtendedParams(base, p_hz=0.0, h_hz=4.0)
     psi0 = polar_state(basis)
-    out = evolve_rotating(psi0, ext, 0.2, mode="exact_scaled_p", dt=2e-5)
+    out = evolve_rotating(psi0, ext, 0.2, dt=2e-5)
     h = hamiltonian_full(ext, basis)
     dense = scipy.linalg.expm(-1j * 0.2 * h.toarray()) @ psi0.amplitudes
     assert abs(abs(np.vdot(dense, out.amplitudes)) ** 2 - 1) < 1e-6
-
-
-def test_rotating_averaged_refuses_large_h_over_p():
-    n = 4
-    basis = build_full_basis(n)
-    base = PhysicsParams(25.0, n, 0.0)
-    ext = ExtendedParams(base, p_hz=100.0, h_hz=50.0)
-    with pytest.raises(ValueError):
-        evolve_rotating(polar_state(basis), ext, 0.1, mode="averaged")
 
 
 @pytest.mark.parametrize(
@@ -269,7 +252,7 @@ def test_rotating_exact_mode_at_the_relaxation_bias():
         ext = relaxation_params(p, cfg, draw)
         basis = build_full_basis(draw.n_atoms)
         psi0 = polar_state(basis)
-        out = evolve_rotating(psi0, ext, t, mode="exact_scaled_p", p_scale=p_scale, t0=t0)
+        out = evolve_rotating(psi0, ext, t, p_scale=p_scale, t0=t0)
         # the rotating-frame Hamiltonian H0 - h (Lx cos(Pt) - Ly sin(Pt)) is
         # exp(iPt Lz) (H0 + P Lz - h Lx) exp(-iPt Lz) - P Lz, with P the
         # scaled Zeeman rate, and H0 + P Lz - h Lx is time independent
@@ -292,4 +275,4 @@ def test_rotating_rejects_a_step_above_the_automatic_one():
     basis = build_full_basis(n)
     ext = ExtendedParams(PhysicsParams(25.0, n, 0.5), p_hz=0.0, h_hz=4.0)
     with pytest.raises(StepSizeError):
-        evolve_rotating(polar_state(basis), ext, 0.01, mode="exact_scaled_p", dt=2 * RAMP_DT_S)
+        evolve_rotating(polar_state(basis), ext, 0.01, dt=2 * RAMP_DT_S)
