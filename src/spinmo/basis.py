@@ -85,10 +85,6 @@ class PairBasis(SectorBasis):
         _check_n_atoms(n_atoms)
         super().__init__(n_atoms=n_atoms, magnetization=0)
 
-    @property
-    def k_values(self) -> np.ndarray:
-        return np.arange(self.size, dtype=np.int64)
-
 
 def build_pair_basis(n_atoms: int) -> PairBasis:
     """Pair basis of the M = 0 sector; size is ``N//2 + 1``."""

@@ -263,9 +263,7 @@ def run_relaxation_ensemble(
     for i in range(cfg.n_traj):
         draw = sample_trajectory_config(cfg, params.n_atoms, i)
         draws.append(draw)
-        recs = run_rotating_schedule(
-            schedule, params, cfg, draw, p_scale=p_scale, sample_boundaries=True
-        )
+        recs = run_rotating_schedule(schedule, params, cfg, draw, p_scale=p_scale)
         if times is None:
             times = np.array([r.t for r in recs])
         # full-basis records: xi2 * N is <L^2> for M-symmetric states
@@ -279,10 +277,9 @@ def run_rotating_schedule(
     cfg: NoiseConfig,
     draw: TrajectoryDraw,
     p_scale: float = 1.0,
-    sample_boundaries: bool = True,
 ) -> list[ObservableRecord]:
     """Drive the full-basis state of the drawn atom number through hold
-    segments in exact mode."""
+    segments in exact mode, recording at t = 0 and at every segment end."""
     from .observables import record_for
 
     for seg in schedule.segments:
@@ -303,6 +300,5 @@ def run_rotating_schedule(
         ext = relaxation_params(params.with_q(q_actual), cfg, draw)
         state = evolve_rotating(state, ext, seg.duration, p_scale=p_scale, t0=t)
         t += seg.duration
-        if sample_boundaries:
-            records.append(record_for(state, t, q_actual))
+        records.append(record_for(state, t, q_actual))
     return records

@@ -8,8 +8,13 @@ studies).  The generalized squeezing parameter is
 
 which is 0 for the even-N ground state at q = 0, 2/N for the odd-N one,
 1 for a fully polarized coherent spin state and 2 for the polar state.
-For ensembles the moments are averaged over trajectories first and only
-then combined.
+
+The reference basis of a chain sector (N, M) is the eigenbasis of its
+L^2 chain, total spins L in ascending order.  With the populations
+|a_L|^2 of a state in that basis, K counts them, the singlet fidelity is
+|a_0|^2 (even N, M = 0) and xi^2 = (sum_L L(L+1) |a_L|^2 - M^2) / N, so
+:func:`batch_records` reads every chain-sector diagnostic but the
+pair-basis densities off one projection.
 """
 
 from __future__ import annotations
@@ -71,11 +76,6 @@ class SpinMoments:
         var = (self.lx2 - self.lx**2) + (self.ly2 - self.ly**2) + (self.lz2 - self.lz**2)
         return var / n_atoms
 
-    @staticmethod
-    def average(items: "list[SpinMoments]") -> "SpinMoments":
-        arr = np.array([[m.lx, m.ly, m.lz, m.lx2, m.ly2, m.lz2] for m in items])
-        return SpinMoments(*arr.mean(axis=0))
-
 
 @lru_cache(maxsize=64)
 def reference_eigensystem(n_atoms: int, magnetization: int = 0) -> EigenSystem:
@@ -129,94 +129,73 @@ def level_count(pops: np.ndarray, threshold: float):
 def fidelity_singlet(state: StateVector) -> float:
     """Squared overlap with the total-spin-zero state of the current sector.
 
-    Defined as 0 (rather than an error) for odd atom numbers and for
-    nonzero magnetization, so that noise/loss ensembles mixing parities
-    aggregate without faulting.
+    Defined as 0 (rather than an error) for odd atom numbers, for nonzero
+    magnetization and for the empty sector, so that noise/loss ensembles
+    mixing parities aggregate without faulting.
     """
     basis = state.basis
-    if isinstance(basis, FullBasis):
-        target = singlet_amplitudes(basis.n_atoms)
-        if target is None:
-            return 0.0
-        blk = basis.block(0)
-        return float(abs(np.vdot(target, state.amplitudes[blk])) ** 2)
-    if basis.magnetization != 0:
-        return 0.0
+    if isinstance(basis, SectorBasis):
+        return record_for(state, 0.0, 0.0).F_singlet
     target = singlet_amplitudes(basis.n_atoms)
     if target is None:
         return 0.0
-    return float(abs(np.vdot(target, state.amplitudes)) ** 2)
+    return float(abs(np.vdot(target, state.amplitudes[basis.block(0)])) ** 2)
 
 
 def fidelity_twinfock(state: StateVector) -> float:
     """Squared overlap with the twin-Fock state; 0 for odd N or M != 0."""
     basis = state.basis
+    if isinstance(basis, SectorBasis):
+        return record_for(state, 0.0, 0.0).F_twinfock
     n = basis.n_atoms
     if n % 2:
         return 0.0
-    if isinstance(basis, FullBasis):
-        idx = basis.index_of((n // 2, 0, n // 2))
-        return float(abs(state.amplitudes[idx]) ** 2)
-    if basis.magnetization != 0:
-        return 0.0
-    return float(abs(state.amplitudes[n // 2]) ** 2)
+    return float(abs(state.amplitudes[basis.index_of((n // 2, 0, n // 2))]) ** 2)
 
 
 def spin_moments(state: StateVector) -> SpinMoments:
-    """Collective-spin moments of a pure state.
-
-    In a fixed-(N, M) sector Lx and Ly connect different sectors, so
-    their first moments vanish and their second moments split the
-    transverse part of <L^2> evenly.
-    """
+    """Collective-spin moments of a pure full-basis state.  A chain
+    sector's xi^2 is in its record."""
     basis = state.basis
-    if isinstance(basis, FullBasis):
-        a = state.amplitudes
-        lx, ly = lx_full(basis), ly_full(basis)
-        lza = lz_full(basis)
-        lxa, lya = lx @ a, ly @ a
-        return SpinMoments(
-            lx=float(np.real(np.vdot(a, lxa))),
-            ly=float(np.real(np.vdot(a, lya))),
-            lz=float(np.real(np.vdot(a, lza * a))),
-            lx2=float(np.real(np.vdot(lxa, lxa))),
-            ly2=float(np.real(np.vdot(lya, lya))),
-            lz2=float(np.real(np.vdot(a, lza**2 * a))),
-        )
-    m = basis.magnetization
-    l2e = l2_sector(basis.n_atoms, m).expectation(state.amplitudes)
-    trans = 0.5 * (l2e - m * m)
-    return SpinMoments(0.0, 0.0, float(m), trans, trans, float(m * m))
+    if not isinstance(basis, FullBasis):
+        raise TypeError("spin_moments takes a full-basis state")
+    a = state.amplitudes
+    lx, ly = lx_full(basis), ly_full(basis)
+    lza = lz_full(basis)
+    lxa, lya = lx @ a, ly @ a
+    return SpinMoments(
+        lx=float(np.real(np.vdot(a, lxa))),
+        ly=float(np.real(np.vdot(a, lya))),
+        lz=float(np.real(np.vdot(a, lza * a))),
+        lx2=float(np.real(np.vdot(lxa, lxa))),
+        ly2=float(np.real(np.vdot(lya, lya))),
+        lz2=float(np.real(np.vdot(a, lza**2 * a))),
+    )
 
 
-def squeezing_xi2(state_or_moments, n_atoms: float | None = None) -> float:
-    """Generalized spin-squeezing parameter of a state or averaged moments."""
-    if isinstance(state_or_moments, SpinMoments):
-        if n_atoms is None:
-            raise ValueError("n_atoms required when passing averaged moments")
-        return state_or_moments.xi2(n_atoms)
-    state = state_or_moments
-    n = n_atoms if n_atoms is not None else state.basis.n_atoms
-    return spin_moments(state).xi2(n)
+def squeezing_xi2(state: StateVector) -> float:
+    """Generalized spin-squeezing parameter of a state; 0 for the empty
+    sector."""
+    basis = state.basis
+    if isinstance(basis, SectorBasis):
+        return record_for(state, 0.0, 0.0).xi2
+    return spin_moments(state).xi2(basis.n_atoms)
 
 
 def conversion_efficiency(state: StateVector) -> float:
-    """Fraction of atoms outside the m = 0 component, (N - <n0>)/N."""
+    """Fraction of atoms outside the m = 0 component, (N - <n0>)/N; 0 for
+    the empty sector."""
     basis = state.basis
-    a2 = np.abs(state.amplitudes) ** 2
-    if isinstance(basis, FullBasis):
-        n0 = n0_full(basis)
-    else:
-        n0 = basis.n_zero.astype(np.float64)
+    if isinstance(basis, SectorBasis):
+        return record_for(state, 0.0, 0.0).pc
     n = basis.n_atoms
-    return float((n - np.dot(n0, a2)) / n)
+    return float((n - np.dot(n0_full(basis), np.abs(state.amplitudes) ** 2)) / n)
 
 
 def record_for(
     state: StateVector,
     t: float,
     q_hz: float,
-    reference: EigenSystem | None = None,
     threshold: float = K_THRESHOLD_DEFAULT,
 ) -> ObservableRecord:
     """All diagnostics of one state at one time.
@@ -226,8 +205,7 @@ def record_for(
     """
     basis = state.basis
     if isinstance(basis, SectorBasis):
-        if reference is None:
-            reference = reference_eigensystem(basis.n_atoms, basis.magnetization)
+        reference = reference_eigensystem(basis.n_atoms, basis.magnetization)
         return batch_records(basis, state.amplitudes[:, None], [t], [q_hz], reference, threshold)[0]
     ref0 = reference_eigensystem(basis.n_atoms, 0)
     return ObservableRecord(
@@ -254,31 +232,33 @@ def batch_records(
     """The records of the columns of ``states``, one chain sector, with
     shared setup.
 
-    Every column is reduced by fixed-shape operations so that the floats
-    for a given state do not depend on how many other samples share the
-    batch; that is what makes re-sampling at a finer grid a bitwise
-    superset of the coarser run.  An empty sector (N = 0, left by a loss
-    trajectory that lost every atom) reads K = 1 and 0 for every other
-    diagnostic but the norm.
+    ``reference`` is :func:`reference_eigensystem` of the sector: K,
+    F_singlet and xi^2 are read off each column's populations in it (see
+    the module docstring); pc, F_twinfock and the norm off its pair-basis
+    densities.  Every column is reduced by fixed-shape operations so that
+    the floats for a given state do not depend on how many other samples
+    share the batch; that is what makes re-sampling at a finer grid a
+    bitwise superset of the coarser run.  An empty sector (N = 0, left by
+    a loss trajectory that lost every atom) reads K = 1 and 0 for every
+    other diagnostic but the norm.
     """
     n = basis.n_atoms
     m = basis.magnetization
-    l2 = l2_sector(n, m)
     n0 = basis.n_zero.astype(np.float64)
     paired = n > 0 and m == 0 and n % 2 == 0
-    target = singlet_amplitudes(n) if paired else None
     out = []
     for j in range(states.shape[1]):
         col = np.ascontiguousarray(states[:, j])
         dens = np.abs(col) ** 2
+        pops = reference.populations(col)
         out.append(
             ObservableRecord(
                 t=float(times[j]),
                 q=float(q_values[j]),
-                K=int(level_count(reference.populations(col), threshold)),
-                F_singlet=float(abs(np.vdot(target, col)) ** 2) if paired else 0.0,
+                K=int(level_count(pops, threshold)),
+                F_singlet=float(pops[0]) if paired else 0.0,
                 F_twinfock=float(dens[n // 2]) if paired else 0.0,
-                xi2=float((l2.expectation(col) - m * m) / n) if n else 0.0,
+                xi2=float((reference.values @ pops - m * m) / n) if n else 0.0,
                 pc=float((n - float(n0 @ dens)) / n) if n else 0.0,
                 norm=float(np.sqrt(dens.sum())),
                 n_current=float(n),

@@ -20,7 +20,7 @@ import numpy as np
 from .basis import FullBasis, SectorBasis, StateVector
 from .errors import ConfigError, ResourceCapError
 from .observables import ObservableRecord, batch_records, reference_eigensystem, singlet_amplitudes
-from .operators import PhysicsParams, hamiltonian_sector, l2_full, l2_sector, n0_full
+from .operators import PhysicsParams, hamiltonian_sector, l2_full, n0_full
 from .propagate import evolve_ramp
 from .schedule import Hold, LinearSweep, ParabolicRamp, Schedule, Segment
 from .spectra import EigenSystem, eigensolve_tridiagonal
@@ -57,14 +57,13 @@ class TrajectorySummary:
     terminated_empty: bool
     final_f_singlet: float
     final_l2: float
-    final_n0: float
     jumps: list[JumpEvent]
 
 
 @dataclass
 class LossTrajectory:
     summary: TrajectorySummary
-    states: list[tuple[float, StateVector]]   # (t, state) at jump boundaries
+    final_state: StateVector
     records: list[ObservableRecord]
     samples: dict[str, np.ndarray] | None = None  # t, l2_t (transverse), m, n, f_singlet
 
@@ -170,7 +169,6 @@ def gillespie_trajectory(
     index: int = 0,
     sample_dt: float | None = None,
     q_offset_hz: float = 0.0,
-    keep_states: bool = False,
 ) -> LossTrajectory:
     """One quantum-jump unraveling of the loss master equation.
 
@@ -187,15 +185,20 @@ def gillespie_trajectory(
     gamma = cfg.gamma_per_s
 
     jumps: list[JumpEvent] = []
-    states: list[tuple[float, StateVector]] = []
     records: list[ObservableRecord] = []
-    terminated = False
+    ms: list[int] = []  # the magnetization of each record's state
+    recorded = None     # the state of the last record
 
+    def sample(t_s: float, q_s: float) -> None:
+        nonlocal recorded
+        records.append(_record(state, t_s, q_s))
+        ms.append(state.basis.magnetization)
+        recorded = state
+
+    terminated = False
     t = 0.0
     if sample_dt:
-        records.append(_record(state, 0.0, schedule.q_hz_at(0.0) + q_offset_hz))
-    if keep_states:
-        states.append((0.0, state.copy()))
+        sample(0.0, schedule.q_hz_at(0.0) + q_offset_hz)
 
     next_jump = (
         t + rng.exponential(1.0 / (2.0 * gamma * state.basis.n_atoms))
@@ -221,8 +224,6 @@ def gillespie_trajectory(
                 channel = int(rng.choice([-1, 0, 1], p=probs))
                 jumps.append(JumpEvent(t=t, channel=channel, n_before=state.basis.n_atoms))
                 state = _apply_loss(state, channel)
-                if keep_states:
-                    states.append((t, state.copy()))
                 n_now = state.basis.n_atoms
                 if n_now == 0:
                     terminated = True
@@ -230,55 +231,38 @@ def gillespie_trajectory(
                 else:
                     next_jump = t + rng.exponential(1.0 / (2.0 * gamma * n_now))
             if t == next_sample:
-                records.append(
-                    _record(state, t, float(seg.q_hz_at(t - t_seg_start)) + q_offset_hz)
-                )
+                sample(t, float(seg.q_hz_at(t - t_seg_start)) + q_offset_hz)
                 next_sample = next_sample + sample_dt
         t_seg_start = t_seg_end
         if sample_dt and (not records or abs(records[-1].t - t_seg_end) > 1e-12):
-            q_b = float(seg.q_hz_at(seg.duration)) + q_offset_hz
-            records.append(_record(state, t_seg_end, q_b))
+            sample(t_seg_end, float(seg.q_hz_at(seg.duration)) + q_offset_hz)
 
     basis = state.basis
-    m = basis.magnetization
-    l2e = l2_sector(basis.n_atoms, m).expectation(state.amplitudes) if basis.n_atoms else 0.0
-    dens = np.abs(state.amplitudes) ** 2
+    # the summary reads the last record when it holds the final state
+    final = records[-1] if recorded is state else _record(state, t, 0.0)
     summary = TrajectorySummary(
         index=index,
         final_n=basis.n_atoms,
-        final_m=m,
+        final_m=basis.magnetization,
         n_jumps=len(jumps),
         terminated_empty=terminated,
-        final_f_singlet=_record(state, t, 0.0).F_singlet,
-        final_l2=float(l2e),
-        final_n0=float(basis.n_zero @ dens) if basis.n_atoms else 0.0,
+        final_f_singlet=final.F_singlet,
+        final_l2=final.xi2 * final.n_current + basis.magnetization**2,
         jumps=jumps,
     )
-    if keep_states:
-        states.append((t, state.copy()))
     samples = None
     if records:
         # per-sample ensemble ingredients: the record's xi2 already holds
         # (<L^2> - M^2)/N of its sector; recover the transverse variance sum
         # and keep the magnetization trace alongside
-        ms = np.empty(len(records))
-        pos = 0
-        m_now = 0
-        jump_iter = iter(jumps)
-        nxt = next(jump_iter, None)
-        for ridx, r in enumerate(records):
-            while nxt is not None and nxt.t <= r.t + 1e-15:
-                m_now -= nxt.channel
-                nxt = next(jump_iter, None)
-            ms[ridx] = m_now
         samples = {
             "t": np.array([r.t for r in records]),
             "l2_t": np.array([r.xi2 * r.n_current for r in records]),
-            "m": ms + state0.basis.magnetization,
+            "m": np.array(ms, dtype=float),
             "n": np.array([r.n_current for r in records]),
             "f_singlet": np.array([r.F_singlet for r in records]),
         }
-    return LossTrajectory(summary=summary, states=states, records=records, samples=samples)
+    return LossTrajectory(summary=summary, final_state=state, records=records, samples=samples)
 
 
 @dataclass

@@ -135,12 +135,6 @@ class TriMatrix:
     def expectation(self, v: np.ndarray) -> float:
         return float(np.real(np.vdot(v, self.matvec(v))))
 
-    def scaled(self, a: float) -> "TriMatrix":
-        return TriMatrix(a * self.diag, a * self.offdiag)
-
-    def add_diagonal(self, d: np.ndarray | float) -> "TriMatrix":
-        return TriMatrix(self.diag + d, self.offdiag)
-
 
 def l2_sector(n_atoms: int, magnetization: int = 0) -> TriMatrix:
     """Total-spin-squared chain in the fixed-(N, M) sector, units of 1."""

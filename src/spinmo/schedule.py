@@ -29,7 +29,7 @@ from .observables import (
 )
 from .operators import PhysicsParams, hamiltonian_sector
 from .propagate import evolve_ramp
-from .spectra import EigenSystem, eigensolve_tridiagonal
+from .spectra import eigensolve_tridiagonal
 
 REFERENCE_Q0_HZ = 277.0
 REFERENCE_T0_S = 0.955
@@ -139,14 +139,6 @@ class Schedule:
     def duration(self) -> float:
         return float(sum(s.duration for s in self.segments))
 
-    def boundaries(self) -> list[float]:
-        """Cumulative segment end times, starting after t = 0."""
-        out, t = [], 0.0
-        for s in self.segments:
-            t += s.duration
-            out.append(t)
-        return out
-
     def q_hz_at(self, t: float) -> float:
         """q at a global time; boundary instants take the starting segment."""
         if not self.segments:
@@ -222,7 +214,6 @@ def run_schedule(
     schedule: Schedule,
     params: PhysicsParams | list[PhysicsParams],
     sample_dt: float | None = SAMPLE_DT_DEFAULT_S,
-    reference: EigenSystem | list[EigenSystem | None] | None = None,
     q_offset_hz: float | list[float] = 0.0,
     ramp_dt: float | None = None,
     k_threshold: float = 1e-3,
@@ -236,25 +227,20 @@ def run_schedule(
     whole control curve, which is how quasi-static field noise enters.
 
     ``state0`` may also be a list of B states, with ``params`` and
-    ``q_offset_hz`` (and ``reference``, unless None) lists of the same
-    length.  The states then walk the schedule together: each ramp or
-    sweep advances the whole batch in one :func:`evolve_ramp` call, and
-    each hold evolves every state by its own eigensystem.  The result is
-    then a list of record lists and a list of final states.  A single
-    state is a batch of one.
+    ``q_offset_hz`` lists of the same length.  The states then walk the
+    schedule together: each ramp or sweep advances the whole batch in one
+    :func:`evolve_ramp` call, and each hold evolves every state by its own
+    eigensystem.  The result is then a list of record lists and a list of
+    final states.  A single state is a batch of one.
     """
     single = isinstance(state0, StateVector)
     states0 = [state0] if single else list(state0)
     n_batch = len(states0)
     params = [params] if single else list(params)
     offsets = [float(q_offset_hz)] * n_batch if np.ndim(q_offset_hz) == 0 else list(q_offset_hz)
-    references = [reference] * n_batch if single or reference is None else list(reference)
     if not all(isinstance(st.basis, SectorBasis) for st in states0):
         raise TypeError("run_schedule drives chain-sector states")
-    refs = [
-        ref if ref is not None else reference_eigensystem(st.basis.n_atoms, st.basis.magnetization)
-        for ref, st in zip(references, states0)
-    ]
+    refs = [reference_eigensystem(st.basis.n_atoms, st.basis.magnetization) for st in states0]
 
     records: list[list[ObservableRecord]] = [[] for _ in range(n_batch)]
     states = [st.copy() for st in states0]

@@ -1,5 +1,6 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps spinmo functions
-by module and name.  A renamed or deleted target makes every traced
+by module and name, and its workloads (``perfbench/workloads.py``) clear
+spinmo's caches by name.  A renamed or deleted target makes every
 benchmark operation fail, so its targets are checked here."""
 
 import importlib
@@ -21,3 +22,9 @@ def test_bench_tracer_installs_on_every_target(monkeypatch):
     from spinmo.optimizer import _count_k
 
     assert callable(_count_k)
+
+
+def test_bench_workloads_clear_every_cache(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    workloads.clear_caches()

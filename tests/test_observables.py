@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spinmo.basis import (
+    SectorBasis,
     StateVector,
     build_full_basis,
     build_pair_basis,
@@ -11,7 +13,7 @@ from spinmo.basis import (
     twin_fock_state,
 )
 from spinmo.observables import (
-    SpinMoments,
+    batch_records,
     conversion_efficiency,
     fidelity_singlet,
     fidelity_twinfock,
@@ -22,6 +24,8 @@ from spinmo.observables import (
     spin_moments,
     squeezing_xi2,
 )
+from spinmo.operators import PhysicsParams, hamiltonian_sector, l2_sector
+from spinmo.spectra import eigensolve_tridiagonal
 
 
 def singlet_state(n):
@@ -159,9 +163,42 @@ def test_record_for_fields():
     assert 0 <= r.F_singlet <= 1 and r.xi2 == pytest.approx(2.0)
 
 
-def test_spin_moments_average():
-    a = SpinMoments(0, 0, 1, 2, 2, 1)
-    b = SpinMoments(0, 0, -1, 4, 4, 1)
-    avg = SpinMoments.average([a, b])
-    assert avg.lz == 0 and avg.lx2 == 3
-    assert avg.xi2(2.0) == pytest.approx((3 + 3 + 1) / 2.0)
+def sector_columns(basis):
+    """A random column, the ground state at 0.9 Hz and the k = 0 chain site
+    (the polar state at M = 0) of one sector, as the columns of a matrix."""
+    rng = np.random.default_rng(basis.n_atoms + 7 * basis.magnetization)
+    rand = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    ground = eigensolve_tridiagonal(
+        hamiltonian_sector(PhysicsParams(25.0, basis.n_atoms, 0.9), basis)
+    ).ground()
+    site0 = np.eye(basis.size)[:, 0]
+    return np.column_stack([rand / np.linalg.norm(rand), ground, site0]).astype(complex)
+
+
+@pytest.mark.parametrize("n,m", [(2, 0), (12, 0), (13, 0), (40, 3), (999, 1), (1000, 0)])
+def test_records_match_the_pair_basis_formulas(n, m):
+    # the record reads K, F_singlet and xi2 off the populations in the
+    # total-spin basis; here they are taken from the L^2 chain, the singlet
+    # amplitudes and a complex projection directly
+    basis = SectorBasis(n, m)
+    cols = sector_columns(basis)
+    ref = reference_eigensystem(n, m)
+    records = batch_records(basis, cols, np.zeros(3), np.zeros(3), ref)
+    l2 = l2_sector(n, m)
+    singlet = singlet_amplitudes(n) if m == 0 else None
+    for j, r in enumerate(records):
+        col = cols[:, j]
+        assert abs(r.xi2 - (l2.expectation(col) - m * m) / n) <= 1e-12
+        f = abs(np.vdot(singlet, col)) ** 2 if singlet is not None else 0.0
+        assert abs(r.F_singlet - f) <= 1e-14
+        pops = np.abs(ref.vectors.T.astype(complex) @ col) ** 2
+        assert r.K == max(int((pops > 1e-3).sum()), 1)
+
+
+def test_empty_sector_helpers_read_the_record():
+    st = StateVector(SectorBasis(0, 0), np.ones(1, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = record_for(st, 0.0, 0.0)
+        got = (fidelity_singlet(st), fidelity_twinfock(st), squeezing_xi2(st), conversion_efficiency(st))
+    assert got == (r.F_singlet, r.F_twinfock, r.xi2, r.pc) == (0.0, 0.0, 0.0, 0.0)

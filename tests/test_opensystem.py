@@ -29,12 +29,7 @@ def test_gamma_zero_reduces_to_unitary():
     assert traj.summary.n_jumps == 0 and traj.summary.final_n == n
     # matches the loss-free propagator to high accuracy
     ref = evolve_constant(st, hamiltonian_pair(p.with_q(0.7)), 0.4)
-    # trajectory final state is reachable through the summary's sector record;
-    # rerun with keep_states to compare amplitudes
-    traj2 = gillespie_trajectory(
-        st, sched, p, LossConfig(gamma_per_s=0.0, n_traj=1), index=0, keep_states=True
-    )
-    fin = traj2.states[-1][1]
+    fin = traj.final_state
     assert abs(abs(np.vdot(fin.amplitudes, ref.amplitudes)) ** 2 - 1) < 1e-10
 
 
@@ -181,10 +176,10 @@ def test_between_jump_evolution_is_gamma_independent():
     p = PhysicsParams(25.0, n)
     st = polar_state(build_pair_basis(n))
     sched = Schedule((Hold(0.5, 0.2),))
-    a = gillespie_trajectory(st, sched, p, LossConfig(gamma_per_s=1e-12, n_traj=1, seed=5), index=0, keep_states=True)
-    b = gillespie_trajectory(st, sched, p, LossConfig(gamma_per_s=0.0, n_traj=1, seed=5), index=0, keep_states=True)
+    a = gillespie_trajectory(st, sched, p, LossConfig(gamma_per_s=1e-12, n_traj=1, seed=5), index=0)
+    b = gillespie_trajectory(st, sched, p, LossConfig(gamma_per_s=0.0, n_traj=1, seed=5), index=0)
     assert a.summary.n_jumps == 0
-    fa, fb = a.states[-1][1], b.states[-1][1]
+    fa, fb = a.final_state, b.final_state
     assert np.max(np.abs(fa.amplitudes - fb.amplitudes)) < 1e-10
 
 
