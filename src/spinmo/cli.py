@@ -46,7 +46,7 @@ def _initial_state(cfg: dict, params: PhysicsParams) -> StateVector:
     if kind == "twin_fock":
         return twin_fock_state(basis)
     if kind == "singlet":
-        eig = reference_eigensystem(params.n_atoms)
+        eig = reference_eigensystem(params.n_atoms, 0)
         return StateVector(basis, eig.ground().astype(np.complex128))
     if kind == "ground":
         q = cfg["initial_state"].get("q_hz", params.q_hz)

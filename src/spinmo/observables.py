@@ -105,7 +105,7 @@ def singlet_amplitudes(n_atoms: int) -> np.ndarray | None:
     """Total-spin-zero ground state in the pair basis; None for odd N."""
     if n_atoms % 2:
         return None
-    vec = reference_eigensystem(n_atoms).ground().copy()
+    vec = reference_eigensystem(n_atoms, 0).ground().copy()
     vec.setflags(write=False)
     return vec
 

@@ -10,12 +10,7 @@ config, grid points are scanned in ascending order and every tie-break
 is total.
 
 The q = 0 eigenbasis is the total-spin basis, and a hold is evolved in
-it: there the hold Hamiltonian is tridiagonal, because the m = 0 number
-operator couples total spin L only to L and L +- 2.  A hold from a state
-in the low-L levels only reaches the levels just above them before the
-time cap, so each scan solves a leading block of the chain, chosen so
-that every reference amplitude stays within 1e-12 of the whole chain's
-up to the time cap.
+it on the block of :func:`~spinmo.propagate.hold_levels`, as every hold is.
 
 K is sampled in chunks of samples.  A chunk's phases are a table built by
 doubling, each entry a product of at most 8 rounded exponentials
@@ -34,17 +29,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import SectorBasis, StateVector
-from .observables import level_count, occupied_levels, reference_eigensystem, reference_n0
-from .operators import PhysicsParams, TriMatrix
-from .propagate import evolve_ramp, leading_window
+from .observables import level_count, occupied_levels, reference_eigensystem
+from .operators import PhysicsParams
+from .propagate import evolve_ramp, hold_levels
 from .schedule import Hold, Schedule, mirror_schedule, reference_ramp, run_schedule
-from .spectra import EigenSystem, eigensolve_tridiagonal, real_map
+from .spectra import EigenSystem, real_map
 
 log = logging.getLogger(__name__)
 
 _SCAN_CHUNK = 256
-# bound on the truncation error of every reference amplitude in a hold scan
-_TRUNCATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,47 +110,6 @@ def geometric_grid(q_min_hz: float, q_max_hz: float, points_per_decade: int) -> 
     span = math.log10(q_max_hz / q_min_hz)
     n = max(2, int(round(span * points_per_decade)) + 1)
     return np.geomspace(q_min_hz, q_max_hz, n)
-
-
-def _hold_levels(
-    a: np.ndarray,
-    q_hz: float,
-    params: PhysicsParams,
-    basis: SectorBasis,
-    reference: EigenSystem,
-    cap_s: float,
-) -> tuple[EigenSystem, np.ndarray]:
-    """Eigensystem of a hold on the leading reference levels, and ``a`` in it.
-
-    ``a`` holds the state's reference amplitudes.  In that basis the hold
-    Hamiltonian is the tridiagonal ``f c2p/N diag(lambda) - f q A``, with
-    lambda the reference eigenvalues and A the m = 0 number operator
-    (:func:`reference_n0`).  Only its leading m x m block is solved.  m
-    starts at twice the support of ``a`` and doubles until the truncation
-    error of every reference amplitude up to ``cap_s`` is at most
-    ``_TRUNCATION_TOL``.  That error is at most the weight of ``a`` beyond
-    m plus what the coupling out of level m - 1 can carry off in ``cap_s``:
-
-        ||a[m:]|| + cap_s |H[m-1, m]| sum_j |c_j| |W[m-1, j]|,
-
-    with W the block's eigenvectors and c = W^T a[:m].  When no smaller
-    block qualifies, m is the whole chain, which is exact.
-    """
-    n0_ref = reference_n0(basis.n_atoms, basis.magnetization)
-    f = params.factor
-    diag = f * (params.c2p_hz / basis.n_atoms * reference.values - q_hz * n0_ref.diag)
-    off = -f * q_hz * n0_ref.offdiag
-    n = a.size
-    m, tail = leading_window(a, _TRUNCATION_TOL)
-    while True:
-        eig = eigensolve_tridiagonal(TriMatrix(diag[:m], off[: m - 1]))
-        c = eig.project(a[:m])
-        if m == n:
-            return eig, c
-        leak = cap_s * abs(off[m - 1]) * (np.abs(c) @ np.abs(eig.vectors[m - 1]))
-        if tail[m] + leak <= _TRUNCATION_TOL:
-            return eig, c
-        m = min(n, 2 * m)
 
 
 def _phase_table(values: np.ndarray, dt: float, width: int) -> np.ndarray:
@@ -255,13 +207,12 @@ def first_local_min_k(
 
     The hold is evolved in the total-spin frame where K is defined:
     ``reference`` must be :func:`reference_eigensystem` of the state's
-    sector.  Only the leading reference levels are kept
-    (:func:`_hold_levels`); that truncation moves every reference
-    amplitude, and the returned amplitudes, by at most 1e-12 up to
-    ``step_time_cap_s``.  Samples are evaluated in chunks of
-    ``_SCAN_CHUNK`` and each chunk is searched for a local minimum as a
-    whole; the first one found is the same as in a sample-by-sample
-    search.
+    sector.  Only the leading reference levels are kept (:func:`hold_levels`);
+    that truncation moves every reference amplitude, and the returned
+    amplitudes, by at most 1e-12 up to ``step_time_cap_s``.  Samples are
+    evaluated in chunks of ``_SCAN_CHUNK`` and each chunk is searched for
+    a local minimum as a whole; the first one found is the same as in a
+    sample-by-sample search.
 
     A chunk's populations are one real product of the reachable rows of
     the block's eigenvectors with the float view of its phased
@@ -285,7 +236,7 @@ def first_local_min_k(
             amplitudes=state.amplitudes.astype(complex),
         )
 
-    eig, c0 = _hold_levels(a, q_hz, params, state.basis, reference, cfg.step_time_cap_s)
+    eig, c0 = hold_levels(a, q_hz, params, state.basis, reference, cfg.step_time_cap_s)
     rows = eig.vectors[_reachable_rows(eig.vectors, c0, cfg.k_threshold)]
 
     dt = cfg.sample_dt_s
@@ -394,12 +345,7 @@ def optimize_step(
 _count_k = occupied_levels
 
 
-def run_amo(
-    state: StateVector,
-    params: PhysicsParams,
-    cfg: OptimizerConfig,
-    reference: EigenSystem | None = None,
-) -> AmoResult:
+def run_amo(state: StateVector, params: PhysicsParams, cfg: OptimizerConfig) -> AmoResult:
     """Shrink K to 1 by successive optimized holds.
 
     A step that fails to reduce K triggers one grid refinement
@@ -410,8 +356,7 @@ def run_amo(
     basis = state.basis
     if not isinstance(basis, SectorBasis):
         raise TypeError("the hold search runs on chain sectors")
-    if reference is None:
-        reference = reference_eigensystem(basis.n_atoms, basis.magnetization)
+    reference = reference_eigensystem(basis.n_atoms, basis.magnetization)
     if cfg.q_max_hz is None:
         raise ValueError("cfg.q_max_hz must be set (q at the end of the entry ramp)")
 
@@ -505,18 +450,15 @@ def run_amoa_protocol(
     cfg: OptimizerConfig,
     ramp: Schedule | None = None,
     ramp_dt: float | None = None,
-    fw: ProtocolResult | None = None,
 ) -> ProtocolResult:
     """Optimized protocol, zero-q plateau, then the mirrored protocol.
 
     The mirrored half replays the found schedule backwards with q -> -q;
-    nothing is re-optimized there.  A precomputed forward result can be
-    passed to skip the search.
+    nothing is re-optimized there.
     """
     if state0.basis.n_atoms % 2:
         raise ValueError("the mirrored protocol requires an even atom number")
-    if fw is None:
-        fw = run_amo_protocol(state0, params, cfg, ramp=ramp, ramp_dt=ramp_dt)
+    fw = run_amo_protocol(state0, params, cfg, ramp=ramp, ramp_dt=ramp_dt)
     segments = (
         fw.schedule.segments
         + (Hold(0.0, cfg.plateau_s),)

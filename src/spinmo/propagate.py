@@ -3,11 +3,13 @@
 Constant-q evolution on a chain is always done by exact spectral
 decomposition (:meth:`~spinmo.spectra.EigenSystem.evolve`), never by
 time stepping, so the optimizer's inner loop carries no integrator
-error.  Ramps, sweeps and the exact rotating frame take fourth-order
-commutator-free Magnus steps with Chebyshev exponentials
-(:mod:`spinmo._kernels`); on chain sectors the step runs on a leading
-window of the chain whose truncation is certified step by step.  States
-carry their exact phase.
+error.  Every chain-sector hold, in the scan, a schedule or a loss
+trajectory, runs in the total-spin frame on the block that
+:func:`hold_levels` certifies.  Ramps, sweeps and the exact rotating
+frame take fourth-order commutator-free Magnus steps with Chebyshev
+exponentials (:mod:`spinmo._kernels`); on chain sectors the step runs on
+a leading window of the chain whose truncation is certified step by
+step.  States carry their exact phase.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import scipy.sparse as sp
 from . import _kernels
 from .basis import FullBasis, SectorBasis, StateVector
 from .errors import StepSizeError
+from .observables import reference_n0
 from .operators import (
     ExtendedParams,
     PhysicsParams,
@@ -31,13 +34,15 @@ from .operators import (
     n0_full,
     l2_full,
 )
-from .spectra import eigensolve_tridiagonal
+from .spectra import EigenSystem, eigensolve_tridiagonal, real_map
 
 # ramp step of the CF4:2 integrator.  On the first 5 ms of the reference ramp
 # at N = 200 the final xi2 is within 5.0e-8 of a run at a 2e-6 s step; a
 # 5e-4 s step gives 8.8e-7, and 1e-3 s gives 2.3e-5.
 RAMP_DT_S = 2.5e-4
 WINDOW_TOL = 1e-12  # norm outside the starting window; leakage budget per segment
+# bound on the truncation error of every reference amplitude in a hold
+_TRUNCATION_TOL = 1e-12
 
 
 def evolve_constant(state: StateVector, h: TriMatrix, t: float) -> StateVector:
@@ -79,6 +84,61 @@ def leading_window(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     which the norm of ``a`` is at most ``tol``."""
     tail = np.append(np.sqrt(np.cumsum((a.real**2 + a.imag**2)[::-1])[::-1]), 0.0)
     return min(a.size, 2 * int(np.argmax(tail <= tol))), tail
+
+
+def hold_levels(
+    a: np.ndarray,
+    q_hz: float,
+    params: PhysicsParams,
+    basis: SectorBasis,
+    reference: EigenSystem,
+    cap_s: float,
+) -> tuple[EigenSystem, np.ndarray]:
+    """Eigensystem of a hold on the leading reference levels, and ``a`` in it.
+
+    ``a`` holds the state's reference amplitudes.  In that basis the hold
+    Hamiltonian is the tridiagonal ``f c2p/N diag(lambda) - f q A``, with
+    lambda the reference eigenvalues and A the m = 0 number operator
+    (:func:`reference_n0`).  Only its leading m x m block is solved.  m
+    starts at twice the support of ``a`` and doubles until the truncation
+    error of every reference amplitude up to ``cap_s`` is at most
+    ``_TRUNCATION_TOL``.  That error is at most the weight of ``a`` beyond
+    m plus what the coupling out of level m - 1 can carry off in ``cap_s``:
+
+        ||a[m:]|| + cap_s |H[m-1, m]| sum_j |c_j| |W[m-1, j]|,
+
+    with W the block's eigenvectors and c = W^T a[:m].  When no smaller
+    block qualifies, m is the whole chain, which is exact.
+    """
+    n0_ref = reference_n0(basis.n_atoms, basis.magnetization)
+    f = params.factor
+    diag = f * (params.c2p_hz / basis.n_atoms * reference.values - q_hz * n0_ref.diag)
+    off = -f * q_hz * n0_ref.offdiag
+    n = a.size
+    m, tail = leading_window(a, _TRUNCATION_TOL)
+    while True:
+        eig = eigensolve_tridiagonal(TriMatrix(diag[:m], off[: m - 1]))
+        c = eig.project(a[:m])
+        if m == n:
+            return eig, c
+        leak = cap_s * abs(off[m - 1]) * (np.abs(c) @ np.abs(eig.vectors[m - 1]))
+        if tail[m] + leak <= _TRUNCATION_TOL:
+            return eig, c
+        m = min(n, 2 * m)
+
+
+def evolve_hold(
+    state: StateVector, q_hz: float, params: PhysicsParams, reference: EigenSystem, taus
+) -> np.ndarray:
+    """``exp(-i H(q) tau)`` applied to a chain-sector state, one column per
+    tau, on the block that :func:`hold_levels` certifies up to the longest
+    tau.  ``reference`` is the sector's reference eigensystem.  Each column
+    is its own product, so it depends on the other taus only through the
+    longest one."""
+    a = reference.project(state.amplitudes)
+    eig, _ = hold_levels(a, q_hz, params, state.basis, reference, max(taus))
+    r = reference.vectors[:, : eig.size]
+    return np.stack([real_map(r, col) for col in eig.evolve(a[: eig.size], taus).T], axis=1)
 
 
 def evolve_ramp(

@@ -27,9 +27,8 @@ from .observables import (
     batch_records,
     reference_eigensystem,
 )
-from .operators import PhysicsParams, hamiltonian_sector
-from .propagate import evolve_ramp
-from .spectra import eigensolve_tridiagonal
+from .operators import PhysicsParams
+from .propagate import evolve_hold, evolve_ramp
 
 REFERENCE_Q0_HZ = 277.0
 REFERENCE_T0_S = 0.955
@@ -221,16 +220,17 @@ def run_schedule(
     """Drive a state through a schedule, recording diagnostics.
 
     Records are emitted at t = 0, at every multiple of ``sample_dt`` and
-    at every segment boundary.  Holds evolve by exact spectral
-    decomposition; ramps and sweeps take the fourth-order Magnus steps of
+    at every segment boundary.  Holds evolve by
+    :func:`~spinmo.propagate.evolve_hold` on the block certified for the
+    whole hold; ramps and sweeps take the fourth-order Magnus steps of
     :func:`~spinmo.propagate.evolve_ramp`.  ``q_offset_hz`` shifts the
     whole control curve, which is how quasi-static field noise enters.
 
     ``state0`` may also be a list of B states, with ``params`` and
     ``q_offset_hz`` lists of the same length.  The states then walk the
     schedule together: each ramp or sweep advances the whole batch in one
-    :func:`evolve_ramp` call, and each hold evolves every state by its own
-    eigensystem.  The result is then a list of record lists and a list of
+    :func:`evolve_ramp` call, and each hold evolves every state on its own
+    block.  The result is then a list of record lists and a list of
     final states.  A single state is a batch of one.
     """
     single = isinstance(state0, StateVector)
@@ -266,8 +266,7 @@ def run_schedule(
             taus = np.concatenate([interior - t_global, [seg.duration]])
             for b in range(n_batch):
                 q_hold = _shifted_q(seg, 0.0, offsets[b])
-                h = hamiltonian_sector(params[b].with_q(q_hold), states[b].basis)
-                cols = eigensolve_tridiagonal(h).evolve(states[b].amplitudes, taus)
+                cols = evolve_hold(states[b], q_hold, params[b], refs[b], taus)
                 emit(b, cols, np.concatenate([interior, [t_end]]), np.full(taus.size, q_hold))
                 states[b] = StateVector(states[b].basis, cols[:, -1].copy())
         else:

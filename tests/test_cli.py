@@ -14,6 +14,7 @@ import spinmo
 from spinmo.cli import main
 from spinmo.config import load as load_config, resolve
 from spinmo.errors import ConfigError
+from spinmo.observables import reference_eigensystem, singlet_amplitudes
 
 
 def write_cfg(tmp_path: Path, doc: dict, name: str = "cfg.json") -> Path:
@@ -82,6 +83,15 @@ def test_empty_schedule_single_row(tmp_path):
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "records.csv").read_text().splitlines()
     assert len(rows) == 2  # header + t=0 row
+
+
+def test_singlet_start_and_its_records_solve_the_chain_once(tmp_path):
+    reference_eigensystem.cache_clear()
+    singlet_amplitudes.cache_clear()
+    cfg = write_cfg(tmp_path, dict(BASE, initial_state={"kind": "singlet"}))
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "singlet")]) == 0
+    assert singlet_amplitudes(BASE["physics"]["n_atoms"]) is not None
+    assert reference_eigensystem.cache_info().currsize == 1
 
 
 def test_determinism_rerun_identical_sha(tmp_path):

@@ -7,7 +7,6 @@ from spinmo.basis import SectorBasis, StateVector, build_pair_basis, polar_state
 from spinmo.errors import ConfigError, ResourceCapError
 from spinmo.observables import singlet_amplitudes
 from spinmo.opensystem import (
-    DenseLindblad,
     LossConfig,
     _apply_loss,
     _channel_probabilities,
@@ -18,6 +17,8 @@ from spinmo.opensystem import (
 from spinmo.operators import PhysicsParams, hamiltonian_pair
 from spinmo.propagate import evolve_constant
 from spinmo.schedule import Hold, Schedule
+
+from dense_lindblad import DenseLindblad
 
 
 def test_gamma_zero_reduces_to_unitary():

@@ -3,7 +3,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 
-from spinmo import optimizer
+from spinmo import optimizer, propagate
 from spinmo.basis import SectorBasis, StateVector, build_pair_basis, polar_state
 from spinmo.observables import occupied_levels, reference_eigensystem, singlet_amplitudes
 from spinmo.operators import PhysicsParams, hamiltonian_pair, hamiltonian_sector
@@ -124,7 +124,7 @@ def solve_sizes(monkeypatch):
         sizes.append(m.size)
         return eigensolve_tridiagonal(m)
 
-    monkeypatch.setattr(optimizer, "eigensolve_tridiagonal", recording)
+    monkeypatch.setattr(propagate, "eigensolve_tridiagonal", recording)
     return sizes
 
 
@@ -221,7 +221,7 @@ def test_dropped_levels_never_reach_the_k_threshold(n):
     for st in (polar_state(basis), StateVector(basis, ground.astype(complex))):
         a = ref.vectors.T @ st.amplitudes
         for q in geometric_grid(1e-2, 10.0, 3):
-            eig, c0 = optimizer._hold_levels(a, float(q), p, basis, ref, cfg.step_time_cap_s)
+            eig, c0 = propagate.hold_levels(a, float(q), p, basis, ref, cfg.step_time_cap_s)
             kept = optimizer._reachable_rows(eig.vectors, c0, cfg.k_threshold)
             assert kept[:2].tolist() == [0, 1]
             dropped = np.setdiff1d(np.arange(eig.values.size), kept)
@@ -276,9 +276,8 @@ def test_optimizer_determinism_bytes():
     p = PhysicsParams(25.0, n)
     cfg = OptimizerConfig(q_max_hz=2.0, points_per_decade=10, step_time_cap_s=0.8, max_steps=2)
     st = polar_state(build_pair_basis(n))
-    ref = reference_eigensystem(n)
-    a = run_amo(st, p, cfg, ref)
-    b = run_amo(st, p, cfg, ref)
+    a = run_amo(st, p, cfg)
+    b = run_amo(st, p, cfg)
     assert a.k_history == b.k_history
     assert [(h.q_hz, h.duration_s) for h in a.schedule.segments] == [
         (h.q_hz, h.duration_s) for h in b.schedule.segments

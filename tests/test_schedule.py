@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from spinmo.basis import StateVector, build_pair_basis, polar_state
-from spinmo.observables import singlet_amplitudes
-from spinmo.operators import PhysicsParams
+from spinmo import propagate
+from spinmo.basis import SectorBasis, StateVector, build_pair_basis, polar_state
+from spinmo.observables import reference_eigensystem, singlet_amplitudes
+from spinmo.opensystem import LossConfig, gillespie_trajectory
+from spinmo.operators import PhysicsParams, hamiltonian_sector
 from spinmo.schedule import (
     Hold,
     LinearSweep,
@@ -16,6 +19,7 @@ from spinmo.schedule import (
     reference_ramp,
     run_schedule,
 )
+from spinmo.spectra import eigensolve_tridiagonal
 
 
 def test_reference_ramp_values():
@@ -134,3 +138,56 @@ def test_segment_validation():
         ParabolicRamp(1.0, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         ParabolicRamp(1.0, 1.0, 0.3, 0.3)
+
+
+# the ground state at about the q where the reference ramp ends fills the
+# whole chain of a small sector; from N = 60 on, its holds solve a block
+# below the top of the chain.  Holds from the q = 0 ground state start on
+# a block of two levels, which the certificate must grow with the hold (to
+# the whole chain or not, depending on q).
+@pytest.mark.parametrize(
+    "n, m, truncated", [(20, 0, False), (21, 0, False), (60, 0, True), (200, 0, True), (201, 3, True)]
+)
+def test_holds_match_dense_expm(monkeypatch, n, m, truncated):
+    p = PhysicsParams(25.0, n)
+    basis = SectorBasis(n, m)
+    ref = reference_eigensystem(n, m)
+    ground = eigensolve_tridiagonal(hamiltonian_sector(p.with_q(0.9188), basis)).ground()
+    # every reference level occupied, up to the top of the L chain
+    spread = ref.vectors @ np.full(basis.size, basis.size**-0.5)
+    sizes = []  # the size of every eigensolve a hold makes
+
+    def recording(mat):
+        sizes.append(mat.size)
+        return eigensolve_tridiagonal(mat)
+
+    monkeypatch.setattr(propagate, "eigensolve_tridiagonal", recording)
+    starts = ((ground, truncated), (ref.ground(), None), (spread, False))
+    for amplitudes, block_below_top in starts:
+        st = StateVector(basis, amplitudes.astype(complex))
+        for q in (-1.0, 1.8e-4, 0.3):
+            h = hamiltonian_sector(p.with_q(q), basis).to_dense()
+            for duration in (0.05, 1.0, 3.0):
+                sizes.clear()
+                sched = Schedule((Hold(q, duration),))
+                _, final = run_schedule(st, sched, p, sample_dt=duration / 4)
+                assert block_below_top in (None, max(sizes) < basis.size)
+                want = expm(-1j * h * duration) @ st.amplitudes
+                np.testing.assert_allclose(final.amplitudes, want, rtol=0, atol=1e-11)
+                # the block comes from the whole hold, never from the samples
+                _, unsampled = run_schedule(st, sched, p, sample_dt=None)
+                np.testing.assert_array_equal(unsampled.amplitudes, final.amplitudes)
+
+
+def test_loss_trajectory_hold_pieces_match_dense_expm_in_a_magnetized_sector():
+    n, m, q = 41, -2, 0.3
+    p = PhysicsParams(25.0, n)
+    basis = SectorBasis(n, m)
+    ground = eigensolve_tridiagonal(hamiltonian_sector(p.with_q(0.9188), basis)).ground()
+    st = StateVector(basis, ground.astype(complex))
+    # without loss, the samples cut the hold into pieces of 0.3, 0.3, 0.3 and 0.1 s
+    cfg = LossConfig(gamma_per_s=0.0, n_traj=1)
+    traj = gillespie_trajectory(st, Schedule((Hold(q, 1.0),)), p, cfg, sample_dt=0.3)
+    assert [r.t for r in traj.records] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+    want = expm(-1j * hamiltonian_sector(p.with_q(q), basis).to_dense()) @ st.amplitudes
+    np.testing.assert_allclose(traj.final_state.amplitudes, want, rtol=0, atol=1e-11)
