@@ -27,7 +27,7 @@ from .noise import NoiseConfig, run_dephasing_ensemble, run_relaxation_ensemble
 from .observables import reference_eigensystem
 from .opensystem import LossConfig, postselect, run_loss_study
 from .operators import PhysicsParams, oscillator_hamiltonian
-from .optimizer import OptimizerConfig, run_amo_protocol, run_amoa_protocol
+from .optimizer import OptimizerConfig, run_protocol
 from .runio import RunDir, error_json, write_records_csv, write_table_csv
 from .schedule import Schedule, landau_zener, reference_ramp, run_schedule
 from .spectra import critical_q_estimate, eigensolve_tridiagonal, find_critical_q, gap
@@ -106,18 +106,13 @@ def _noise_config(cfg: dict) -> NoiseConfig:
 def cmd_evolve(cfg: dict, run: RunDir) -> None:
     params = _physics(cfg)
     state = _initial_state(cfg, params)
-    sched_doc = cfg.get("schedule")
-    if sched_doc is not None and sched_doc.get("segments") == []:
-        records, _ = run_schedule(state, Schedule(()), params, sample_dt=None)
-    else:
-        sched = _schedule(cfg)
-        records, _ = run_schedule(
-            state,
-            sched,
-            params,
-            sample_dt=cfg["output"]["sample_dt_s"],
-            ramp_dt=cfg["output"]["ramp_dt_s"],
-        )
+    records, _ = run_schedule(
+        state,
+        _schedule(cfg),
+        params,
+        sample_dt=cfg["output"]["sample_dt_s"],
+        ramp_dt=cfg["output"]["ramp_dt_s"],
+    )
     write_records_csv(run.file("records.csv"), records)
 
 
@@ -127,8 +122,15 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
     o = cfg["optimizer"]
     opt = _opt_config(cfg)
     ramp = reference_ramp(o["ramp"]["q0_hz"], o["ramp"]["T0_s"], o["ramp"]["t_end_s"])
-    runner = run_amoa_protocol if o["mode"] == "amoa" else run_amo_protocol
-    result = runner(state, params, opt, ramp=ramp, ramp_dt=cfg["output"]["ramp_dt_s"])
+    result = run_protocol(
+        state,
+        params,
+        opt,
+        ramp=ramp,
+        mirrored=o["mode"] == "amoa",
+        sample_dt=cfg["output"]["sample_dt_s"],
+        ramp_dt=cfg["output"]["ramp_dt_s"],
+    )
     run.write_json(
         "schedule.json",
         {
@@ -159,14 +161,7 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
         "total": len(flags),
         "by_flag": {flag: flags.count(flag) for flag in ("", "flat", "capped")},
     }
-    records, _ = run_schedule(
-        _initial_state(cfg, params),
-        result.schedule,
-        params,
-        sample_dt=cfg["output"]["sample_dt_s"],
-        ramp_dt=cfg["output"]["ramp_dt_s"],
-    )
-    write_records_csv(run.file("curve.csv"), records)
+    write_records_csv(run.file("curve.csv"), result.records)
 
 
 def _write_ensemble(run: RunDir, result) -> None:

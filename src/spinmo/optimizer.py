@@ -29,10 +29,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import SectorBasis, StateVector
-from .observables import level_count, occupied_levels, reference_eigensystem
+from .observables import ObservableRecord, level_count, occupied_levels, reference_eigensystem
 from .operators import PhysicsParams
-from .propagate import evolve_ramp, hold_levels
-from .schedule import Hold, Schedule, mirror_schedule, reference_ramp, run_schedule
+from .propagate import hold_levels
+from .schedule import SAMPLE_DT_DEFAULT_S, Hold, Schedule, mirror_schedule, reference_ramp, run_schedule
 from .spectra import EigenSystem, real_map
 
 log = logging.getLogger(__name__)
@@ -416,57 +416,49 @@ def run_amo(state: StateVector, params: PhysicsParams, cfg: OptimizerConfig) -> 
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """A full optimized protocol: schedule, final state, search details."""
+    """A full optimized protocol: its schedule, the records of its one run
+    and the state they end on, and the search details."""
 
     schedule: Schedule
     final_state: StateVector
+    records: list[ObservableRecord]
     amo: AmoResult
 
 
-def run_amo_protocol(
+def run_protocol(
     state0: StateVector,
     params: PhysicsParams,
     cfg: OptimizerConfig,
     ramp: Schedule | None = None,
+    mirrored: bool = False,
+    sample_dt: float | None = SAMPLE_DT_DEFAULT_S,
     ramp_dt: float | None = None,
 ) -> ProtocolResult:
-    """Entry ramp plus optimized holds, from an arbitrary starting state."""
+    """Entry ramp, optimized holds and, if ``mirrored``, a zero-q plateau
+    and the mirrored protocol, each run once.
+
+    The holds are searched from the end of the ramp and then run on from
+    that same state, followed when ``mirrored`` by ``Hold(0, plateau_s)``
+    and the ramp and holds replayed backwards with q -> -q (nothing is
+    re-optimized there).  Both pieces go through :func:`run_schedule` on
+    one clock, so ``records`` are bit for bit those of one run of
+    ``schedule`` from ``state0``.
+    """
+    if mirrored and state0.basis.n_atoms % 2:
+        raise ValueError("the mirrored protocol requires an even atom number")
     if ramp is None:
         ramp = reference_ramp()
-    current = state0
-    for seg in ramp.segments:
-        current, _ = evolve_ramp(current, seg, params, dt=ramp_dt)
-    q_entry = float(ramp.segments[-1].q_hz_at(ramp.segments[-1].duration))
+    records, entry = run_schedule(state0, ramp, params, sample_dt=sample_dt, ramp_dt=ramp_dt)
     if cfg.q_max_hz is None:
-        cfg = replace(cfg, q_max_hz=q_entry)
-    amo = run_amo(current, params, cfg)
-    full = Schedule(tuple(ramp.segments) + amo.schedule.segments)
-    return ProtocolResult(schedule=full, final_state=amo.final_state, amo=amo)
-
-
-def run_amoa_protocol(
-    state0: StateVector,
-    params: PhysicsParams,
-    cfg: OptimizerConfig,
-    ramp: Schedule | None = None,
-    ramp_dt: float | None = None,
-) -> ProtocolResult:
-    """Optimized protocol, zero-q plateau, then the mirrored protocol.
-
-    The mirrored half replays the found schedule backwards with q -> -q;
-    nothing is re-optimized there.
-    """
-    if state0.basis.n_atoms % 2:
-        raise ValueError("the mirrored protocol requires an even atom number")
-    fw = run_amo_protocol(state0, params, cfg, ramp=ramp, ramp_dt=ramp_dt)
-    segments = (
-        fw.schedule.segments
-        + (Hold(0.0, cfg.plateau_s),)
-        + mirror_schedule(fw.schedule).segments
+        last = ramp.segments[-1]
+        cfg = replace(cfg, q_max_hz=float(last.q_hz_at(last.duration)))
+    amo = run_amo(entry, params, cfg)
+    rest = amo.schedule.segments
+    if mirrored:
+        mirror = mirror_schedule(Schedule(ramp.segments + rest))
+        rest += (Hold(0.0, cfg.plateau_s),) + mirror.segments
+    # the second run's first record repeats the ramp's last one
+    more, final = run_schedule(
+        entry, Schedule(rest), params, sample_dt=sample_dt, ramp_dt=ramp_dt, t0=ramp.duration
     )
-    full = Schedule(segments)
-    back = Schedule((Hold(0.0, cfg.plateau_s),) + mirror_schedule(fw.schedule).segments)
-    _, final = run_schedule(
-        fw.final_state, back, params, sample_dt=None, ramp_dt=ramp_dt
-    )
-    return ProtocolResult(schedule=full, final_state=final, amo=fw.amo)
+    return ProtocolResult(Schedule(ramp.segments + rest), final, records + more[1:], amo)

@@ -191,14 +191,6 @@ def landau_zener(q0_hz: float, duration_s: float) -> Schedule:
     return Schedule((LinearSweep(q0_hz, -q0_hz, duration_s),))
 
 
-def _shifted_q(segment: Segment, local_t: float, q_offset_hz: float) -> float:
-    """q of a segment at a local time, shifted by a quasi-static offset.
-    A zero offset leaves q as it is, so the -0.0 of a mirrored zero-q hold
-    keeps its sign in the records."""
-    q = segment.q_hz_at(local_t)
-    return float(q + q_offset_hz) if q_offset_hz else float(q)
-
-
 def _sample_grid(t_a: float, t_b: float, sample_dt: float) -> np.ndarray:
     """Global sample instants strictly inside (t_a, t_b)."""
     k0 = int(np.floor(t_a / sample_dt)) + 1
@@ -216,11 +208,16 @@ def run_schedule(
     q_offset_hz: float | list[float] = 0.0,
     ramp_dt: float | None = None,
     k_threshold: float = 1e-3,
+    t0: float = 0.0,
 ) -> tuple:
     """Drive a state through a schedule, recording diagnostics.
 
-    Records are emitted at t = 0, at every multiple of ``sample_dt`` and
-    at every segment boundary.  Holds evolve by
+    Records are emitted at the start, at every multiple of ``sample_dt``
+    and at every segment boundary.  ``t0`` is the global time of the start
+    state: the schedule runs from ``t0`` on, and the sample instants stay
+    multiples of ``sample_dt`` in that time.  A schedule run in two pieces,
+    the second from the first's end time and state, thus records bit for
+    bit what one run over both pieces records.  Holds evolve by
     :func:`~spinmo.propagate.evolve_hold` on the block certified for the
     whole hold; ramps and sweeps take the fourth-order Magnus steps of
     :func:`~spinmo.propagate.evolve_ramp`.  ``q_offset_hz`` shifts the
@@ -254,9 +251,9 @@ def run_schedule(
 
     for b in range(n_batch):
         q_start = (schedule.q_hz_at(0.0) + offsets[b]) if schedule.segments else 0.0
-        emit(b, states[b].amplitudes[:, None], [0.0], [q_start])
+        emit(b, states[b].amplitudes[:, None], [t0], [q_start])
 
-    t_global = 0.0
+    t_global = t0
     for seg in schedule.segments:
         t_end = t_global + seg.duration
         interior = (
@@ -265,7 +262,7 @@ def run_schedule(
         if isinstance(seg, Hold):
             taus = np.concatenate([interior - t_global, [seg.duration]])
             for b in range(n_batch):
-                q_hold = _shifted_q(seg, 0.0, offsets[b])
+                q_hold = float(seg.q_hz_at(0.0) + offsets[b])
                 cols = evolve_hold(states[b], q_hold, params[b], refs[b], taus)
                 emit(b, cols, np.concatenate([interior, [t_end]]), np.full(taus.size, q_hold))
                 states[b] = StateVector(states[b].basis, cols[:, -1].copy())
@@ -277,8 +274,9 @@ def run_schedule(
             for b in range(n_batch):
                 if samples:
                     cols = np.column_stack([svs[b].amplitudes for _, svs in samples])
-                    emit(b, cols, interior, [_shifted_q(seg, tl, offsets[b]) for tl, _ in samples])
-                emit(b, finals[b].amplitudes[:, None], [t_end], [_shifted_q(seg, seg.duration, offsets[b])])
+                    emit(b, cols, interior, [float(seg.q_hz_at(tl) + offsets[b]) for tl, _ in samples])
+                q_end = float(seg.q_hz_at(seg.duration) + offsets[b])
+                emit(b, finals[b].amplitudes[:, None], [t_end], [q_end])
             states = finals
         t_global = t_end
     if single:

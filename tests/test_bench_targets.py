@@ -1,10 +1,13 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps spinmo functions
 by module and name, and its workloads (``perfbench/workloads.py``) clear
-spinmo's caches by name.  A renamed or deleted target makes every
-benchmark operation fail, so its targets are checked here."""
+spinmo's caches by name and call spinmo directly.  A renamed or deleted
+target makes every benchmark operation fail, so its targets, and one
+smoke-scale operation of every workload, are checked here."""
 
 import importlib
 from pathlib import Path
+
+import pytest
 
 import spinmo.observables
 
@@ -28,3 +31,13 @@ def test_bench_workloads_clear_every_cache(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
     workloads = importlib.import_module("perfbench.workloads")
     workloads.clear_caches()
+
+
+@pytest.mark.parametrize("name", ["ramp", "search", "noise", "loss"])
+def test_bench_smoke_workload_passes_its_check(monkeypatch, tmp_path, name):
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    workload = workloads.Workload(name, "smoke", tmp_path, 0)
+    workload.setup()
+    workload.prepare()
+    assert workload.check(workload.run()) == []

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import spinmo
+from spinmo import propagate
 from spinmo.cli import main
 from spinmo.config import load as load_config, resolve
 from spinmo.errors import ConfigError
@@ -300,6 +301,27 @@ def test_optimize_command_small(tmp_path, mode):
     assert flags and flags <= {"", "flat", "capped"}
     for name in names:
         assert sha(runs[0] / name) == sha(runs[1] / name)
+
+
+@pytest.mark.parametrize("mode, ramps", [("amo", 1), ("amoa", 2)])
+def test_optimize_integrates_each_ramp_once(tmp_path, monkeypatch, mode, ramps):
+    calls = []
+    original = propagate.evolve_ramp
+
+    def counting(state, segment, *args, **kwargs):
+        calls.append(segment)
+        return original(state, segment, *args, **kwargs)
+
+    # every module that imported the integrator by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinmo") and getattr(module, "evolve_ramp", None) is original:
+            monkeypatch.setattr(module, "evolve_ramp", counting)
+    doc = json.loads(json.dumps(OPTIMIZE))
+    doc["optimizer"]["mode"] = mode
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    segments = json.loads((out / "schedule.json").read_text())["schedule"]["segments"]
+    assert len(calls) == ramps == sum(s["kind"] == "parabolic_ramp" for s in segments)
 
 
 @pytest.mark.parametrize(

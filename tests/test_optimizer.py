@@ -13,8 +13,9 @@ from spinmo.optimizer import (
     geometric_grid,
     optimize_step,
     run_amo,
-    run_amo_protocol,
+    run_protocol,
 )
+from spinmo.schedule import ParabolicRamp, Schedule, run_schedule
 from spinmo.spectra import eigensolve_tridiagonal
 
 
@@ -259,7 +260,7 @@ def test_run_amo_small_system_reaches_target():
         q_max_hz=None, points_per_decade=20, dwell_window=300,
         step_time_cap_s=1.2, max_steps=5,
     )
-    res = run_amo_protocol(polar_state(build_pair_basis(n)), p, cfg)
+    res = run_protocol(polar_state(build_pair_basis(n)), p, cfg)
     ks = res.amo.k_history
     assert all(b <= a for a, b in zip(ks, ks[1:]))
     from spinmo.observables import fidelity_singlet
@@ -268,6 +269,27 @@ def test_run_amo_small_system_reaches_target():
     grid_lo = cfg.q_min_hz
     for h in res.amo.schedule.segments:
         assert grid_lo <= h.q_hz <= res.schedule.segments[0].q_hz_at(res.schedule.segments[0].duration) + 1e-12
+
+
+def record_bytes(records) -> bytes:
+    return np.array([r.astuple() for r in records], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("sample_dt", [0.01, None])
+@pytest.mark.parametrize("mirrored", [False, True], ids=["amo", "amoa"])
+def test_protocol_records_are_one_run_of_its_schedule(mirrored, sample_dt):
+    n = 12
+    p = PhysicsParams(25.0, n)
+    cfg = OptimizerConfig(points_per_decade=10, max_steps=2, step_time_cap_s=0.5)
+    ramp = Schedule((ParabolicRamp(30.0, 0.08, 0.0, 0.05),))
+    st = polar_state(build_pair_basis(n))
+    res = run_protocol(st, p, cfg, ramp=ramp, mirrored=mirrored, sample_dt=sample_dt)
+    holds = res.amo.schedule.segments
+    assert holds and res.schedule.segments[: 1 + len(holds)] == ramp.segments + holds
+    assert len(res.schedule.segments) == (3 + 2 * len(holds) if mirrored else 1 + len(holds))
+    records, final = run_schedule(st, res.schedule, p, sample_dt=sample_dt)
+    assert record_bytes(res.records) == record_bytes(records)
+    assert np.array_equal(res.final_state.amplitudes, final.amplitudes)
 
 
 @pytest.mark.slow
