@@ -18,9 +18,15 @@ most quadratic in time).
 
 Each exponential is a Chebyshev series on the Gershgorin interval of the
 operator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), with
-Bessel coefficients from Miller's backward recurrence.  A batch of chains
-(an ensemble's trajectories, or a single state) is one block-diagonal
-operator, so a series costs one band product per term for the whole batch.
+Bessel coefficients from Miller's backward recurrence.  A series stays
+exact on any interval that contains the spectrum, so the interval's
+radius is rounded up to a grid of ``RADIUS_STEPS_PER_OCTAVE`` steps per
+octave: the interval grows by at most 2^(1/16) - 1 = 4.4%, which costs
+at most about one extra term, and the coefficients are computed once per
+grid value and step length within one :func:`cf4_chain` call instead of
+once per exponential.  A batch of chains (an ensemble's trajectories, or
+a single state) is one block-diagonal operator, so a series costs one
+band product per term for the whole batch.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 NORM_TOL = 1e-10        # per-step |norm - 1| before renormalizing
 _SERIES_TOL = 1e-17     # Bessel coefficients below this end the series
+RADIUS_STEPS_PER_OCTAVE = 16  # grid the series' radius is rounded up to
 _JOIN = np.zeros(1)     # the coupling between two blocks of a band
 
 
@@ -82,19 +89,26 @@ def bessel_j(x: float) -> np.ndarray:
     return j[: big[-1] + 1]
 
 
-def expv(recur, v: np.ndarray, x: float) -> np.ndarray:
-    """``exp(-i x S) v`` for an operator S with spectrum in [-1, 1], given
-    the Chebyshev recurrence ``recur(u, w) = 2 S u - w``, which may
-    overwrite ``w`` and return it."""
+def chebyshev_coefficients(x: float) -> list[complex]:
+    """The series of ``exp(-i x S)`` in Chebyshev polynomials of S:
+    ``J_0(x)``, then ``2 (-i)^k J_k(x)`` for k >= 1."""
     j = bessel_j(x)
-    if j.size == 1:
-        return v.copy()
     coef = 2.0 * j * _POWERS_OF_MINUS_I[np.arange(j.size) % 4]
+    coef[0] = j[0]
+    return coef.tolist()
+
+
+def expv(recur, v: np.ndarray, coef: list[complex]) -> np.ndarray:
+    """``exp(-i x S) v`` for an operator S with spectrum in [-1, 1], given
+    ``coef = chebyshev_coefficients(x)`` and the Chebyshev recurrence
+    ``recur(u, w) = 2 S u - w``, which may overwrite ``w`` and return it."""
+    if len(coef) == 1:
+        return v.copy()
     prev = v.copy()
     cur = 0.5 * recur(v, np.zeros_like(v))
-    acc = j[0] * v + coef[1] * cur
+    acc = coef[0] * v + coef[1] * cur
     n = v.size
-    for c in coef[2:].tolist():
+    for c in coef[2:]:
         prev, cur = cur, recur(cur, prev)
         zaxpy(cur, acc, n, c)  # acc += c * cur, in place
     return acc
@@ -135,10 +149,12 @@ class _Band:
         )
         self.band = np.zeros((2, self.d0.size), dtype=np.complex128, order="F")
 
-    def expv(self, v: np.ndarray, q: np.ndarray, tau: float) -> np.ndarray:
+    def expv(self, v: np.ndarray, q: np.ndarray, tau: float, coefs: dict) -> np.ndarray:
         """``exp(-i tau H) v`` with ``H = D0 + q[b] Dq + Off`` on block b, by
         one Chebyshev series on the union of the blocks' Gershgorin
-        intervals."""
+        intervals, its radius rounded up to the grid.  ``coefs`` maps
+        ``tau`` times a grid radius to its :func:`chebyshev_coefficients`
+        and gains the ones computed here."""
         diag = self.d0 + np.repeat(q, self.ms) * self.dq
         lo = float(np.min(diag - self.radius))
         hi = float(np.max(diag + self.radius))
@@ -148,6 +164,9 @@ class _Band:
         phase = cmath.exp(-1j * tau * center)
         if radius == 0.0:
             return phase * v
+        radius = 2.0 ** (
+            math.ceil(RADIUS_STEPS_PER_OCTAVE * math.log2(radius)) / RADIUS_STEPS_PER_OCTAVE
+        )
         # 2 (H - center) / radius in BLAS Hermitian band storage: the
         # superdiagonal over the diagonal
         band = self.band
@@ -159,7 +178,11 @@ class _Band:
             # lower, overwrite_y): keyword parsing would cost a third of the call
             return zhbmv(1, 1.0, band, u, 1, 0, -1.0, w, 1, 0, 0, 1)
 
-        return phase * expv(recur, v, tau * radius)
+        x = tau * radius
+        coef = coefs.get(x)
+        if coef is None:
+            coef = coefs[x] = chebyshev_coefficients(x)
+        return phase * expv(recur, v, coef)
 
 
 def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol):
@@ -181,16 +204,17 @@ def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol):
     ms = list(ms)
     band = _Band(diag0, qdiag, off, ms)
     v = np.concatenate([p[:m] for p, m in zip(psis, ms)])
-    nsteps = (qgrid.shape[0] - 1) // 2
-    for s in range(nsteps):
-        q0, qm, q1 = qgrid[2 * s], qgrid[2 * s + 1], qgrid[2 * s + 2]
-        qa = _WA[0] * q0 + _WA[1] * qm + _WA[2] * q1
-        qb = _WB[0] * q0 + _WB[1] * qm + _WB[2] * q1
-        q_first = 2.0 * (A1 * qa + A2 * qb)
-        q_second = 2.0 * (A2 * qa + A1 * qb)
+    coefs: dict = {}  # Chebyshev coefficients of this call, by x
+    # q at the nodes of every step, one row per step
+    q0, qm, q1 = qgrid[0:-1:2], qgrid[1::2], qgrid[2::2]
+    qa = _WA[0] * q0 + _WA[1] * qm + _WA[2] * q1
+    qb = _WB[0] * q0 + _WB[1] * qm + _WB[2] * q1
+    q_first = 2.0 * (A1 * qa + A2 * qb)
+    q_second = 2.0 * (A2 * qa + A1 * qb)
+    for s in range(q_first.shape[0]):
         while True:
-            mid = band.expv(v, q_first, 0.5 * dt)
-            end = band.expv(mid, q_second, 0.5 * dt)
+            mid = band.expv(v, q_first[s], 0.5 * dt, coefs)
+            end = band.expv(mid, q_second[s], 0.5 * dt, coefs)
             last = band.stops - 1
             edge = np.maximum(np.maximum(np.abs(v[last]), np.abs(mid[last])), np.abs(end[last]))
             grow = np.flatnonzero(dt * band.edge_off * edge > leak_tol)

@@ -346,16 +346,14 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spinmo", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="run configuration JSON")
-        sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument(
-            "--convention", choices=["angular", "plain"], default=None,
-            help="override unit convention",
-        )
+    ap.add_argument("command", choices=list(_COMMANDS))
+    ap.add_argument("--config", required=True, help="run configuration JSON")
+    ap.add_argument("--out", required=True, help="output directory")
+    ap.add_argument("--seed", type=int, default=None, help="override config seed")
+    ap.add_argument(
+        "--convention", choices=["angular", "plain"], default=None,
+        help="override unit convention",
+    )
     return ap
 
 

@@ -99,11 +99,9 @@ def _apply_loss(state: StateVector, channel: int) -> StateVector:
     else:
         w = np.sqrt(basis.n_minus.astype(float))
         src_nm, src_np = basis.n_minus - 1, basis.n_plus
-    for k in range(basis.size):
-        if w[k] == 0.0:
-            continue
-        kp = int(min(src_nm[k], src_np[k]))
-        out[kp] += w[k] * state.amplitudes[k]
+    # each source level with w != 0 lands on its own target level
+    live = w != 0.0
+    out[np.minimum(src_nm, src_np)[live]] += w[live] * state.amplitudes[live]
     nrm = np.linalg.norm(out)
     if nrm == 0.0:
         raise ArithmeticError("loss channel annihilated the state")

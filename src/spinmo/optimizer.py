@@ -31,7 +31,7 @@ import numpy as np
 from .basis import SectorBasis, StateVector
 from .observables import ObservableRecord, level_count, occupied_levels, reference_eigensystem
 from .operators import PhysicsParams
-from .propagate import hold_levels
+from .propagate import hold_levels, hold_start
 from .schedule import SAMPLE_DT_DEFAULT_S, Hold, Schedule, mirror_schedule, reference_ramp, run_schedule
 from .spectra import EigenSystem, real_map
 
@@ -191,6 +191,7 @@ def first_local_min_k(
     params: PhysicsParams,
     cfg: OptimizerConfig,
     reference: EigenSystem,
+    start: tuple | None = None,
 ) -> HoldScan:
     """Evolve at constant q, sampling K, until its first local minimum.
 
@@ -223,8 +224,11 @@ def first_local_min_k(
     sample come from :func:`_phase_table` by doubling; beyond the rounding
     of its phase argument, each carries at most 8 rounded exponentials and
     7 rounded products.
+
+    ``start`` is :func:`hold_start` of ``state``, for a caller that scans
+    the same state at many q.
     """
-    a = reference.project(state.amplitudes)
+    a, window = start if start is not None else hold_start(state, reference)
     pops0 = a.real**2 + a.imag**2
     if level_count(pops0, cfg.k_threshold) == 1:
         return HoldScan(
@@ -236,7 +240,7 @@ def first_local_min_k(
             amplitudes=state.amplitudes.astype(complex),
         )
 
-    eig, c0 = hold_levels(a, q_hz, params, state.basis, reference, cfg.step_time_cap_s)
+    eig, c0 = hold_levels(a, q_hz, params, state.basis, reference, cfg.step_time_cap_s, window)
     rows = eig.vectors[_reachable_rows(eig.vectors, c0, cfg.k_threshold)]
 
     dt = cfg.sample_dt_s
@@ -317,8 +321,9 @@ def optimize_step(
         raise ValueError("empty q grid")
     best: HoldScan | None = None
     table = []
+    start = hold_start(state, reference)
     for q in grid:
-        scan = first_local_min_k(state, float(q), params, cfg, reference)
+        scan = first_local_min_k(state, float(q), params, cfg, reference, start)
         table.append(scan)
         if (
             best is None
@@ -448,7 +453,9 @@ def run_protocol(
         raise ValueError("the mirrored protocol requires an even atom number")
     if ramp is None:
         ramp = reference_ramp()
-    records, entry = run_schedule(state0, ramp, params, sample_dt=sample_dt, ramp_dt=ramp_dt)
+    records, entry = run_schedule(
+        state0, ramp, params, sample_dt=sample_dt, ramp_dt=ramp_dt, k_threshold=cfg.k_threshold
+    )
     if cfg.q_max_hz is None:
         last = ramp.segments[-1]
         cfg = replace(cfg, q_max_hz=float(last.q_hz_at(last.duration)))
@@ -459,6 +466,7 @@ def run_protocol(
         rest += (Hold(0.0, cfg.plateau_s),) + mirror.segments
     # the second run's first record repeats the ramp's last one
     more, final = run_schedule(
-        entry, Schedule(rest), params, sample_dt=sample_dt, ramp_dt=ramp_dt, t0=ramp.duration
+        entry, Schedule(rest), params, sample_dt=sample_dt, ramp_dt=ramp_dt,
+        k_threshold=cfg.k_threshold, t0=ramp.duration,
     )
     return ProtocolResult(Schedule(ramp.segments + rest), final, records + more[1:], amo)

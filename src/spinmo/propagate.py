@@ -86,6 +86,13 @@ def leading_window(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     return min(a.size, 2 * int(np.argmax(tail <= tol))), tail
 
 
+def hold_start(state: StateVector, reference: EigenSystem) -> tuple[np.ndarray, tuple]:
+    """The reference amplitudes of ``state`` and the ``window`` that
+    :func:`hold_levels` starts from for them."""
+    a = reference.project(state.amplitudes)
+    return a, leading_window(a, _TRUNCATION_TOL)
+
+
 def hold_levels(
     a: np.ndarray,
     q_hz: float,
@@ -93,6 +100,7 @@ def hold_levels(
     basis: SectorBasis,
     reference: EigenSystem,
     cap_s: float,
+    window: tuple[int, np.ndarray] | None = None,
 ) -> tuple[EigenSystem, np.ndarray]:
     """Eigensystem of a hold on the leading reference levels, and ``a`` in it.
 
@@ -108,14 +116,16 @@ def hold_levels(
         ||a[m:]|| + cap_s |H[m-1, m]| sum_j |c_j| |W[m-1, j]|,
 
     with W the block's eigenvectors and c = W^T a[:m].  When no smaller
-    block qualifies, m is the whole chain, which is exact.
+    block qualifies, m is the whole chain, which is exact.  ``window`` is
+    the starting m and the tail norms of ``a`` (:func:`hold_start`), for a
+    caller that holds the same ``a`` at many q.
     """
     n0_ref = reference_n0(basis.n_atoms, basis.magnetization)
     f = params.factor
     diag = f * (params.c2p_hz / basis.n_atoms * reference.values - q_hz * n0_ref.diag)
     off = -f * q_hz * n0_ref.offdiag
     n = a.size
-    m, tail = leading_window(a, _TRUNCATION_TOL)
+    m, tail = window if window is not None else leading_window(a, _TRUNCATION_TOL)
     while True:
         eig = eigensolve_tridiagonal(TriMatrix(diag[:m], off[: m - 1]))
         c = eig.project(a[:m])
@@ -291,6 +301,7 @@ def evolve_rotating(
     # each exponential's transverse weight |cbar + i sbar| is at most
     # 2 (|a1| + |a2|) = 2 / sqrt(3)
     rho = _rotating_rho(h0c, 2.0 / math.sqrt(3.0) * h_int, basis.n_atoms)
+    coef = _kernels.chebyshev_coefficients(0.5 * dt0 * rho)
 
     psi = state.amplitudes.copy()
     for s in range(n_steps):
@@ -304,7 +315,7 @@ def evolve_rotating(
                 hu = (parts @ u).reshape(3, -1)
                 return (2.0 / rho) * hu[0] - kx * hu[1] + ky * hu[2] - w
 
-            psi = _kernels.expv(recur, psi, 0.5 * dt0 * rho)
+            psi = _kernels.expv(recur, psi, coef)
         psi = _kernels.renormalized(psi)
     # defined up to a global phase (all reported observables are invariant)
     return StateVector(basis, psi)

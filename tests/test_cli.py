@@ -150,6 +150,25 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert err["error"] == "ConfigError" and err["exit_code"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus", "--config", "c.json", "--out", "x"], ["evolve", "--config", "c.json"]],
+    ids=["unknown-command", "missing-out"],
+)
+def test_bad_command_line_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: spinmo" in capsys.readouterr().err
+
+
+def test_version_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == spinmo.__version__
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     doc = json.loads(json.dumps(BASE))
     doc["output"]["ramp_dt_s"] = 0.02  # violates the step-size precheck
@@ -322,6 +341,18 @@ def test_optimize_integrates_each_ramp_once(tmp_path, monkeypatch, mode, ramps):
     assert main(["optimize", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
     segments = json.loads((out / "schedule.json").read_text())["schedule"]["segments"]
     assert len(calls) == ramps == sum(s["kind"] == "parabolic_ramp" for s in segments)
+
+
+def test_curve_counts_levels_at_the_optimizer_threshold(tmp_path):
+    doc = json.loads(json.dumps(OPTIMIZE))
+    doc["optimizer"]["k_threshold"] = 0.05
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    k_history = json.loads((out / "schedule.json").read_text())["k_history"]
+    with (out / "curve.csv").open(newline="", encoding="utf-8") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert k_history[-1] == 1
+    assert int(last["K"]) == k_history[-1]
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,45 @@ def test_apply_loss_moves_sector():
     assert out2.basis.magnetization == -1
 
 
+def _apply_loss_by_level(state, channel):
+    """One level at a time: the reference for the vectorized jump."""
+    basis = state.basis
+    new_basis = SectorBasis(basis.n_atoms - 1, basis.magnetization - channel)
+    out = np.zeros(new_basis.size, dtype=np.complex128)
+    for k in range(basis.size):
+        n_minus, n_zero, n_plus = basis.config(k)
+        lost = (n_minus, n_zero, n_plus)[channel + 1]
+        if lost == 0:
+            continue
+        after = (n_minus - (channel == -1), n_zero - (channel == 0), n_plus - (channel == 1))
+        out[new_basis.index_of(after)] += math.sqrt(lost) * state.amplitudes[k]
+    nrm = np.linalg.norm(out)
+    if nrm == 0.0:
+        raise ArithmeticError("loss channel annihilated the state")
+    return StateVector(new_basis, out / nrm)
+
+
+def test_apply_loss_matches_the_level_by_level_jump():
+    rng = np.random.default_rng(5)
+    for n in range(2, 61):
+        for m in range(-4, 5):
+            if abs(m) > n:
+                continue
+            basis = SectorBasis(n, m)
+            amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+            st = StateVector(basis, amps / np.linalg.norm(amps))
+            for channel in (-1, 0, 1):
+                try:
+                    want = _apply_loss_by_level(st, channel)
+                except (ArithmeticError, ValueError) as exc:  # an empty channel
+                    with pytest.raises(type(exc)):
+                        _apply_loss(st, channel)
+                    continue
+                got = _apply_loss(st, channel)
+                assert got.basis == want.basis
+                assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
 def test_sector_bookkeeping_after_jumps():
     n = 30
     p = PhysicsParams(25.0, n)

@@ -243,6 +243,27 @@ def test_optimize_step_grid_of_one():
     assert len(step.table) == 1
 
 
+def test_optimize_step_projects_its_state_once(monkeypatch):
+    n = 40
+    p = PhysicsParams(25.0, n)
+    cfg = OptimizerConfig(step_time_cap_s=0.4, points_per_decade=4)
+    ref = reference_eigensystem(n)
+    st = polar_state(build_pair_basis(n))
+    grid = geometric_grid(1e-2, 1.0, 4)
+    alone = [first_local_min_k(st, float(q), p, cfg, ref) for q in grid]
+    windows = []
+    original = propagate.leading_window
+    monkeypatch.setattr(propagate, "leading_window", lambda a, tol: windows.append(tol) or original(a, tol))
+    step = optimize_step(st, 1.0, p, cfg, ref, grid=grid)
+    assert len(windows) == 1
+    # the same scans as each grid point scanned on its own
+    for got, want in zip(step.table, alone, strict=True):
+        assert (got.q_hz, got.k, got.t_s, got.pop_two_lowest, got.flag) == (
+            want.q_hz, want.k, want.t_s, want.pop_two_lowest, want.flag
+        )
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
 def test_run_amo_from_singlet_emits_nothing():
     n = 10
     p = PhysicsParams(25.0, n)

@@ -242,6 +242,110 @@ def test_bessel_coefficients_match_mpmath():
         assert np.max(np.abs(j - want)) <= 1e-15
 
 
+def _random_blocks(rng, sizes):
+    """Random Hermitian tridiagonal blocks as (diag0, qdiag, off) lists."""
+    diag0 = [rng.normal(size=m) for m in sizes]
+    qdiag = [rng.normal(size=m) for m in sizes]
+    off = [rng.normal(size=m - 1) + 1j * rng.normal(size=m - 1) for m in sizes]
+    return diag0, qdiag, off
+
+
+def _band_expv_error(diag0, qdiag, off, q, tau, rng):
+    """Max-abs error of one :class:`_kernels._Band` exponential against expm."""
+    ms = [d.size for d in diag0]
+    band = _kernels._Band(diag0, qdiag, off, ms)
+    v = rng.normal(size=sum(ms)) + 1j * rng.normal(size=sum(ms))
+    v /= np.linalg.norm(v)
+    blocks = [np.diag(d + qb * dq) + np.diag(o, 1) + np.diag(o.conj(), -1)
+              for d, dq, o, qb in zip(diag0, qdiag, off, q)]
+    want = scipy.linalg.expm(-1j * tau * scipy.linalg.block_diag(*blocks)) @ v
+    coefs = {}
+    got = band.expv(v, np.asarray(q, dtype=float), tau, coefs)
+    return np.max(np.abs(got - want)), coefs
+
+
+@pytest.mark.parametrize("sizes", [[1], [2], [17], [101], [17, 2, 101]], ids=str)
+def test_band_exponential_matches_expm(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    diag0, qdiag, off = _random_blocks(rng, sizes)
+    q = rng.normal(size=len(sizes))
+    # the series' radius before rounding: half the union of the Gershgorin intervals
+    band = _kernels._Band(diag0, qdiag, off, sizes)
+    diag = band.d0 + np.repeat(q, band.ms) * band.dq
+    radius = 0.5 * (np.max(diag + band.radius) - np.min(diag - band.radius))
+    for x in np.geomspace(1e-6, 300.0, 12):
+        err, coefs = _band_expv_error(diag0, qdiag, off, q, x / max(radius, 1.0), rng)
+        assert err <= 1e-13, (x, err)
+        if sizes != [1]:
+            # the radius is rounded up by less than 1/16 octave
+            (x_used,) = coefs
+            assert x * (1 - 1e-14) <= x_used <= x * 2.0 ** (1 / 16) * (1 + 1e-14)
+
+
+def test_band_exponential_at_zero_and_grid_radius():
+    rng = np.random.default_rng(3)
+    # one level: radius 0, a pure phase
+    err, coefs = _band_expv_error([np.array([1.7])], [np.array([0.4])], [np.empty(0)], [2.0], 0.3, rng)
+    assert err <= 1e-15 and coefs == {}
+    # two blocks with the same diagonal and no coupling: radius 0 again
+    err, coefs = _band_expv_error(
+        [np.full(3, 0.5), np.full(2, 0.5)], [np.zeros(3), np.zeros(2)],
+        [np.zeros(2), np.zeros(1)], [1.0, -1.0], 2.0, rng,
+    )
+    assert err <= 1e-15 and coefs == {}
+    # radius exactly on the grid: 2 and 2^(3/16)
+    for r in (2.0, 2.0 ** (3 / 16)):
+        err, coefs = _band_expv_error([np.zeros(2)], [np.zeros(2)], [np.array([r])], [0.0], 1.5, rng)
+        assert err <= 1e-14
+        (x,) = coefs
+        assert 1.5 * r <= x <= 1.5 * r * 2.0 ** (1 / 16) * (1 + 1e-15)
+
+
+def _count_bessel(monkeypatch):
+    calls = []
+    original = _kernels.bessel_j
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(_kernels, "bessel_j", counting)
+    return calls
+
+
+def test_ramp_evaluates_few_chebyshev_coefficients(monkeypatch):
+    # the last 5 ms of the reference ramp at N = 100 from its ground state:
+    # one kernel call of 20 steps, 40 exponentials
+    n = 100
+    seg = ParabolicRamp(277.0, 0.955, 0.895, 0.9)
+    p = PhysicsParams(25.0, n)
+    ground = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(float(seg.q_hz_at(0.0))))).ground()
+    st = StateVector(build_pair_basis(n), ground.astype(complex))
+    kernel_calls = []
+    original = _kernels.cf4_chain
+    monkeypatch.setattr(
+        _kernels, "cf4_chain", lambda *a: kernel_calls.append(a[4].shape[0] // 2) or original(*a)
+    )
+    calls = _count_bessel(monkeypatch)
+    first, _ = evolve_ramp(st, seg, p)
+    assert kernel_calls == [20]
+    assert 1 <= len(calls) <= 2
+    # nothing outlives a call: the same call computes them again
+    del calls[:]
+    second, _ = evolve_ramp(st, seg, p)
+    assert 1 <= len(calls) <= 2
+    assert np.array_equal(first.amplitudes, second.amplitudes)
+
+
+def test_rotating_evaluates_one_chebyshev_series(monkeypatch):
+    n = 6
+    basis = build_full_basis(n)
+    ext = ExtendedParams(PhysicsParams(25.0, n, 0.5, convention="plain"), p_hz=0.0, h_hz=4.0)
+    calls = _count_bessel(monkeypatch)
+    evolve_rotating(polar_state(basis), ext, 0.01, dt=2e-5)
+    assert len(calls) == 1
+
+
 def test_rotating_exact_mode_at_the_relaxation_bias():
     p_scale = 1e-3
     p = PhysicsParams(25.0, 7, 0.6)
