@@ -24,7 +24,6 @@ from .operators import (
     TriMatrix,
     hamiltonian_pair,
     hamiltonian_sector,
-    l2_pair,
     l2_sector,
     lx_full,
     ly_full,

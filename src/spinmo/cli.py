@@ -238,6 +238,7 @@ def cmd_loss(cfg: dict, run: RunDir) -> None:
         lcfg,
         sample_dt=cfg["output"]["sample_dt_s"] or 1e-2,
         dephasing=dephasing,
+        ramp_dt=cfg["output"]["ramp_dt_s"],
     )
     write_table_csv(
         run.file("aggregate.csv"),
@@ -344,7 +345,9 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="spinmo", description=__doc__)
+    ap = argparse.ArgumentParser(
+        prog="spinmo", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("command", choices=list(_COMMANDS))
     ap.add_argument("--config", required=True, help="run configuration JSON")

@@ -12,6 +12,7 @@ from pathlib import Path
 import jsonschema
 
 from .errors import ConfigError
+from .propagate import RAMP_DT_S
 
 _SEGMENT_SCHEMA = {
     "oneOf": [
@@ -283,6 +284,16 @@ def _check_hold_grid(cfg: dict) -> None:
         )
 
 
+def _check_ramp_dt(cfg: dict) -> None:
+    """A ramp step may only be finer than the integrator's own."""
+    dt = cfg["output"]["ramp_dt_s"]
+    if dt is not None and dt > RAMP_DT_S:
+        raise ConfigError(
+            f"config invalid at $.output.ramp_dt_s: {dt} s is coarser than the "
+            f"ramp step {RAMP_DT_S} s"
+        )
+
+
 def resolve(doc: dict) -> dict:
     """Validate a raw config document and fill in every default."""
     if not isinstance(doc, dict):
@@ -292,6 +303,7 @@ def resolve(doc: dict) -> dict:
     _check_atom_parity(cfg)
     _check_segments(cfg)
     _check_hold_grid(cfg)
+    _check_ramp_dt(cfg)
     return cfg
 
 

@@ -5,13 +5,15 @@ with N a scalar, so the conditional evolution is the unitary flow times
 a global decay and the waiting time between loss events is exactly
 exponential with rate ``2*Gamma*N``.  A trajectory therefore alternates
 exact sector-local evolution with instantaneous single-atom losses
-through channel m with probability ``<n_m>/N``.  A hold piece runs in
-the total-spin frame on the block of reference levels certified for it
-(:func:`~spinmo.propagate.evolve_hold`), as every schedule hold does.
+through channel m with probability ``<n_m>/N``.  The pieces between
+jumps walk the schedule through the segment step of the schedule runner
+(:func:`~spinmo.schedule.advance_segment`), so a piece evolves exactly as
+the same stretch of :func:`~spinmo.schedule.run_schedule` does.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -21,8 +23,8 @@ from .basis import SectorBasis, StateVector
 from .errors import ConfigError
 from .observables import ObservableRecord, batch_records, reference_eigensystem
 from .operators import PhysicsParams
-from .propagate import evolve_hold, evolve_ramp
 from .schedule import Hold, LinearSweep, ParabolicRamp, Schedule, Segment
+from .schedule import advance_segment, segment_instants
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class LossTrajectory:
     summary: TrajectorySummary
     final_state: StateVector
     records: list[ObservableRecord]
-    samples: dict[str, np.ndarray] | None = None  # t, l2_t (transverse), m, n, f_singlet
+    magnetizations: list[int]  # the M of each record's sector
 
 
 def _slice_segment(seg: Segment, a: float, b: float) -> Segment:
@@ -88,8 +90,6 @@ def _apply_loss(state: StateVector, channel: int) -> StateVector:
     """Annihilate one atom in Zeeman component ``channel`` and renormalize."""
     basis: SectorBasis = state.basis
     n, m = basis.n_atoms, basis.magnetization
-    new_basis = SectorBasis(n - 1, m - channel)
-    out = np.zeros(new_basis.size, dtype=np.complex128)
     if channel == 0:
         w = np.sqrt(basis.n_zero.astype(float))
         src_nm, src_np = basis.n_minus, basis.n_plus
@@ -99,13 +99,15 @@ def _apply_loss(state: StateVector, channel: int) -> StateVector:
     else:
         w = np.sqrt(basis.n_minus.astype(float))
         src_nm, src_np = basis.n_minus - 1, basis.n_plus
+    lost = w * state.amplitudes
+    if not lost.any():  # an empty channel may have no target sector
+        raise ArithmeticError("loss channel annihilated the state")
+    new_basis = SectorBasis(n - 1, m - channel)
+    out = np.zeros(new_basis.size, dtype=np.complex128)
     # each source level with w != 0 lands on its own target level
     live = w != 0.0
-    out[np.minimum(src_nm, src_np)[live]] += w[live] * state.amplitudes[live]
-    nrm = np.linalg.norm(out)
-    if nrm == 0.0:
-        raise ArithmeticError("loss channel annihilated the state")
-    return StateVector(new_basis, out / nrm)
+    out[np.minimum(src_nm, src_np)[live]] = lost[live]
+    return StateVector(new_basis, out / np.linalg.norm(out))
 
 
 def _channel_probabilities(state: StateVector) -> np.ndarray:
@@ -122,35 +124,6 @@ def _channel_probabilities(state: StateVector) -> np.ndarray:
     )
 
 
-def _evolve_sector(
-    state: StateVector,
-    seg: Segment,
-    a: float,
-    b: float,
-    params: PhysicsParams,
-    q_offset_hz: float,
-) -> StateVector:
-    """Unitary evolution through local times [a, b] of one segment; a hold
-    piece runs on its own certified block (:func:`evolve_hold`)."""
-    if b <= a:
-        return state
-    if isinstance(seg, Hold):
-        basis = state.basis
-        ref = reference_eigensystem(basis.n_atoms, basis.magnetization)
-        return StateVector(basis, evolve_hold(state, seg.q_hz + q_offset_hz, params, ref, [b - a])[:, 0])
-    final, _ = evolve_ramp(state, _slice_segment(seg, a, b), params, q_offset_hz=q_offset_hz)
-    return final
-
-
-def _record(state: StateVector, t: float, q: float) -> ObservableRecord:
-    """The record of one sector state.  It calls :func:`batch_records`
-    directly, not through :func:`~spinmo.observables.record_for`, so that
-    each record is one call of the record builder in a traced run."""
-    basis = state.basis
-    ref = reference_eigensystem(basis.n_atoms, basis.magnetization)
-    return batch_records(basis, state.amplitudes[:, None], [t], [q], ref)[0]
-
-
 def gillespie_trajectory(
     state0: StateVector,
     schedule: Schedule,
@@ -159,99 +132,83 @@ def gillespie_trajectory(
     index: int = 0,
     sample_dt: float | None = None,
     q_offset_hz: float = 0.0,
+    ramp_dt: float | None = None,
 ) -> LossTrajectory:
     """One quantum-jump unraveling of the loss master equation.
 
     Between jumps the normalized state follows the loss-free unitary
     flow exactly; jump instants are drawn from the exponential waiting
     time with rate ``2*Gamma*N`` and the lost atom's Zeeman component is
-    chosen with probability ``<n_m>/N``.
+    chosen with probability ``<n_m>/N``.  Each piece between jumps is one
+    :func:`~spinmo.schedule.advance_segment` step.  The records sit at the
+    instants of :func:`~spinmo.schedule.run_schedule`; an instant in
+    [t, t_next) goes to the piece that starts at t, so a record at a jump
+    holds the post-jump state.  An emptied trajectory no longer evolves
+    but is still recorded.
     """
     if not isinstance(state0.basis, SectorBasis):
         raise TypeError("loss trajectories run on chain sectors")
     rng = np.random.default_rng([cfg.seed, 7, index])
     state = state0.copy()
     gamma = cfg.gamma_per_s
-
     jumps: list[JumpEvent] = []
     records: list[ObservableRecord] = []
-    ms: list[int] = []  # the magnetization of each record's state
-    recorded = None     # the state of the last record
+    magnetizations: list[int] = []
+    ref = reference_eigensystem(state.basis.n_atoms, state.basis.magnetization)
 
-    def sample(t_s: float, q_s: float) -> None:
-        nonlocal recorded
-        records.append(_record(state, t_s, q_s))
-        ms.append(state.basis.magnetization)
-        recorded = state
+    def emit(cols, ts, qs):
+        basis = state.basis
+        records.extend(batch_records(basis, cols, ts, qs, ref))
+        magnetizations.extend([basis.magnetization] * len(ts))
 
-    terminated = False
-    t = 0.0
-    if sample_dt:
-        sample(0.0, schedule.q_hz_at(0.0) + q_offset_hz)
-
-    next_jump = (
-        t + rng.exponential(1.0 / (2.0 * gamma * state.basis.n_atoms))
-        if gamma > 0
-        else math.inf
-    )
-    next_sample = sample_dt if sample_dt else math.inf
-
-    t_seg_start = 0.0
+    q_start = schedule.q_hz_at(0.0) + q_offset_hz if schedule.segments else 0.0
+    emit(state.amplitudes[:, None], [0.0], [q_start])
+    next_jump = rng.exponential(1.0 / (2.0 * gamma * state.basis.n_atoms)) if gamma > 0 else math.inf
+    t_seg = 0.0
     for seg in schedule.segments:
-        t_seg_end = t_seg_start + seg.duration
-        while t < t_seg_end - 1e-15:
-            t_next = min(next_jump, next_sample, t_seg_end)
-            # an empty trajectory does not evolve but is still sampled, so
-            # that every trajectory has a record at every sample time
-            if not terminated:
-                state = _evolve_sector(
-                    state, seg, t - t_seg_start, t_next - t_seg_start, params, q_offset_hz
+        ts, _, (qs,) = segment_instants(seg, t_seg, sample_dt, [q_offset_hz])
+        grid, inner = ts.tolist(), ts.size - 1
+        t, i = t_seg, 0  # the piece's start and its first instant
+        while True:
+            last = next_jump >= grid[-1]
+            k = inner if last else bisect.bisect_left(grid, next_jump, i, inner)
+            n_rec = k - i + last  # the instants in [t, next_jump), and the end if last
+            if state.basis.n_atoms == 0 or next_jump == t:
+                cols = np.repeat(state.amplitudes[:, None], n_rec, axis=1)
+            else:
+                piece = (
+                    seg if last and t == t_seg
+                    else _slice_segment(seg, t - t_seg, seg.duration if last else next_jump - t_seg)
                 )
-            t = t_next
-            if t == next_jump:
-                probs = _channel_probabilities(state)
-                channel = int(rng.choice([-1, 0, 1], p=probs))
-                jumps.append(JumpEvent(t=t, channel=channel, n_before=state.basis.n_atoms))
-                state = _apply_loss(state, channel)
-                n_now = state.basis.n_atoms
-                if n_now == 0:
-                    terminated = True
-                    next_jump = math.inf
-                else:
-                    next_jump = t + rng.exponential(1.0 / (2.0 * gamma * n_now))
-            if t == next_sample:
-                sample(t, float(seg.q_hz_at(t - t_seg_start)) + q_offset_hz)
-                next_sample = next_sample + sample_dt
-        t_seg_start = t_seg_end
-        if sample_dt and (not records or abs(records[-1].t - t_seg_end) > 1e-12):
-            sample(t_seg_end, float(seg.q_hz_at(seg.duration)) + q_offset_hz)
+                (cols,), (state,) = advance_segment(
+                    [state], piece, [params], [q_offset_hz], [ref], ts[i:k] - t, ramp_dt
+                )
+            if n_rec:
+                emit(cols[:, :n_rec], grid[i : i + n_rec], qs[i : i + n_rec])
+            if last:
+                break
+            t, i = next_jump, k
+            channel = int(rng.choice([-1, 0, 1], p=_channel_probabilities(state)))
+            jumps.append(JumpEvent(t=t, channel=channel, n_before=state.basis.n_atoms))
+            state = _apply_loss(state, channel)
+            n_now = state.basis.n_atoms
+            ref = reference_eigensystem(n_now, state.basis.magnetization)
+            next_jump = t + rng.exponential(1.0 / (2.0 * gamma * n_now)) if n_now else math.inf
+        t_seg = grid[-1]
 
     basis = state.basis
-    # the summary reads the last record when it holds the final state
-    final = records[-1] if recorded is state else _record(state, t, 0.0)
+    final = records[-1]  # the last record holds the final state
     summary = TrajectorySummary(
         index=index,
         final_n=basis.n_atoms,
         final_m=basis.magnetization,
         n_jumps=len(jumps),
-        terminated_empty=terminated,
+        terminated_empty=basis.n_atoms == 0,
         final_f_singlet=final.F_singlet,
         final_l2=final.xi2 * final.n_current + basis.magnetization**2,
         jumps=jumps,
     )
-    samples = None
-    if records:
-        # per-sample ensemble ingredients: the record's xi2 already holds
-        # (<L^2> - M^2)/N of its sector; recover the transverse variance sum
-        # and keep the magnetization trace alongside
-        samples = {
-            "t": np.array([r.t for r in records]),
-            "l2_t": np.array([r.xi2 * r.n_current for r in records]),
-            "m": np.array(ms, dtype=float),
-            "n": np.array([r.n_current for r in records]),
-            "f_singlet": np.array([r.F_singlet for r in records]),
-        }
-    return LossTrajectory(summary=summary, final_state=state, records=records, samples=samples)
+    return LossTrajectory(summary, state, records, magnetizations)
 
 
 @dataclass
@@ -277,11 +234,12 @@ def run_loss_study(
     cfg: LossConfig,
     sample_dt: float = 1e-2,
     dephasing: "NoiseConfig | None" = None,
+    ramp_dt: float | None = None,
 ) -> LossStudyResult:
     """Trajectory ensemble of the loss process, optionally with dephasing draws."""
     from .noise import NoiseConfig, mean_stderr, q_offset, sample_trajectory_config
 
-    samples = []
+    rows = []
     summaries = []
     for i in range(cfg.n_traj):
         dq = 0.0
@@ -289,17 +247,21 @@ def run_loss_study(
             draw = sample_trajectory_config(dephasing, params.n_atoms, i)
             dq = q_offset(draw.delta_bz_gauss, dephasing)
         traj = gillespie_trajectory(
-            state0, schedule, params, cfg, index=i, sample_dt=sample_dt, q_offset_hz=dq
+            state0, schedule, params, cfg, index=i, sample_dt=sample_dt, q_offset_hz=dq,
+            ramp_dt=ramp_dt,
         )
-        samples.append(traj.samples)
+        # per record: t, the transverse variance sum <L^2> - M^2 (the
+        # record's xi2 holds it over N), N, F_singlet and M
+        rows.append(np.array([
+            (r.t, r.xi2 * r.n_current, r.n_current, r.F_singlet, m)
+            for r, m in zip(traj.records, traj.magnetizations)
+        ]).T)
         summaries.append(traj.summary)
+    t, l2, n, f, m = np.stack(rows, axis=1)  # each trajectories x records
 
-    def stacked(key):
-        return np.stack([s[key] for s in samples])
-
-    l2_mean, l2_stderr = mean_stderr(stacked("l2_t"))
-    n_mean, n_stderr = mean_stderr(stacked("n"))
-    f_mean, f_stderr = mean_stderr(stacked("f_singlet"))
+    l2_mean, l2_stderr = mean_stderr(l2)
+    n_mean, n_stderr = mean_stderr(n)
+    f_mean, f_stderr = mean_stderr(f)
 
     def per_atom(x):
         # xi2 is undefined (nan) where no trajectory keeps an atom
@@ -308,8 +270,8 @@ def run_loss_study(
     # ensemble moments: transverse variances from per-traj (<L^2> - M^2),
     # longitudinal from the spread of M across trajectories
     return LossStudyResult(
-        times=samples[0]["t"],
-        xi2=per_atom(l2_mean + stacked("m").var(axis=0)),
+        times=t[0],
+        xi2=per_atom(l2_mean + m.var(axis=0)),
         xi2_stderr=per_atom(l2_stderr),
         n_mean=n_mean,
         n_stderr=n_stderr,

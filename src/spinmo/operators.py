@@ -148,16 +148,6 @@ def l2_sector(n_atoms: int, magnetization: int = 0) -> TriMatrix:
     return TriMatrix(diag, off)
 
 
-def l2_pair(n_atoms: int) -> TriMatrix:
-    """Pair-sector (M = 0) total-spin-squared chain."""
-    return l2_sector(n_atoms, 0)
-
-
-def n0_sector(basis: SectorBasis) -> np.ndarray:
-    """Diagonal of the m = 0 number operator in a chain sector."""
-    return basis.n_zero.astype(np.float64)
-
-
 def hamiltonian_sector(params: PhysicsParams, basis: SectorBasis) -> TriMatrix:
     """``c2p * L^2 / N - q * n0`` on a chain sector, in internal units.
 

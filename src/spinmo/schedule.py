@@ -22,11 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SectorBasis, StateVector
-from .observables import (
-    ObservableRecord,
-    batch_records,
-    reference_eigensystem,
-)
+from .observables import batch_records, reference_eigensystem
 from .operators import PhysicsParams
 from .propagate import evolve_hold, evolve_ramp
 
@@ -200,6 +196,54 @@ def _sample_grid(t_a: float, t_b: float, sample_dt: float) -> np.ndarray:
     return ts[keep]
 
 
+def segment_instants(seg: Segment, t_start: float, sample_dt: float | None, q_offsets) -> tuple:
+    """The record instants of a segment that starts at global time
+    ``t_start``: the multiples of ``sample_dt`` strictly inside it, then its
+    end.  Returns them as global times, the inner ones as local times, and
+    the q at each for every offset in ``q_offsets``."""
+    interior = _sample_grid(t_start, t_start + seg.duration, sample_dt) if sample_dt else np.empty(0)
+    local = np.append(interior - t_start, seg.duration)
+    qs = [[float(seg.q_hz_at(tl) + dq) for tl in local] for dq in q_offsets]
+    return np.append(interior, t_start + seg.duration), local[:-1], qs
+
+
+def advance_segment(
+    states: list[StateVector],
+    seg: Segment,
+    params: list[PhysicsParams],
+    q_offsets: list[float],
+    references: list,
+    taus: np.ndarray,
+    ramp_dt: float | None = None,
+) -> tuple[list[np.ndarray], list[StateVector]]:
+    """Evolve chain-sector states through one segment.
+
+    Returns each state's amplitude columns at the sorted local times
+    ``taus`` and then at the segment's end, and the final states.  A hold
+    evolves each state by :func:`~spinmo.propagate.evolve_hold` on the
+    block certified for the whole segment; a ramp or sweep advances the
+    batch in one :func:`~spinmo.propagate.evolve_ramp` call, ``ramp_dt``
+    long steps and the taus on side branches.  State b sees the control
+    curve shifted by ``q_offsets[b]``; ``references[b]`` is its sector's
+    :func:`~spinmo.observables.reference_eigensystem`.
+    """
+    if isinstance(seg, Hold):
+        taus = np.concatenate((taus, [seg.duration]))
+        cols = [
+            evolve_hold(st, seg.q_hz + dq, p, ref, taus)
+            for st, p, dq, ref in zip(states, params, q_offsets, references)
+        ]
+        return cols, [StateVector(st.basis, c[:, -1].copy()) for st, c in zip(states, cols)]
+    finals, samples = evolve_ramp(
+        states, seg, params, dt=ramp_dt, sample_times=taus, q_offset_hz=q_offsets
+    )
+    cols = [
+        np.column_stack([svs[b].amplitudes for _, svs in samples] + [final.amplitudes])
+        for b, final in enumerate(finals)
+    ]
+    return cols, finals
+
+
 def run_schedule(
     state0: StateVector | list[StateVector],
     schedule: Schedule,
@@ -213,15 +257,14 @@ def run_schedule(
     """Drive a state through a schedule, recording diagnostics.
 
     Records are emitted at the start, at every multiple of ``sample_dt``
-    and at every segment boundary.  ``t0`` is the global time of the start
-    state: the schedule runs from ``t0`` on, and the sample instants stay
-    multiples of ``sample_dt`` in that time.  A schedule run in two pieces,
-    the second from the first's end time and state, thus records bit for
-    bit what one run over both pieces records.  Holds evolve by
-    :func:`~spinmo.propagate.evolve_hold` on the block certified for the
-    whole hold; ramps and sweeps take the fourth-order Magnus steps of
-    :func:`~spinmo.propagate.evolve_ramp`.  ``q_offset_hz`` shifts the
-    whole control curve, which is how quasi-static field noise enters.
+    and at every segment boundary (:func:`segment_instants`).  ``t0`` is
+    the global time of the start state: the schedule runs from ``t0`` on,
+    and the sample instants stay multiples of ``sample_dt`` in that time.
+    A schedule run in two pieces, the second from the first's end time and
+    state, thus records bit for bit what one run over both pieces records.
+    Each segment is one :func:`advance_segment` step.  ``q_offset_hz``
+    shifts the whole control curve, which is how quasi-static field noise
+    enters.
 
     ``state0`` may also be a list of B states, with ``params`` and
     ``q_offset_hz`` lists of the same length.  The states then walk the
@@ -231,54 +274,26 @@ def run_schedule(
     final states.  A single state is a batch of one.
     """
     single = isinstance(state0, StateVector)
-    states0 = [state0] if single else list(state0)
-    n_batch = len(states0)
+    states = [st.copy() for st in ([state0] if single else state0)]
+    n_batch = len(states)
     params = [params] if single else list(params)
     offsets = [float(q_offset_hz)] * n_batch if np.ndim(q_offset_hz) == 0 else list(q_offset_hz)
-    if not all(isinstance(st.basis, SectorBasis) for st in states0):
+    if not all(isinstance(st.basis, SectorBasis) for st in states):
         raise TypeError("run_schedule drives chain-sector states")
-    refs = [reference_eigensystem(st.basis.n_atoms, st.basis.magnetization) for st in states0]
+    refs = [reference_eigensystem(st.basis.n_atoms, st.basis.magnetization) for st in states]
 
-    records: list[list[ObservableRecord]] = [[] for _ in range(n_batch)]
-    states = [st.copy() for st in states0]
+    def records_of(b, cols, ts, qs):
+        return batch_records(states[b].basis, cols, ts, qs, refs[b], k_threshold)
 
-    def emit(b, states_cols, ts, qs):
-        records[b].extend(
-            batch_records(
-                states[b].basis, states_cols, np.asarray(ts), np.asarray(qs), refs[b], k_threshold
-            )
-        )
-
-    for b in range(n_batch):
-        q_start = (schedule.q_hz_at(0.0) + offsets[b]) if schedule.segments else 0.0
-        emit(b, states[b].amplitudes[:, None], [t0], [q_start])
-
+    q_start = [schedule.q_hz_at(0.0) + dq if schedule.segments else 0.0 for dq in offsets]
+    records = [records_of(b, st.amplitudes[:, None], [t0], [q_start[b]]) for b, st in enumerate(states)]
     t_global = t0
     for seg in schedule.segments:
-        t_end = t_global + seg.duration
-        interior = (
-            _sample_grid(t_global, t_end, sample_dt) if sample_dt else np.empty(0)
-        )
-        if isinstance(seg, Hold):
-            taus = np.concatenate([interior - t_global, [seg.duration]])
-            for b in range(n_batch):
-                q_hold = float(seg.q_hz_at(0.0) + offsets[b])
-                cols = evolve_hold(states[b], q_hold, params[b], refs[b], taus)
-                emit(b, cols, np.concatenate([interior, [t_end]]), np.full(taus.size, q_hold))
-                states[b] = StateVector(states[b].basis, cols[:, -1].copy())
-        else:
-            finals, samples = evolve_ramp(
-                states, seg, params, dt=ramp_dt, sample_times=interior - t_global,
-                q_offset_hz=offsets,
-            )
-            for b in range(n_batch):
-                if samples:
-                    cols = np.column_stack([svs[b].amplitudes for _, svs in samples])
-                    emit(b, cols, interior, [float(seg.q_hz_at(tl) + offsets[b]) for tl, _ in samples])
-                q_end = float(seg.q_hz_at(seg.duration) + offsets[b])
-                emit(b, finals[b].amplitudes[:, None], [t_end], [q_end])
-            states = finals
-        t_global = t_end
+        ts, taus, qs = segment_instants(seg, t_global, sample_dt, offsets)
+        cols, states = advance_segment(states, seg, params, offsets, refs, taus, ramp_dt)
+        for b in range(n_batch):
+            records[b].extend(records_of(b, cols[b], ts, qs[b]))
+        t_global = ts[-1]
     if single:
         return records[0], states[0]
     return records, states

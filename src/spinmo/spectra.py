@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError
-from .operators import PhysicsParams, TriMatrix, hamiltonian_pair, n0_sector
+from .operators import PhysicsParams, TriMatrix, hamiltonian_pair
 from .basis import SectorBasis
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -169,6 +169,6 @@ def adiabatic_beta(params: PhysicsParams, dq_dt_hz_per_s: float) -> float:
     de = float(values[1] - values[0])
     if de <= 0 or not np.isfinite(de):
         raise ConvergenceError(f"degenerate or invalid gap {de}")
-    n0 = n0_sector(SectorBasis(params.n_atoms, 0))
+    n0 = SectorBasis(params.n_atoms, 0).n_zero
     element = float(vectors[:, 1] @ (n0 * vectors[:, 0]))
     return abs(params.factor * dq_dt_hz_per_s * element) / de**2

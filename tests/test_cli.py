@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import spinmo
-from spinmo import propagate
+from spinmo import propagate, schedule
 from spinmo.cli import main
 from spinmo.config import load as load_config, resolve
-from spinmo.errors import ConfigError
+from spinmo.errors import ConfigError, StepSizeError
 from spinmo.observables import reference_eigensystem, singlet_amplitudes
 
 
@@ -169,14 +169,37 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == spinmo.__version__
 
 
-def test_exit_code_numeric_error(tmp_path, capsys):
-    doc = json.loads(json.dumps(BASE))
-    doc["output"]["ramp_dt_s"] = 0.02  # violates the step-size precheck
-    cfg = write_cfg(tmp_path, doc)
+def test_exit_code_numeric_error(tmp_path, capsys, monkeypatch):
+    def failing_ramp(*args, **kwargs):
+        raise StepSizeError("the ramp step failed")
+
+    # a numeric failure once the run has started
+    monkeypatch.setattr(schedule, "evolve_ramp", failing_ramp)
+    cfg = write_cfg(tmp_path, BASE)
     rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit_code"] == 3
+
+
+def test_too_coarse_ramp_step_is_a_config_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE))
+    doc["output"]["ramp_dt_s"] = 1e-3  # coarser than propagate.RAMP_DT_S
+    rc = main(["evolve", "--config", str(write_cfg(tmp_path, doc)), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "$.output.ramp_dt_s" in err["message"]
+    doc["output"]["ramp_dt_s"] = 1e-4
+    rc = main(["evolve", "--config", str(write_cfg(tmp_path, doc)), "--out", str(tmp_path / "y")])
+    assert rc == 0
+
+
+def test_help_keeps_the_command_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert "spinmo evolve          --config cfg.json --out dir" in lines
 
 
 def test_seed_and_convention_overrides(tmp_path):
@@ -266,6 +289,28 @@ def test_loss_when_a_trajectory_loses_every_atom(tmp_path):
         times = [float(row["t"]) for row in csv.DictReader(fh)]
     # samples every 10 ms over the 80 ms schedule
     assert times == pytest.approx([0.01 * i for i in range(9)], abs=1e-12)
+
+
+def test_loss_records_sit_on_the_evolve_sample_grid(tmp_path):
+    doc = {
+        "physics": {"c2p_hz": 25.0, "n_atoms": 12},
+        "schedule": {
+            "segments": [
+                {"kind": "hold", "q_hz": 0.5, "duration_s": 0.3},
+                {"kind": "hold", "q_hz": 0.1, "duration_s": 0.2},
+            ]
+        },
+        "loss": {"gamma_per_s": 2.0, "n_traj": 2},
+        "output": {"sample_dt_s": 0.1},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    times = {}
+    for command, name in (("evolve", "records.csv"), ("loss", "aggregate.csv")):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        with (tmp_path / command / name).open(newline="", encoding="utf-8") as fh:
+            times[command] = [row["t"] for row in csv.DictReader(fh)]
+    assert times["loss"] == times["evolve"]
+    assert len(times["loss"]) == 6
 
 
 def test_loss_aggregates_when_no_atoms_remain(tmp_path):

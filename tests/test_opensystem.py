@@ -16,7 +16,7 @@ from spinmo.opensystem import (
 )
 from spinmo.operators import PhysicsParams, hamiltonian_pair
 from spinmo.propagate import evolve_constant
-from spinmo.schedule import Hold, Schedule
+from spinmo.schedule import Hold, LinearSweep, ParabolicRamp, Schedule, run_schedule
 
 from dense_lindblad import DenseLindblad
 
@@ -46,6 +46,40 @@ def test_emptied_trajectory_records_read_the_empty_sector():
     assert (last.K, last.F_singlet, last.F_twinfock, last.xi2, last.pc, last.n_current) == (
         1, 0.0, 0.0, 0.0, 0.0, 0.0
     )
+    # an emptied trajectory is still recorded at every instant of the schedule
+    want = run_schedule(st, sched, PhysicsParams(25.0, n), sample_dt=0.01)[0]
+    assert [r.t for r in traj.records] == [r.t for r in want]
+
+
+# holds first: their ends, 0.3 s and 0.4 s, are not multiples of 0.1 in floats
+MIXED = Schedule((
+    Hold(0.5, 0.3),
+    Hold(0.1, 0.2),
+    ParabolicRamp(30.0, 0.08, 0.02, 0.05),
+    LinearSweep(0.6, -0.2, 0.07),
+))
+
+
+@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("dt", [0.1, 1e-2])
+def test_lossless_trajectory_records_what_run_schedule_records(n, dt):
+    p = PhysicsParams(25.0, n)
+    st = polar_state(build_pair_basis(n))
+    cfg = LossConfig(gamma_per_s=0.0, n_traj=1)
+    traj = gillespie_trajectory(st, MIXED, p, cfg, sample_dt=dt, q_offset_hz=0.2)
+    records, final = run_schedule(st, MIXED, p, sample_dt=dt, q_offset_hz=0.2)
+    assert traj.records == records
+    assert np.array_equal(traj.final_state.amplitudes, final.amplitudes)
+
+
+def test_lossless_trajectory_takes_the_ramp_step_it_is_given():
+    n = 12
+    p = PhysicsParams(25.0, n)
+    st = polar_state(build_pair_basis(n))
+    cfg = LossConfig(gamma_per_s=0.0, n_traj=1)
+    traj = gillespie_trajectory(st, MIXED, p, cfg, sample_dt=1e-2, ramp_dt=1e-4)
+    assert traj.records == run_schedule(st, MIXED, p, sample_dt=1e-2, ramp_dt=1e-4)[0]
+    assert traj.records != gillespie_trajectory(st, MIXED, p, cfg, sample_dt=1e-2).records
 
 
 def test_channel_probabilities_sum_to_one():
@@ -75,19 +109,21 @@ def test_apply_loss_moves_sector():
 def _apply_loss_by_level(state, channel):
     """One level at a time: the reference for the vectorized jump."""
     basis = state.basis
-    new_basis = SectorBasis(basis.n_atoms - 1, basis.magnetization - channel)
-    out = np.zeros(new_basis.size, dtype=np.complex128)
+    moves = []
     for k in range(basis.size):
         n_minus, n_zero, n_plus = basis.config(k)
         lost = (n_minus, n_zero, n_plus)[channel + 1]
         if lost == 0:
             continue
         after = (n_minus - (channel == -1), n_zero - (channel == 0), n_plus - (channel == 1))
-        out[new_basis.index_of(after)] += math.sqrt(lost) * state.amplitudes[k]
-    nrm = np.linalg.norm(out)
-    if nrm == 0.0:
+        moves.append((after, math.sqrt(lost) * state.amplitudes[k]))
+    if not any(amp != 0 for _, amp in moves):
         raise ArithmeticError("loss channel annihilated the state")
-    return StateVector(new_basis, out / nrm)
+    new_basis = SectorBasis(basis.n_atoms - 1, basis.magnetization - channel)
+    out = np.zeros(new_basis.size, dtype=np.complex128)
+    for after, amp in moves:
+        out[new_basis.index_of(after)] += amp
+    return StateVector(new_basis, out / np.linalg.norm(out))
 
 
 def test_apply_loss_matches_the_level_by_level_jump():
@@ -102,8 +138,8 @@ def test_apply_loss_matches_the_level_by_level_jump():
             for channel in (-1, 0, 1):
                 try:
                     want = _apply_loss_by_level(st, channel)
-                except (ArithmeticError, ValueError) as exc:  # an empty channel
-                    with pytest.raises(type(exc)):
+                except ArithmeticError:  # an empty channel
+                    with pytest.raises(ArithmeticError):
                         _apply_loss(st, channel)
                     continue
                 got = _apply_loss(st, channel)

@@ -20,7 +20,6 @@ from spinmo.operators import (
     hamiltonian_pair,
     hamiltonian_sector,
     l2_full,
-    l2_pair,
     l2_sector,
     lx_full,
     ly_full,
@@ -101,22 +100,22 @@ def test_full_operators_match_oracle(n):
 
 
 def test_l2_pair_frozen_values():
-    m4 = l2_pair(4)
+    m4 = l2_sector(4, 0)
     assert np.allclose(m4.diag, [8.0, 14.0, 4.0], atol=0)
     assert np.allclose(m4.offdiag, [4 * math.sqrt(3), 4 * math.sqrt(2)], rtol=1e-15)
-    m2 = l2_pair(2)
+    m2 = l2_sector(2, 0)
     assert np.allclose(m2.diag, [4.0, 2.0], atol=0)
     assert np.allclose(m2.offdiag, [2 * math.sqrt(2)], rtol=1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 10, 57, 1000])
 def test_l2_pair_k0_diagonal_is_2n(n):
-    assert l2_pair(n).diag[0] == 2 * n
+    assert l2_sector(n, 0).diag[0] == 2 * n
 
 
 @pytest.mark.parametrize("n", range(2, 30, 3))
 def test_l2_spectrum_is_l_l_plus_1(n):
-    eig = eigensolve_tridiagonal(l2_pair(n))
+    eig = eigensolve_tridiagonal(l2_sector(n, 0))
     want = np.array([l * (l + 1) for l in range(n % 2, n + 1, 2)], dtype=float)
     scale = max(1.0, want.max())
     assert np.max(np.abs(np.sort(eig.values) - want)) / scale < 1e-9

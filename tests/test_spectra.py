@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinmo.basis import SectorBasis
 from spinmo.observables import reference_eigensystem, reference_n0
-from spinmo.operators import PhysicsParams, TriMatrix, hamiltonian_pair, l2_pair
+from spinmo.operators import PhysicsParams, TriMatrix, hamiltonian_pair, l2_sector
 from spinmo.spectra import (
     adiabatic_beta,
     critical_q_estimate,
@@ -39,7 +39,7 @@ def test_eigensolve_invariants(d, seed):
 
 
 def test_n4_unscaled_l2_trace_det_spectrum():
-    m = l2_pair(4)
+    m = l2_sector(4, 0)
     eig = eigensolve_tridiagonal(m)
     assert np.allclose(np.sort(eig.values), [0.0, 6.0, 20.0], atol=1e-9)
     assert abs(np.trace(m.to_dense()) - 26.0) < 1e-12
