@@ -160,6 +160,7 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
     run.info["hold_scans"] = {
         "total": len(flags),
         "by_flag": {flag: flags.count(flag) for flag in ("", "flat", "capped")},
+        "eigensolves": result.amo.eigensolves,
     }
     write_records_csv(run.file("curve.csv"), result.records)
 
@@ -236,7 +237,7 @@ def cmd_loss(cfg: dict, run: RunDir) -> None:
         sched,
         params,
         lcfg,
-        sample_dt=cfg["output"]["sample_dt_s"] or 1e-2,
+        sample_dt=cfg["output"]["sample_dt_s"],
         dephasing=dephasing,
         ramp_dt=cfg["output"]["ramp_dt_s"],
     )

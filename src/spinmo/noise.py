@@ -26,7 +26,7 @@ from .operators import (
     PhysicsParams,
 )
 from .propagate import evolve_rotating
-from .schedule import Hold, Schedule, run_schedule
+from .schedule import Hold, Schedule, run_schedule, segment_instants
 
 Q_COEFF_HZ_PER_G2_DEFAULT = 277.0
 
@@ -263,7 +263,7 @@ def run_relaxation_ensemble(
     for i in range(cfg.n_traj):
         draw = sample_trajectory_config(cfg, params.n_atoms, i)
         draws.append(draw)
-        recs = run_rotating_schedule(schedule, params, cfg, draw, p_scale=p_scale)
+        recs = run_rotating_schedule(schedule, params, cfg, draw, p_scale=p_scale, sample_dt=sample_dt)
         if times is None:
             times = np.array([r.t for r in recs])
         # full-basis records: xi2 * N is <L^2> for M-symmetric states
@@ -277,9 +277,13 @@ def run_rotating_schedule(
     cfg: NoiseConfig,
     draw: TrajectoryDraw,
     p_scale: float = 1.0,
+    sample_dt: float | None = None,
 ) -> list[ObservableRecord]:
     """Drive the full-basis state of the drawn atom number through hold
-    segments in exact mode, recording at t = 0 and at every segment end."""
+    segments in exact mode, recording at t = 0 and at the instants of
+    :func:`~spinmo.schedule.segment_instants`: the multiples of
+    ``sample_dt`` and every segment end, as :func:`run_schedule` does.
+    Each stretch between instants is one :func:`evolve_rotating` call."""
     from .observables import record_for
 
     for seg in schedule.segments:
@@ -298,7 +302,10 @@ def run_rotating_schedule(
     for seg in schedule.segments:
         q_actual = float(seg.q_hz_at(0.0)) + dq
         ext = relaxation_params(params.with_q(q_actual), cfg, draw)
-        state = evolve_rotating(state, ext, seg.duration, p_scale=p_scale, t0=t)
-        t += seg.duration
-        records.append(record_for(state, t, q_actual))
+        instants, taus, _ = segment_instants(seg, t, sample_dt, [dq])
+        local = [0.0, *taus, seg.duration]
+        for t_rec, tau_a, tau_b in zip(instants, local[:-1], local[1:]):
+            state = evolve_rotating(state, ext, tau_b - tau_a, p_scale=p_scale, t0=t + tau_a)
+            records.append(record_for(state, float(t_rec), q_actual))
+        t = float(instants[-1])
     return records

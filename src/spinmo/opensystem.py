@@ -232,7 +232,7 @@ def run_loss_study(
     schedule: Schedule,
     params: PhysicsParams,
     cfg: LossConfig,
-    sample_dt: float = 1e-2,
+    sample_dt: float | None = 1e-2,
     dephasing: "NoiseConfig | None" = None,
     ramp_dt: float | None = None,
 ) -> LossStudyResult:

@@ -10,7 +10,12 @@ config, grid points are scanned in ascending order and every tie-break
 is total.
 
 The q = 0 eigenbasis is the total-spin basis, and a hold is evolved in
-it on the block of :func:`~spinmo.propagate.hold_levels`, as every hold is.
+it on the block of :func:`~spinmo.propagate.hold_levels`, as every hold is:
+the leading levels on a ladder of multiples of 8, from 8 beyond the
+state's support up to the first rung that certifies the hold.  A block's
+eigensystem depends only on q and its size, so :func:`run_amo` solves
+each once per search, in one dict that it drops on return; the ladder
+lets a later step land on the blocks an earlier one solved.
 
 K is sampled in chunks of samples.  A chunk's phases are a table built by
 doubling, each entry a product of at most 8 rounded exponentials
@@ -99,6 +104,7 @@ class AmoResult:
     steps: tuple[StepResult, ...]
     k_history: tuple[int, ...]  # K before the first step, then after each
     reached_target: bool
+    eigensolves: int            # hold blocks solved, each (q, block size) once
 
 
 def geometric_grid(q_min_hz: float, q_max_hz: float, points_per_decade: int) -> np.ndarray:
@@ -122,16 +128,17 @@ def _phase_table(values: np.ndarray, dt: float, width: int) -> np.ndarray:
     popcount(j) - 1 rounded products, at most 8 of each for ``width`` =
     256.  Beyond those roundings, each of order 1e-16, the only error is
     the rounding of the factors' phase arguments, which a direct
-    ``exp(-i values j dt)`` has as well.
+    ``exp(-i values j dt)`` has as well.  The doubling runs on whole
+    contiguous rows of a sample-major buffer, which is then transposed.
     """
-    table = np.empty((values.size, width), dtype=complex)
-    table[:, 0] = 1.0
+    table = np.empty((width, values.size), dtype=complex)
+    table[0] = 1.0
     s = 1
     while s < width:
         n = min(s, width - s)
-        np.multiply(table[:, :n], np.exp(-1j * values * (s * dt))[:, None], out=table[:, s : s + n])
+        np.multiply(table[:n], np.exp(-1j * values * (s * dt)), out=table[s : s + n])
         s *= 2
-    return table
+    return np.ascontiguousarray(table.T)
 
 
 def _reachable_rows(vectors: np.ndarray, c: np.ndarray, threshold: float) -> np.ndarray:
@@ -192,6 +199,7 @@ def first_local_min_k(
     cfg: OptimizerConfig,
     reference: EigenSystem,
     start: tuple | None = None,
+    memo: dict | None = None,
 ) -> HoldScan:
     """Evolve at constant q, sampling K, until its first local minimum.
 
@@ -225,22 +233,31 @@ def first_local_min_k(
     of its phase argument, each carries at most 8 rounded exponentials and
     7 rounded products.
 
+    A scan that returns sample 0 returns the start itself: ``state``'s
+    amplitudes and the populations of its reference amplitudes, with no
+    round trip through the block, so every t = 0 scan of a state carries
+    the same ``pop_two_lowest`` whatever its block.
+
     ``start`` is :func:`hold_start` of ``state``, for a caller that scans
-    the same state at many q.
+    the same state at many q; ``memo`` is passed on to :func:`hold_levels`.
     """
     a, window = start if start is not None else hold_start(state, reference)
     pops0 = a.real**2 + a.imag**2
-    if level_count(pops0, cfg.k_threshold) == 1:
+
+    def at_start(k: int, flag: str) -> HoldScan:
         return HoldScan(
             q_hz=float(q_hz),
-            k=1,
+            k=k,
             t_s=0.0,
             pop_two_lowest=float(pops0[:2].sum()),
-            flag="flat",
+            flag=flag,
             amplitudes=state.amplitudes.astype(complex),
         )
 
-    eig, c0 = hold_levels(a, q_hz, params, state.basis, reference, cfg.step_time_cap_s, window)
+    if level_count(pops0, cfg.k_threshold) == 1:
+        return at_start(1, "flat")
+
+    eig, c0 = hold_levels(a, q_hz, params, state.basis, reference, cfg.step_time_cap_s, window, memo)
     rows = eig.vectors[_reachable_rows(eig.vectors, c0, cfg.k_threshold)]
 
     dt = cfg.sample_dt_s
@@ -290,6 +307,8 @@ def first_local_min_k(
             found = int(at_min[np.argmax(pop2s[at_min])])
             flag = "capped"
 
+    if found == 0:
+        return at_start(int(ks[0]), flag)
     t_star = found * dt
     b = real_map(eig.vectors, np.exp(-1j * eig.values * t_star) * c0)
     return HoldScan(
@@ -309,11 +328,13 @@ def optimize_step(
     cfg: OptimizerConfig,
     reference: EigenSystem,
     grid: np.ndarray | None = None,
+    memo: dict | None = None,
 ) -> StepResult:
     """Sweep the geometric q grid and keep the hold minimizing K.
 
     Ties go to the larger population in the two lowest reference levels,
-    then to the shorter hold, then to the lower q (scan order).
+    then to the shorter hold, then to the lower q (scan order).  ``memo``
+    is passed on to every scan (:func:`hold_levels`).
     """
     if grid is None:
         grid = geometric_grid(cfg.q_min_hz, q_upper_hz, cfg.points_per_decade)
@@ -323,7 +344,7 @@ def optimize_step(
     table = []
     start = hold_start(state, reference)
     for q in grid:
-        scan = first_local_min_k(state, float(q), params, cfg, reference, start)
+        scan = first_local_min_k(state, float(q), params, cfg, reference, start, memo=memo)
         table.append(scan)
         if (
             best is None
@@ -356,7 +377,8 @@ def run_amo(state: StateVector, params: PhysicsParams, cfg: OptimizerConfig) -> 
     A step that fails to reduce K triggers one grid refinement
     (``refine_factor`` x the point density around the best q); if that
     also fails to improve, the flagged best is accepted and iteration
-    continues, so K is non-increasing by construction.
+    continues, so K is non-increasing by construction.  Every scan of the
+    search shares one ``memo`` of hold eigensystems (:func:`hold_levels`).
     """
     basis = state.basis
     if not isinstance(basis, SectorBasis):
@@ -371,9 +393,10 @@ def run_amo(state: StateVector, params: PhysicsParams, cfg: OptimizerConfig) -> 
     steps: list[StepResult] = []
     current = state
     q_upper = cfg.q_max_hz
+    memo: dict = {}
 
     while k_now > 1 and len(steps) < cfg.max_steps:
-        step = optimize_step(current, q_upper, params, cfg, reference)
+        step = optimize_step(current, q_upper, params, cfg, reference, memo=memo)
         if step.k_star >= k_now and step.k_star > 1:
             spacing = 10.0 ** (1.0 / cfg.points_per_decade)
             refined = geometric_grid(
@@ -387,7 +410,7 @@ def run_amo(state: StateVector, params: PhysicsParams, cfg: OptimizerConfig) -> 
                 step.k_star,
                 step.q_star_hz,
             )
-            retry = optimize_step(current, q_upper, params, cfg, reference, grid=refined)
+            retry = optimize_step(current, q_upper, params, cfg, reference, grid=refined, memo=memo)
             if retry.k_star < step.k_star:
                 step = retry
         if step.k_star > k_now:
@@ -416,6 +439,7 @@ def run_amo(state: StateVector, params: PhysicsParams, cfg: OptimizerConfig) -> 
         steps=tuple(steps),
         k_history=tuple(k_history),
         reached_target=(k_now == 1),
+        eigensolves=len(memo),
     )
 
 

@@ -86,11 +86,25 @@ def leading_window(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     return min(a.size, 2 * int(np.argmax(tail <= tol))), tail
 
 
+def _ladder(m: int, n: int) -> int:
+    """The smallest multiple of 8 that is at least ``m``, at most ``n``."""
+    return min(n, -(-m // 8) * 8)
+
+
+def _first_block(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """The first block of :func:`hold_levels` for amplitudes ``a``, and
+    the tail norms of ``a``: the whole chain when twice the support of
+    ``a`` fills it, else the first rung of the 8-level ladder at least 8
+    levels beyond the support."""
+    m, tail = leading_window(a, _TRUNCATION_TOL)
+    return (m if m == a.size else _ladder(m // 2 + 8, a.size)), tail
+
+
 def hold_start(state: StateVector, reference: EigenSystem) -> tuple[np.ndarray, tuple]:
     """The reference amplitudes of ``state`` and the ``window`` that
     :func:`hold_levels` starts from for them."""
     a = reference.project(state.amplitudes)
-    return a, leading_window(a, _TRUNCATION_TOL)
+    return a, _first_block(a)
 
 
 def hold_levels(
@@ -101,6 +115,7 @@ def hold_levels(
     reference: EigenSystem,
     cap_s: float,
     window: tuple[int, np.ndarray] | None = None,
+    memo: dict | None = None,
 ) -> tuple[EigenSystem, np.ndarray]:
     """Eigensystem of a hold on the leading reference levels, and ``a`` in it.
 
@@ -108,33 +123,43 @@ def hold_levels(
     Hamiltonian is the tridiagonal ``f c2p/N diag(lambda) - f q A``, with
     lambda the reference eigenvalues and A the m = 0 number operator
     (:func:`reference_n0`).  Only its leading m x m block is solved.  m
-    starts at twice the support of ``a`` and doubles until the truncation
-    error of every reference amplitude up to ``cap_s`` is at most
-    ``_TRUNCATION_TOL``.  That error is at most the weight of ``a`` beyond
-    m plus what the coupling out of level m - 1 can carry off in ``cap_s``:
+    climbs a ladder of multiples of 8 levels: it starts on the whole
+    chain when twice the support of ``a`` fills it, else on the first
+    rung at least 8 levels beyond the support, and grows to the first rung
+    at least 1.5 m until the truncation error of every reference amplitude
+    up to ``cap_s`` is at most ``_TRUNCATION_TOL``.  That error is at most
+    the weight of ``a`` beyond m plus what the coupling out of level m - 1
+    can carry off in ``cap_s``:
 
         ||a[m:]|| + cap_s |H[m-1, m]| sum_j |c_j| |W[m-1, j]|,
 
     with W the block's eigenvectors and c = W^T a[:m].  When no smaller
     block qualifies, m is the whole chain, which is exact.  ``window`` is
-    the starting m and the tail norms of ``a`` (:func:`hold_start`), for a
-    caller that holds the same ``a`` at many q.
+    the first m and the tail norms of ``a`` (:func:`hold_start`), for a
+    caller that holds the same ``a`` at many q.  A block's eigensystem
+    depends on q and m only, so a caller that holds many states in one
+    sector with the same ``params`` may pass one ``memo`` dict to all the
+    calls: every (q, m) block is then solved once.  The ladder makes the
+    blocks of nearby supports coincide.
     """
     n0_ref = reference_n0(basis.n_atoms, basis.magnetization)
     f = params.factor
     diag = f * (params.c2p_hz / basis.n_atoms * reference.values - q_hz * n0_ref.diag)
     off = -f * q_hz * n0_ref.offdiag
     n = a.size
-    m, tail = window if window is not None else leading_window(a, _TRUNCATION_TOL)
+    m, tail = window if window is not None else _first_block(a)
+    memo = {} if memo is None else memo
     while True:
-        eig = eigensolve_tridiagonal(TriMatrix(diag[:m], off[: m - 1]))
+        eig = memo.get((q_hz, m))
+        if eig is None:
+            eig = memo[q_hz, m] = eigensolve_tridiagonal(TriMatrix(diag[:m], off[: m - 1]))
         c = eig.project(a[:m])
         if m == n:
             return eig, c
         leak = cap_s * abs(off[m - 1]) * (np.abs(c) @ np.abs(eig.vectors[m - 1]))
         if tail[m] + leak <= _TRUNCATION_TOL:
             return eig, c
-        m = min(n, 2 * m)
+        m = _ladder((3 * m + 1) // 2, n)
 
 
 def evolve_hold(

@@ -1,7 +1,9 @@
 """Spectral decomposition, energy gap, critical point, adiabaticity.
 
-The eigensolver is LAPACK's symmetric-tridiagonal driver via
-``scipy.linalg.eigh_tridiagonal``; results are wrapped with a
+The eigensolver is LAPACK's divide-and-conquer symmetric-tridiagonal
+driver ``dstevd``, called directly (it is what
+``scipy.linalg.eigh_tridiagonal`` runs for a full spectrum, without that
+wrapper's per-call overhead); results are wrapped with a
 deterministic sign convention (largest-magnitude component of every
 eigenvector made positive) so that repeated runs are byte-stable.
 """
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dstevd
 
 from .errors import ConvergenceError
 from .operators import PhysicsParams, TriMatrix, hamiltonian_pair
@@ -74,13 +77,16 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def eigensolve_tridiagonal(m: TriMatrix) -> EigenSystem:
-    """Full spectrum and eigenvectors of a symmetric tridiagonal matrix."""
+    """Full spectrum and eigenvectors of a symmetric tridiagonal matrix,
+    bit for bit those of ``scipy.linalg.eigh_tridiagonal``.  Non-finite
+    entries raise ``ValueError``, as they do there."""
     if m.size == 1:
         return EigenSystem(m.diag.copy(), np.ones((1, 1)))
-    try:
-        values, vectors = scipy.linalg.eigh_tridiagonal(m.diag, m.offdiag)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    if not (np.isfinite(m.diag).all() and np.isfinite(m.offdiag).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    values, vectors, info = dstevd(m.diag, m.offdiag)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal eigensolver failed (LAPACK info={info})")
     return EigenSystem(values, _fix_signs(vectors))
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import spinmo
-from spinmo import propagate, schedule
+from spinmo import optimizer, propagate, schedule
 from spinmo.cli import main
 from spinmo.config import load as load_config, resolve
 from spinmo.errors import ConfigError, StepSizeError
@@ -291,6 +291,17 @@ def test_loss_when_a_trajectory_loses_every_atom(tmp_path):
     assert times == pytest.approx([0.01 * i for i in range(9)], abs=1e-12)
 
 
+def _t_columns(tmp_path, doc, runs):
+    """The t column of each (command, file) of ``runs`` on config ``doc``."""
+    cfg = write_cfg(tmp_path, doc)
+    times = {}
+    for command, name in runs:
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        with (tmp_path / command / name).open(newline="", encoding="utf-8") as fh:
+            times[command] = [row["t"] for row in csv.DictReader(fh)]
+    return times
+
+
 def test_loss_records_sit_on_the_evolve_sample_grid(tmp_path):
     doc = {
         "physics": {"c2p_hz": 25.0, "n_atoms": 12},
@@ -303,14 +314,44 @@ def test_loss_records_sit_on_the_evolve_sample_grid(tmp_path):
         "loss": {"gamma_per_s": 2.0, "n_traj": 2},
         "output": {"sample_dt_s": 0.1},
     }
-    cfg = write_cfg(tmp_path, doc)
-    times = {}
-    for command, name in (("evolve", "records.csv"), ("loss", "aggregate.csv")):
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
-        with (tmp_path / command / name).open(newline="", encoding="utf-8") as fh:
-            times[command] = [row["t"] for row in csv.DictReader(fh)]
+    times = _t_columns(tmp_path, doc, (("evolve", "records.csv"), ("loss", "aggregate.csv")))
     assert times["loss"] == times["evolve"]
     assert len(times["loss"]) == 6
+
+
+def test_loss_without_a_sample_step_records_the_segment_ends(tmp_path):
+    doc = {
+        "physics": {"c2p_hz": 25.0, "n_atoms": 8},
+        "schedule": {
+            "segments": [
+                {"kind": "hold", "q_hz": 0.5, "duration_s": 0.03},
+                {"kind": "hold", "q_hz": 0.1, "duration_s": 0.02},
+            ]
+        },
+        "loss": {"gamma_per_s": 2.0, "n_traj": 2},
+        "output": {"sample_dt_s": None},
+    }
+    times = _t_columns(tmp_path, doc, (("evolve", "records.csv"), ("loss", "aggregate.csv")))
+    assert times["loss"] == times["evolve"]
+    assert [float(t) for t in times["loss"]] == [0.0, 0.03, 0.05]
+
+
+def test_exact_rotating_noise_records_on_the_sample_grid(tmp_path):
+    doc = {
+        "physics": {"c2p_hz": 25.0, "n_atoms": 4},
+        "schedule": {"segments": [{"kind": "hold", "q_hz": 0.5, "duration_s": 0.005}]},
+        "noise": {
+            "mode": "relaxation",
+            "rotating_mode": "exact_scaled_p",
+            "bz_bias_gauss": 1.0,
+            "p_scale": 0.01,
+            "n_traj": 2,
+        },
+        "output": {"sample_dt_s": 1e-3},
+    }
+    times = _t_columns(tmp_path, doc, (("evolve", "records.csv"), ("noise", "aggregate_all.csv")))
+    assert times["noise"] == times["evolve"]
+    assert [float(t) for t in times["noise"]] == pytest.approx([1e-3 * i for i in range(6)], abs=1e-15)
 
 
 def test_loss_aggregates_when_no_atoms_remain(tmp_path):
@@ -353,18 +394,10 @@ OPTIMIZE = {
 def test_optimize_command_small(tmp_path, mode):
     doc = json.loads(json.dumps(OPTIMIZE))
     doc["optimizer"]["mode"] = mode
-    cfg = write_cfg(tmp_path, doc)
-    runs = [tmp_path / "a", tmp_path / "b"]
-    for out in runs:
-        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
-    names = ["schedule.json", "diagnostics.csv", "curve.csv", "manifest.json"]
-    for name in names:
-        assert (runs[0] / name).exists()
-    with (runs[0] / "diagnostics.csv").open(newline="", encoding="utf-8") as fh:
+    out = _rerun_identical(tmp_path, "optimize", doc, ["schedule.json", "diagnostics.csv", "curve.csv"])
+    with (out / "diagnostics.csv").open(newline="", encoding="utf-8") as fh:
         flags = {row["flag"] for row in csv.DictReader(fh)}
     assert flags and flags <= {"", "flat", "capped"}
-    for name in names:
-        assert sha(runs[0] / name) == sha(runs[1] / name)
 
 
 @pytest.mark.parametrize("mode, ramps", [("amo", 1), ("amoa", 2)])
@@ -418,7 +451,23 @@ def test_optimize_q_min_above_the_grid_end_is_a_config_error(tmp_path, capsys, q
     assert not out.exists()  # rejected before the entry ramp
 
 
-def test_optimize_run_info_counts_hold_scans_by_flag(tmp_path):
+def test_optimize_run_info_counts_hold_scans_by_flag(tmp_path, monkeypatch):
+    solved = []  # the size of every eigensolve of a hold
+    search_solves = []
+    eigensolve, search = propagate.eigensolve_tridiagonal, optimizer.run_amo
+
+    def recording(m):
+        solved.append(m.size)
+        return eigensolve(m)
+
+    def counted_search(*args, **kwargs):
+        before = len(solved)
+        result = search(*args, **kwargs)
+        search_solves.append(len(solved) - before)
+        return result
+
+    monkeypatch.setattr(propagate, "eigensolve_tridiagonal", recording)
+    monkeypatch.setattr(optimizer, "run_amo", counted_search)
     out = tmp_path / "opt"
     assert main(["optimize", "--config", str(write_cfg(tmp_path, OPTIMIZE)), "--out", str(out)]) == 0
     with (out / "diagnostics.csv").open(newline="", encoding="utf-8") as fh:
@@ -426,6 +475,7 @@ def test_optimize_run_info_counts_hold_scans_by_flag(tmp_path):
     scans = json.loads((out / "run_info.json").read_text())["hold_scans"]
     assert scans["total"] == len(flags) > 0
     assert scans["by_flag"] == {flag: flags.count(flag) for flag in ("", "flat", "capped")}
+    assert scans["eigensolves"] == search_solves[0] > 0
 
 
 @pytest.mark.parametrize(

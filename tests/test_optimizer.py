@@ -184,6 +184,25 @@ def test_scan_matches_dense_expm_in_a_magnetized_sector(monkeypatch):
     assert occupied_levels(StateVector(basis, want), ref, cfg.k_threshold) == scan.k
 
 
+@pytest.mark.parametrize("support", [1, 9, 24, 40, 50, 51])
+def test_hold_blocks_climb_the_8_level_ladder(monkeypatch, support):
+    n = 200  # a 101-level chain
+    p = PhysicsParams(25.0, n)
+    basis = build_pair_basis(n)
+    ref = reference_eigensystem(n)
+    a = np.zeros(basis.size, dtype=complex)
+    a[:support] = support**-0.5
+    sizes = solve_sizes(monkeypatch)
+    propagate.hold_levels(a, 0.3, p, basis, ref, 3.0)
+    if 2 * support >= basis.size:
+        assert sizes == [basis.size]
+        return
+    want = [min(basis.size, -(-(support + 8) // 8) * 8)]
+    while len(want) < len(sizes):
+        want.append(min(basis.size, -(-((3 * want[-1] + 1) // 2) // 8) * 8))
+    assert sizes == want
+
+
 def test_window_min_matches_sliding_window_view():
     rng = np.random.default_rng(3)
     for width in range(1, 12):
@@ -262,6 +281,66 @@ def test_optimize_step_projects_its_state_once(monkeypatch):
             want.q_hz, want.k, want.t_s, want.pop_two_lowest, want.flag
         )
         assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+def test_zero_time_scans_return_the_start_itself():
+    # from the ground state at the ramp end most of the grid stays flat
+    n = 100
+    p = PhysicsParams(25.0, n)
+    ref = reference_eigensystem(n)
+    g = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(0.9188))).ground()
+    st = StateVector(build_pair_basis(n), g.astype(complex))
+    cfg = OptimizerConfig(points_per_decade=10, step_time_cap_s=0.5)
+    step = optimize_step(st, 0.9188, p, cfg, ref)
+    at_zero = [scan for scan in step.table if scan.t_s == 0.0]
+    assert len(at_zero) > 1
+    for scan in at_zero:
+        assert np.array_equal(scan.amplitudes, st.amplitudes)
+    assert len({scan.pop_two_lowest for scan in at_zero}) == 1
+
+
+def _search_start(n, q_hz):
+    p = PhysicsParams(25.0, n)
+    g = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(q_hz))).ground()
+    st = StateVector(build_pair_basis(n), g.astype(complex))
+    return st, p, OptimizerConfig(q_max_hz=q_hz, points_per_decade=10, max_steps=2, step_time_cap_s=0.5)
+
+
+def test_search_memo_changes_no_scan(monkeypatch):
+    st, p, cfg = _search_start(200, 0.9188)
+    ref = reference_eigensystem(200)
+    sizes = solve_sizes(monkeypatch)
+    res = run_amo(st, p, cfg)
+    # each (q, block) of the search is solved once
+    assert res.eigensolves == len(sizes) > 0
+    # K falls at every step, so no step refines its grid
+    assert len(res.steps) == 2 and list(res.k_history) == sorted(res.k_history, reverse=True)
+    state = st
+    for step in res.steps:
+        fresh = optimize_step(state, cfg.q_max_hz, p, cfg, ref)
+        assert (step.q_star_hz, step.t_star_s, step.k_star) == (
+            fresh.q_star_hz, fresh.t_star_s, fresh.k_star
+        )
+        for got, want in zip(step.table, fresh.table, strict=True):
+            assert (got.q_hz, got.k, got.t_s, got.pop_two_lowest, got.flag) == (
+                want.q_hz, want.k, want.t_s, want.pop_two_lowest, want.flag
+            )
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+        state = step.psi_out
+
+
+def test_second_step_over_the_same_grid_reuses_the_blocks(monkeypatch):
+    st, p, cfg = _search_start(200, 0.9188)
+    ref = reference_eigensystem(200)
+    memo = {}
+    sizes = solve_sizes(monkeypatch)
+    first = optimize_step(st, cfg.q_max_hz, p, cfg, ref, memo=memo)
+    solved_first = len(sizes)
+    optimize_step(first.psi_out, cfg.q_max_hz, p, cfg, ref, memo=memo)
+    solved_second = len(sizes) - solved_first
+    assert first.t_star_s > 0
+    assert 0 <= solved_second < solved_first
+    assert len(memo) == len(sizes)
 
 
 def test_run_amo_from_singlet_emits_nothing():

@@ -172,6 +172,7 @@ def test_holds_match_dense_expm(monkeypatch, n, m, truncated):
                 sched = Schedule((Hold(q, duration),))
                 _, final = run_schedule(st, sched, p, sample_dt=duration / 4)
                 assert block_below_top in (None, max(sizes) < basis.size)
+                assert all(size % 8 == 0 or size == basis.size for size in sizes)
                 want = expm(-1j * h * duration) @ st.amplitudes
                 np.testing.assert_allclose(final.amplitudes, want, rtol=0, atol=1e-11)
                 # the block comes from the whole hold, never from the samples

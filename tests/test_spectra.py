@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from spinmo.basis import SectorBasis
 from spinmo.observables import reference_eigensystem, reference_n0
 from spinmo.operators import PhysicsParams, TriMatrix, hamiltonian_pair, l2_sector
 from spinmo.spectra import (
+    _fix_signs,
     adiabatic_beta,
     critical_q_estimate,
     eigensolve_tridiagonal,
@@ -36,6 +38,25 @@ def test_eigensolve_invariants(d, seed):
     assert np.max(np.abs(resid)) <= 1e-8 * max(1.0, np.max(np.abs(dense)))
     lead = np.argmax(np.abs(eig.vectors), axis=0)
     assert np.all(eig.vectors[lead, np.arange(d)] > 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 57, 501])
+def test_eigensolve_matches_eigh_tridiagonal_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for m in (TriMatrix(rng.normal(size=d), rng.normal(size=d - 1)), l2_sector(2 * d - 2, 0)):
+        values, vectors = scipy.linalg.eigh_tridiagonal(m.diag, m.offdiag)
+        eig = eigensolve_tridiagonal(m)
+        assert np.array_equal(eig.values, values)
+        assert np.array_equal(eig.vectors, _fix_signs(vectors))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["diag", "offdiag"])
+def test_eigensolve_rejects_non_finite_entries(bad, part):
+    m = TriMatrix(np.arange(4.0), np.ones(3))
+    getattr(m, part)[1] = bad  # the arrays stay writable after validation
+    with pytest.raises(ValueError):
+        eigensolve_tridiagonal(m)
 
 
 def test_n4_unscaled_l2_trace_det_spectrum():
