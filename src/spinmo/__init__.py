@@ -9,25 +9,19 @@ robustness against field noise, atom-number fluctuations and atom loss.
 __version__ = "0.1.0"
 
 from .basis import (
-    FullBasis,
     PairBasis,
     SectorBasis,
     StateVector,
-    build_full_basis,
     build_pair_basis,
     polar_state,
     twin_fock_state,
 )
 from .operators import (
-    ExtendedParams,
     PhysicsParams,
     TriMatrix,
     hamiltonian_pair,
     hamiltonian_sector,
     l2_sector,
-    lx_full,
-    ly_full,
-    lz_full,
     oscillator_hamiltonian,
 )
 from .spectra import (
@@ -39,18 +33,13 @@ from .spectra import (
     gap,
     perturbative_gap,
 )
-from .propagate import evolve_constant, evolve_ramp, evolve_rotating
+from .propagate import evolve_ramp
 from .observables import (
     ObservableRecord,
-    conversion_efficiency,
-    fidelity_singlet,
-    fidelity_twinfock,
     occupied_levels,
     record_for,
     reference_eigensystem,
     singlet_amplitudes,
-    spin_moments,
-    squeezing_xi2,
 )
 from .schedule import (
     Hold,

@@ -1,6 +1,6 @@
 """Fock bases for a single-spatial-mode spin-1 condensate.
 
-Three bases cover everything the toolkit does:
+Every state the toolkit evolves lives in one fixed-(N, M) chain sector:
 
 * :class:`PairBasis` -- the zero-magnetization "pair" sector spanned by
   ``|k>`` with occupations ``n_+1 = n_-1 = k`` and ``n_0 = N - 2k``.
@@ -8,9 +8,6 @@ Three bases cover everything the toolkit does:
 * :class:`SectorBasis` -- the same chain structure for a general fixed
   magnetization ``M = n_+1 - n_-1`` (needed once atom loss moves the
   state out of M = 0).
-* :class:`FullBasis` -- every three-mode configuration with fixed total
-  atom number, grouped in contiguous magnetization blocks (needed when a
-  transverse field couples neighbouring M sectors).
 
 Bases are immutable after construction and safe to share across threads.
 """
@@ -20,10 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import ResourceCapError
-
-FULL_BASIS_DEFAULT_CAP = 300
 
 
 def _check_n_atoms(n_atoms: int) -> None:
@@ -91,81 +84,15 @@ def build_pair_basis(n_atoms: int) -> PairBasis:
     return PairBasis(n_atoms)
 
 
-@dataclass(frozen=True)
-class NumberBasis:
-    """Truncated number basis |0>, ..., |size-1> of a single oscillator mode."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-
-
-class FullBasis:
-    """All ``(n_-1, n_0, n_+1)`` configurations of N spin-1 atoms.
-
-    Ordering: magnetization blocks ascending from M = -N to +N, and
-    descending ``n_0`` within each block.  The ordering is part of the
-    output-stability contract and must not change.
-    """
-
-    def __init__(self, n_atoms: int, cap: int = FULL_BASIS_DEFAULT_CAP):
-        _check_n_atoms(n_atoms)
-        if n_atoms > cap:
-            raise ResourceCapError(
-                f"full basis for N={n_atoms} exceeds the configured cap of {cap} atoms "
-                f"({(n_atoms + 1) * (n_atoms + 2) // 2} states); raise the cap explicitly "
-                "if this is intentional"
-            )
-        self.n_atoms = n_atoms
-        states = []
-        block_slices: dict[int, slice] = {}
-        pos = 0
-        for m in range(-n_atoms, n_atoms + 1):
-            block = []
-            for n0 in range(n_atoms - abs(m), -1, -2):
-                n_plus = (n_atoms - n0 + m) // 2
-                n_minus = (n_atoms - n0 - m) // 2
-                block.append((n_minus, n0, n_plus))
-            block_slices[m] = slice(pos, pos + len(block))
-            states.extend(block)
-            pos += len(block)
-        self.states = np.array(states, dtype=np.int64)
-        self.block_slices = block_slices
-        self._index = {tuple(s): i for i, s in enumerate(states)}
-
-    @property
-    def size(self) -> int:
-        return self.states.shape[0]
-
-    def index_of(self, config: tuple[int, int, int]) -> int:
-        return self._index[tuple(int(c) for c in config)]
-
-    def block(self, magnetization: int) -> slice:
-        """Contiguous index range of one magnetization block."""
-        return self.block_slices[magnetization]
-
-    @property
-    def magnetizations(self) -> np.ndarray:
-        """Per-state magnetization M = n_+1 - n_-1."""
-        return self.states[:, 2] - self.states[:, 0]
-
-
-def build_full_basis(n_atoms: int, cap: int = FULL_BASIS_DEFAULT_CAP) -> FullBasis:
-    """Full three-mode basis with ``(N+1)(N+2)/2`` states."""
-    return FullBasis(n_atoms, cap=cap)
-
-
 @dataclass
 class StateVector:
-    """Complex amplitude vector over one of the bases above.
+    """Complex amplitude vector over a chain sector.
 
-    Amplitudes are dense; sector dimensions stay small enough (<= ~5200
-    at the scales this toolkit targets) that sparsity never pays off.
+    Amplitudes are dense; a sector holds at most N//2 + 1 levels (501 at
+    N = 1000), so sparsity never pays off.
     """
 
-    basis: SectorBasis | FullBasis | NumberBasis
+    basis: SectorBasis
     amplitudes: np.ndarray
 
     def __post_init__(self):
@@ -193,28 +120,22 @@ class StateVector:
         return float(abs(self.overlap(other)) ** 2)
 
 
-def polar_state(basis: SectorBasis | FullBasis) -> StateVector:
+def polar_state(basis: SectorBasis) -> StateVector:
     """All atoms in the m = 0 Zeeman component."""
+    if basis.magnetization != 0:
+        raise ValueError("polar state lives in the M = 0 sector")
     amps = np.zeros(basis.size, dtype=np.complex128)
-    if isinstance(basis, FullBasis):
-        amps[basis.index_of((0, basis.n_atoms, 0))] = 1.0
-    else:
-        if basis.magnetization != 0:
-            raise ValueError("polar state lives in the M = 0 sector")
-        amps[0] = 1.0
+    amps[0] = 1.0
     return StateVector(basis, amps)
 
 
-def twin_fock_state(basis: SectorBasis | FullBasis) -> StateVector:
+def twin_fock_state(basis: SectorBasis) -> StateVector:
     """N/2 atoms in each of m = +1 and m = -1; requires even N."""
     n = basis.n_atoms
     if n % 2:
         raise ValueError(f"twin-Fock state requires an even atom number, got N={n}")
+    if basis.magnetization != 0:
+        raise ValueError("twin-Fock state lives in the M = 0 sector")
     amps = np.zeros(basis.size, dtype=np.complex128)
-    if isinstance(basis, FullBasis):
-        amps[basis.index_of((n // 2, 0, n // 2))] = 1.0
-    else:
-        if basis.magnetization != 0:
-            raise ValueError("twin-Fock state lives in the M = 0 sector")
-        amps[n // 2] = 1.0
+    amps[n // 2] = 1.0
     return StateVector(basis, amps)

@@ -197,28 +197,14 @@ def cmd_noise(cfg: dict, run: RunDir) -> None:
     from the polar state of its drawn atom number
     (:func:`~spinmo.noise.run_dephasing_ensemble`).
     """
-    params = _physics(cfg)
-    sched = _schedule(cfg)
-    ncfg = _noise_config(cfg)
-    mode = cfg["noise"]["mode"]
-    if mode == "dephasing":
-        result = run_dephasing_ensemble(
-            sched,
-            params,
-            ncfg,
-            sample_dt=cfg["output"]["sample_dt_s"],
-            ramp_dt=cfg["output"]["ramp_dt_s"],
-        )
-    else:
-        result = run_relaxation_ensemble(
-            sched,
-            params,
-            ncfg,
-            mode=cfg["noise"]["rotating_mode"],
-            p_scale=cfg["noise"]["p_scale"],
-            sample_dt=cfg["output"]["sample_dt_s"],
-            ramp_dt=cfg["output"]["ramp_dt_s"],
-        )
+    ensemble = {"dephasing": run_dephasing_ensemble, "relaxation": run_relaxation_ensemble}
+    result = ensemble[cfg["noise"]["mode"]](
+        _schedule(cfg),
+        _physics(cfg),
+        _noise_config(cfg),
+        sample_dt=cfg["output"]["sample_dt_s"],
+        ramp_dt=cfg["output"]["ramp_dt_s"],
+    )
     _write_ensemble(run, result)
 
 

@@ -125,8 +125,6 @@ SCHEMA = {
                 "q_coeff_hz_per_g2": {"type": "number"},
                 "atom_number_spread": {"type": "boolean"},
                 "n_traj": {"type": "integer", "minimum": 1},
-                "rotating_mode": {"enum": ["averaged", "exact_scaled_p"]},
-                "p_scale": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },
@@ -199,8 +197,6 @@ DEFAULTS = {
         "q_coeff_hz_per_g2": 277.0,
         "atom_number_spread": True,
         "n_traj": 100,
-        "rotating_mode": "averaged",
-        "p_scale": 1.0,
     },
     "loss": {"gamma_per_s": 0.005, "n_traj": 2000, "dephasing": True},
     "oscillator": {

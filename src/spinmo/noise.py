@@ -1,32 +1,27 @@
 """Closed-system robustness: field dephasing, atom-number shot noise,
-transverse relaxation.
+transverse relaxation in the rotating-wave limit.
 
 Noise is quasi-static: every trajectory draws one (delta_Bz, delta_Bx,
 atom number) triple from counter-based streams (seed, index), replays
-the nominal control schedule, and the ensemble is aggregated split by
-atom-number parity.  The quadratic Zeeman control is realized through a
-microwave shift computed for the nominal bias field, so a bias
-fluctuation delta_Bz leaves the residual ((Bz+delta)^2 - Bz^2) * 277
-Hz/G^2 on every q value.
+the nominal control schedule on the pair sector of its atom number, and
+the ensemble is aggregated split by atom-number parity.  The quadratic
+Zeeman control is realized through a microwave shift computed for the
+nominal bias field, so a bias fluctuation delta_Bz leaves the residual
+((Bz+delta)^2 - Bz^2) * 277 Hz/G^2 on every q value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FullBasis, PairBasis, StateVector, polar_state
+from .basis import PairBasis, polar_state
 from .errors import ConfigError
 from .observables import ObservableRecord
-from .operators import (
-    GYROMAGNETIC_RATIO_HZ_PER_G,
-    ExtendedParams,
-    PhysicsParams,
-)
-from .propagate import evolve_rotating
-from .schedule import Hold, Schedule, run_schedule, segment_instants
+from .operators import GYROMAGNETIC_RATIO_HZ_PER_G, PhysicsParams
+from .schedule import Schedule, run_schedule
 
 Q_COEFF_HZ_PER_G2_DEFAULT = 277.0
 
@@ -206,106 +201,32 @@ def run_dephasing_ensemble(
     return EnsembleResult(times=times, classes=_parity_classes(times, curves, draws), draws=draws)
 
 
-def relaxation_params(
-    params: PhysicsParams, cfg: NoiseConfig, draw: TrajectoryDraw
-) -> ExtendedParams:
-    base = PhysicsParams(params.c2p_hz, draw.n_atoms, params.q_hz, params.convention)
-    return ExtendedParams.from_fields(
-        base,
-        bz_gauss=cfg.bz_bias_gauss,
-        delta_bz_gauss=draw.delta_bz_gauss,
-        delta_bx_gauss=draw.delta_bx_gauss,
-        gamma_hz_per_gauss=GYROMAGNETIC_RATIO_HZ_PER_G,
-    )
-
-
 def run_relaxation_ensemble(
     schedule: Schedule,
     params: PhysicsParams,
     cfg: NoiseConfig,
-    mode: str = "averaged",
-    p_scale: float = 1.0,
     sample_dt: float | None = 1e-2,
     ramp_dt: float | None = None,
 ) -> EnsembleResult:
-    """Transverse-field robustness via the rotating-frame evolution.
+    """Transverse-field robustness in the rotating-wave (averaged) limit.
 
-    In ``averaged`` mode the secular correction ``(h^2/2p) Lz`` vanishes
-    on the zero-magnetization sector, so each trajectory reduces to the
-    pair-sector run with its quasi-static q offset (with delta_Bx = 0
-    this reproduces the dephasing ensemble bit for bit).  Mode
-    ``exact_scaled_p`` integrates the oscillating transverse term on the
-    full basis of each trajectory's drawn atom number, with aggregates
-    split by its parity; only hold segments are supported there (the
-    oscillation stage), and it is meant for spot cross-checks at reduced p.
+    In the frame rotating at the linear Zeeman rate p = -gamma (B_z +
+    delta_Bz), the transverse coupling h = -gamma delta_Bx averages to the
+    secular correction ``(h^2/2p) Lz``, which vanishes on the
+    zero-magnetization sector.  Each trajectory therefore reduces to the
+    pair-sector run with its quasi-static q offset: this is
+    :func:`run_dephasing_ensemble` over the same draws (atom numbers
+    included), once every draw is checked to have |h/p| <= 1e-2.  A dense
+    lab-frame evolution on the full basis agrees with it to
+    O((h/p)^2) (``tests/test_noise.py``).
     """
-    if mode == "averaged":
-        # the secular term only shifts M != 0 blocks; M = 0 dynamics equal the
-        # dephasing path, but each trajectory still validates h/p smallness
-        for i in range(cfg.n_traj):
-            draw = sample_trajectory_config(cfg, params.n_atoms, i)
-            ext = relaxation_params(params, cfg, draw)
-            if ext.p_hz != 0 and abs(ext.h_hz / ext.p_hz) > 1e-2:
-                raise ConfigError(
-                    f"averaged mode invalid for trajectory {i}: h/p = "
-                    f"{abs(ext.h_hz / ext.p_hz):.2e} > 1e-2"
-                )
-        spread_off = replace(cfg, atom_number_spread=False)
-        return run_dephasing_ensemble(
-            schedule, params, spread_off, sample_dt=sample_dt, ramp_dt=ramp_dt
-        )
-    if mode != "exact_scaled_p":
-        raise ValueError(f"unknown relaxation mode {mode!r}")
-
-    times = None
-    curves = []
-    draws = []
     for i in range(cfg.n_traj):
         draw = sample_trajectory_config(cfg, params.n_atoms, i)
-        draws.append(draw)
-        recs = run_rotating_schedule(schedule, params, cfg, draw, p_scale=p_scale, sample_dt=sample_dt)
-        if times is None:
-            times = np.array([r.t for r in recs])
-        # full-basis records: xi2 * N is <L^2> for M-symmetric states
-        curves.append(_curves_from_records(recs))
-    return EnsembleResult(times=times, classes=_parity_classes(times, curves, draws), draws=draws)
-
-
-def run_rotating_schedule(
-    schedule: Schedule,
-    params: PhysicsParams,
-    cfg: NoiseConfig,
-    draw: TrajectoryDraw,
-    p_scale: float = 1.0,
-    sample_dt: float | None = None,
-) -> list[ObservableRecord]:
-    """Drive the full-basis state of the drawn atom number through hold
-    segments in exact mode, recording at t = 0 and at the instants of
-    :func:`~spinmo.schedule.segment_instants`: the multiples of
-    ``sample_dt`` and every segment end, as :func:`run_schedule` does.
-    Each stretch between instants is one :func:`evolve_rotating` call."""
-    from .observables import record_for
-
-    for seg in schedule.segments:
-        if not isinstance(seg, Hold):
-            raise ConfigError("exact rotating-frame runs support hold segments only")
-    n = draw.n_atoms
-    basis = FullBasis(n)
-    psi = np.zeros(basis.size, dtype=np.complex128)
-    blk = basis.block(0)
-    pair = polar_state(PairBasis(n))
-    psi[blk] = pair.amplitudes
-    state = StateVector(basis, psi)
-    dq = q_offset(draw.delta_bz_gauss, cfg)
-    records = [record_for(state, 0.0, schedule.q_hz_at(0.0) + dq)]
-    t = 0.0
-    for seg in schedule.segments:
-        q_actual = float(seg.q_hz_at(0.0)) + dq
-        ext = relaxation_params(params.with_q(q_actual), cfg, draw)
-        instants, taus, _ = segment_instants(seg, t, sample_dt, [dq])
-        local = [0.0, *taus, seg.duration]
-        for t_rec, tau_a, tau_b in zip(instants, local[:-1], local[1:]):
-            state = evolve_rotating(state, ext, tau_b - tau_a, p_scale=p_scale, t0=t + tau_a)
-            records.append(record_for(state, float(t_rec), q_actual))
-        t = float(instants[-1])
-    return records
+        p_hz = -GYROMAGNETIC_RATIO_HZ_PER_G * (cfg.bz_bias_gauss + draw.delta_bz_gauss)
+        h_hz = -GYROMAGNETIC_RATIO_HZ_PER_G * draw.delta_bx_gauss
+        if p_hz != 0 and abs(h_hz / p_hz) > 1e-2:
+            raise ConfigError(
+                f"rotating-wave limit invalid for trajectory {i}: h/p = "
+                f"{abs(h_hz / p_hz):.2e} > 1e-2"
+            )
+    return run_dephasing_ensemble(schedule, params, cfg, sample_dt=sample_dt, ramp_dt=ramp_dt)

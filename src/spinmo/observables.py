@@ -1,4 +1,5 @@
-"""Scalar diagnostics: occupied-level count, fidelities, squeezing, conversion.
+"""Diagnostics of chain-sector states: occupied-level count, fidelities,
+squeezing, conversion.
 
 The occupied-level count K counts reference-basis levels holding more
 than a threshold population (default 1e-3, configurable for sensitivity
@@ -24,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import FullBasis, SectorBasis, StateVector
-from .operators import TriMatrix, l2_sector, lx_full, ly_full, lz_full, n0_full
+from .basis import SectorBasis, StateVector
+from .operators import TriMatrix, l2_sector
 from .spectra import EigenSystem, eigensolve_tridiagonal
 
 K_THRESHOLD_DEFAULT = 1e-3
@@ -59,22 +60,6 @@ class ObservableRecord:
             self.norm,
             self.n_current,
         )
-
-
-@dataclass(frozen=True)
-class SpinMoments:
-    """First and second moments of the collective spin components."""
-
-    lx: float
-    ly: float
-    lz: float
-    lx2: float
-    ly2: float
-    lz2: float
-
-    def xi2(self, n_atoms: float) -> float:
-        var = (self.lx2 - self.lx**2) + (self.ly2 - self.ly**2) + (self.lz2 - self.lz**2)
-        return var / n_atoms
 
 
 @lru_cache(maxsize=64)
@@ -126,99 +111,17 @@ def level_count(pops: np.ndarray, threshold: float):
     return np.maximum((pops > threshold).sum(axis=0), 1)
 
 
-def fidelity_singlet(state: StateVector) -> float:
-    """Squared overlap with the total-spin-zero state of the current sector.
-
-    Defined as 0 (rather than an error) for odd atom numbers, for nonzero
-    magnetization and for the empty sector, so that noise/loss ensembles
-    mixing parities aggregate without faulting.
-    """
-    basis = state.basis
-    if isinstance(basis, SectorBasis):
-        return record_for(state, 0.0, 0.0).F_singlet
-    target = singlet_amplitudes(basis.n_atoms)
-    if target is None:
-        return 0.0
-    return float(abs(np.vdot(target, state.amplitudes[basis.block(0)])) ** 2)
-
-
-def fidelity_twinfock(state: StateVector) -> float:
-    """Squared overlap with the twin-Fock state; 0 for odd N or M != 0."""
-    basis = state.basis
-    if isinstance(basis, SectorBasis):
-        return record_for(state, 0.0, 0.0).F_twinfock
-    n = basis.n_atoms
-    if n % 2:
-        return 0.0
-    return float(abs(state.amplitudes[basis.index_of((n // 2, 0, n // 2))]) ** 2)
-
-
-def spin_moments(state: StateVector) -> SpinMoments:
-    """Collective-spin moments of a pure full-basis state.  A chain
-    sector's xi^2 is in its record."""
-    basis = state.basis
-    if not isinstance(basis, FullBasis):
-        raise TypeError("spin_moments takes a full-basis state")
-    a = state.amplitudes
-    lx, ly = lx_full(basis), ly_full(basis)
-    lza = lz_full(basis)
-    lxa, lya = lx @ a, ly @ a
-    return SpinMoments(
-        lx=float(np.real(np.vdot(a, lxa))),
-        ly=float(np.real(np.vdot(a, lya))),
-        lz=float(np.real(np.vdot(a, lza * a))),
-        lx2=float(np.real(np.vdot(lxa, lxa))),
-        ly2=float(np.real(np.vdot(lya, lya))),
-        lz2=float(np.real(np.vdot(a, lza**2 * a))),
-    )
-
-
-def squeezing_xi2(state: StateVector) -> float:
-    """Generalized spin-squeezing parameter of a state; 0 for the empty
-    sector."""
-    basis = state.basis
-    if isinstance(basis, SectorBasis):
-        return record_for(state, 0.0, 0.0).xi2
-    return spin_moments(state).xi2(basis.n_atoms)
-
-
-def conversion_efficiency(state: StateVector) -> float:
-    """Fraction of atoms outside the m = 0 component, (N - <n0>)/N; 0 for
-    the empty sector."""
-    basis = state.basis
-    if isinstance(basis, SectorBasis):
-        return record_for(state, 0.0, 0.0).pc
-    n = basis.n_atoms
-    return float((n - np.dot(n0_full(basis), np.abs(state.amplitudes) ** 2)) / n)
-
-
 def record_for(
     state: StateVector,
     t: float,
     q_hz: float,
     threshold: float = K_THRESHOLD_DEFAULT,
 ) -> ObservableRecord:
-    """All diagnostics of one state at one time.
-
-    Chain-sector states go to :func:`batch_records`; a full-basis state
-    counts K on its M = 0 block.
-    """
+    """All diagnostics of one chain-sector state at one time
+    (:func:`batch_records` of one column)."""
     basis = state.basis
-    if isinstance(basis, SectorBasis):
-        reference = reference_eigensystem(basis.n_atoms, basis.magnetization)
-        return batch_records(basis, state.amplitudes[:, None], [t], [q_hz], reference, threshold)[0]
-    ref0 = reference_eigensystem(basis.n_atoms, 0)
-    return ObservableRecord(
-        t=float(t),
-        q=float(q_hz),
-        K=int(level_count(ref0.populations(state.amplitudes[basis.block(0)]), threshold)),
-        F_singlet=fidelity_singlet(state),
-        F_twinfock=fidelity_twinfock(state),
-        xi2=squeezing_xi2(state),
-        pc=conversion_efficiency(state),
-        norm=state.norm,
-        n_current=float(basis.n_atoms),
-    )
+    reference = reference_eigensystem(basis.n_atoms, basis.magnetization)
+    return batch_records(basis, state.amplitudes[:, None], [t], [q_hz], reference, threshold)[0]
 
 
 def batch_records(

@@ -146,8 +146,6 @@ def gillespie_trajectory(
     holds the post-jump state.  An emptied trajectory no longer evolves
     but is still recorded.
     """
-    if not isinstance(state0.basis, SectorBasis):
-        raise TypeError("loss trajectories run on chain sectors")
     rng = np.random.default_rng([cfg.seed, 7, index])
     state = state0.copy()
     gamma = cfg.gamma_per_s

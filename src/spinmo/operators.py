@@ -2,15 +2,15 @@
 
 The working Hamiltonian for the condensate is
 
-    H = c2p * L^2 / N  -  q * n0                      (pair / sector chains)
-    H = c2p * L^2 / N  -  q * n0 - p * Lz - h * Lx    (full basis)
+    H = c2p * L^2 / N  -  q * n0
 
-with ``c2p`` the spin-exchange strength, ``q`` the quadratic Zeeman
-splitting, ``p`` the linear Zeeman splitting and ``h`` a transverse
-coupling, all supplied in Hz.  Internally matrices are stored either in
-angular units (rad/s, the default: Hz inputs are multiplied by 2*pi) or
-in plain Hz; the choice is the ``convention`` flag carried by
-:class:`PhysicsParams` and recorded in every output manifest.
+with ``c2p`` the spin-exchange strength and ``q`` the quadratic Zeeman
+splitting, both supplied in Hz.  The linear Zeeman term ``-p * Lz`` is a
+constant on each fixed-magnetization sector and is left out.  Internally
+matrices are stored either in angular units (rad/s, the default: Hz
+inputs are multiplied by 2*pi) or in plain Hz; the choice is the
+``convention`` flag carried by :class:`PhysicsParams` and recorded in
+every output manifest.
 
 Within a fixed-(N, M) sector the Hamiltonian is a real symmetric
 tridiagonal chain.  With a = |M|, site k holding ``n0 = N - a - 2k``
@@ -30,9 +30,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .basis import FullBasis, SectorBasis
+from .basis import SectorBasis
 
 GYROMAGNETIC_RATIO_HZ_PER_G = -0.7e6
 
@@ -68,34 +67,6 @@ class PhysicsParams:
 
     def with_q(self, q_hz: float) -> "PhysicsParams":
         return replace(self, q_hz=q_hz)
-
-
-@dataclass(frozen=True)
-class ExtendedParams:
-    """Pair-sector parameters plus linear Zeeman and transverse couplings.
-
-    ``p_hz = -gamma * (B_z + delta_Bz)`` and ``h_hz = -gamma * delta_Bx``
-    with gamma the gyromagnetic ratio in Hz/G and fields in Gauss.
-    """
-
-    base: PhysicsParams
-    p_hz: float
-    h_hz: float
-
-    @classmethod
-    def from_fields(
-        cls,
-        base: PhysicsParams,
-        bz_gauss: float,
-        delta_bz_gauss: float = 0.0,
-        delta_bx_gauss: float = 0.0,
-        gamma_hz_per_gauss: float = GYROMAGNETIC_RATIO_HZ_PER_G,
-    ) -> "ExtendedParams":
-        return cls(
-            base=base,
-            p_hz=-gamma_hz_per_gauss * (bz_gauss + delta_bz_gauss),
-            h_hz=-gamma_hz_per_gauss * delta_bx_gauss,
-        )
 
 
 @dataclass(frozen=True)
@@ -166,85 +137,6 @@ def hamiltonian_sector(params: PhysicsParams, basis: SectorBasis) -> TriMatrix:
 def hamiltonian_pair(params: PhysicsParams) -> TriMatrix:
     """Pair-sector Hamiltonian for ``params.n_atoms`` atoms, internal units."""
     return hamiltonian_sector(params, SectorBasis(params.n_atoms, 0))
-
-
-def lz_full(basis: FullBasis) -> np.ndarray:
-    """Diagonal of L_z (value M on each magnetization block), units of 1."""
-    return basis.magnetizations.astype(np.float64)
-
-
-def n0_full(basis: FullBasis) -> np.ndarray:
-    """Diagonal of the m = 0 number operator on the full basis."""
-    return basis.states[:, 1].astype(np.float64)
-
-
-def _transverse_entries(basis: FullBasis):
-    """Rows/cols/values of the raising half of L_x (M -> M+1 couplings)."""
-    rows, cols, vals = [], [], []
-    s = math.sqrt(2.0) / 2.0
-    for i, (nm, n0, npl) in enumerate(basis.states):
-        if n0 >= 1:  # a_+1^dag a_0 : (nm, n0, npl) -> (nm, n0-1, npl+1)
-            j = basis.index_of((nm, n0 - 1, npl + 1))
-            rows.append(j)
-            cols.append(i)
-            vals.append(s * math.sqrt((npl + 1) * n0))
-        if nm >= 1:  # a_0^dag a_-1 : (nm, n0, npl) -> (nm-1, n0+1, npl)
-            j = basis.index_of((nm - 1, n0 + 1, npl))
-            rows.append(j)
-            cols.append(i)
-            vals.append(s * math.sqrt((n0 + 1) * nm))
-    return rows, cols, vals
-
-
-def lx_full(basis: FullBasis) -> sp.csr_matrix:
-    """Sparse symmetric L_x; couples magnetization blocks M <-> M+1 only."""
-    rows, cols, vals = _transverse_entries(basis)
-    d = basis.size
-    up = sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
-    return (up + up.T).tocsr()
-
-
-def ly_full(basis: FullBasis) -> sp.csr_matrix:
-    """Sparse Hermitian L_y (purely imaginary entries)."""
-    rows, cols, vals = _transverse_entries(basis)
-    d = basis.size
-    up = sp.csr_matrix((np.asarray(vals) * -1j, (rows, cols)), shape=(d, d))
-    return (up + up.conj().T).tocsr()
-
-
-def l2_full(basis: FullBasis) -> sp.csr_matrix:
-    """Block-diagonal L^2 assembled from the per-sector chain forms."""
-    n = basis.n_atoms
-    d = basis.size
-    rows, cols, vals = [], [], []
-    for m in range(-n, n + 1):
-        blk = basis.block(m)
-        chain = l2_sector(n, m)
-        base = blk.start
-        for k in range(chain.size):
-            rows.append(base + k)
-            cols.append(base + k)
-            vals.append(chain.diag[k])
-        for k in range(chain.size - 1):
-            rows.extend((base + k, base + k + 1))
-            cols.extend((base + k + 1, base + k))
-            vals.extend((chain.offdiag[k], chain.offdiag[k]))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
-
-
-def hamiltonian_full(
-    ext: ExtendedParams, basis: FullBasis, include_transverse: bool = True
-) -> sp.csr_matrix:
-    """Full-basis Hamiltonian in internal units (complex if transverse)."""
-    p = ext.base
-    f = p.factor
-    h = f * (
-        p.c2p_hz / basis.n_atoms * l2_full(basis)
-        - sp.diags(p.q_hz * n0_full(basis) + ext.p_hz * lz_full(basis))
-    )
-    if include_transverse and ext.h_hz != 0.0:
-        h = h - f * ext.h_hz * lx_full(basis)
-    return h.tocsr()
 
 
 def oscillator_hamiltonian(

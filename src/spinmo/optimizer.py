@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import SectorBasis, StateVector
+from .basis import StateVector
 from .observables import ObservableRecord, level_count, occupied_levels, reference_eigensystem
 from .operators import PhysicsParams
 from .propagate import hold_levels, hold_start
@@ -381,8 +381,6 @@ def run_amo(state: StateVector, params: PhysicsParams, cfg: OptimizerConfig) -> 
     search shares one ``memo`` of hold eigensystems (:func:`hold_levels`).
     """
     basis = state.basis
-    if not isinstance(basis, SectorBasis):
-        raise TypeError("the hold search runs on chain sectors")
     reference = reference_eigensystem(basis.n_atoms, basis.magnetization)
     if cfg.q_max_hz is None:
         raise ValueError("cfg.q_max_hz must be set (q at the end of the entry ramp)")

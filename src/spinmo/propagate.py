@@ -1,15 +1,13 @@
-"""Time evolution under constant and time-dependent Hamiltonians.
+"""Time evolution of chain-sector states: constant-q holds and ramps.
 
-Constant-q evolution on a chain is always done by exact spectral
-decomposition (:meth:`~spinmo.spectra.EigenSystem.evolve`), never by
-time stepping, so the optimizer's inner loop carries no integrator
-error.  Every chain-sector hold, in the scan, a schedule or a loss
-trajectory, runs in the total-spin frame on the block that
-:func:`hold_levels` certifies.  Ramps, sweeps and the exact rotating
-frame take fourth-order commutator-free Magnus steps with Chebyshev
-exponentials (:mod:`spinmo._kernels`); on chain sectors the step runs on
-a leading window of the chain whose truncation is certified step by
-step.  States carry their exact phase.
+Constant-q evolution is always done by exact spectral decomposition
+(:meth:`~spinmo.spectra.EigenSystem.evolve`), never by time stepping, so
+the optimizer's inner loop carries no integrator error.  Every hold, in
+the scan, a schedule or a loss trajectory, runs in the total-spin frame
+on the block that :func:`hold_levels` certifies.  Ramps and sweeps take
+fourth-order commutator-free Magnus steps with Chebyshev exponentials
+(:mod:`spinmo._kernels`) on a leading window of the chain whose
+truncation is certified step by step.  States carry their exact phase.
 """
 
 from __future__ import annotations
@@ -18,22 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
-from .basis import FullBasis, SectorBasis, StateVector
+from .basis import SectorBasis, StateVector
 from .errors import StepSizeError
 from .observables import reference_n0
-from .operators import (
-    ExtendedParams,
-    PhysicsParams,
-    TriMatrix,
-    l2_sector,
-    lx_full,
-    ly_full,
-    n0_full,
-    l2_full,
-)
+from .operators import PhysicsParams, TriMatrix, l2_sector
 from .spectra import EigenSystem, eigensolve_tridiagonal, real_map
 
 # ramp step of the CF4:2 integrator.  On the first 5 ms of the reference ramp
@@ -43,19 +31,6 @@ RAMP_DT_S = 2.5e-4
 WINDOW_TOL = 1e-12  # norm outside the starting window; leakage budget per segment
 # bound on the truncation error of every reference amplitude in a hold
 _TRUNCATION_TOL = 1e-12
-
-
-def evolve_constant(state: StateVector, h: TriMatrix, t: float) -> StateVector:
-    """``exp(-i H t)`` applied to a state, by the spectrum of the
-    tridiagonal ``h`` (:meth:`~spinmo.spectra.EigenSystem.evolve`)."""
-    if not isinstance(h, TriMatrix):
-        raise TypeError(f"unsupported Hamiltonian type {type(h)!r}")
-    if h.size != state.basis.size:
-        raise ValueError(
-            f"operator dimension {h.size} does not match state dimension "
-            f"{state.basis.size}"
-        )
-    return StateVector(state.basis, eigensolve_tridiagonal(h).evolve(state.amplitudes, [t])[:, 0])
 
 
 @dataclass(frozen=True)
@@ -212,8 +187,6 @@ def evolve_ramp(
     states = [state] if single else list(state)
     params = [params] if single else list(params)
     offsets = np.broadcast_to(np.asarray(q_offset_hz, dtype=np.float64), (len(states),))
-    if not all(isinstance(st.basis, SectorBasis) for st in states):
-        raise TypeError("ramp evolution runs on chain sectors")
     duration = segment.duration
     if duration <= 0:
         raise ValueError("segment duration must be positive")
@@ -270,77 +243,3 @@ def evolve_ramp(
     if single:
         return finals[0], [(t, svs[0]) for t, svs in samples]
     return finals, samples
-
-
-def _rotating_rho(h0_centered: sp.spmatrix, h_int: float, n_atoms: int) -> float:
-    """Gershgorin radius of the centred static part plus the worst-case
-    transverse coupling (||Lx||, ||Ly|| <= N)."""
-    rows = np.asarray(np.abs(h0_centered).sum(axis=1)).ravel()
-    return float(np.max(rows)) + abs(h_int) * n_atoms
-
-
-def evolve_rotating(
-    state: StateVector,
-    ext: ExtendedParams,
-    t: float,
-    p_scale: float = 1.0,
-    t0: float = 0.0,
-    dt: float | None = None,
-) -> StateVector:
-    """Constant-q evolution in the frame rotating at the linear Zeeman rate.
-
-    In that frame the transverse coupling becomes
-    ``-h (Lx cos(p t) - Ly sin(p t))``.  It is integrated directly, with
-    the Zeeman rate scaled by ``p_scale`` (practical only with
-    ``p_scale`` << 1), by the Magnus step of :mod:`spinmo._kernels`, with
-    the Hamiltonian evaluated at the Gauss nodes and a step of at most
-    ``RAMP_DT_S`` and 1/24 of a rotation period; a finer ``dt`` may be
-    given.  All reported observables are frame-invariant.
-    """
-    basis = state.basis
-    if not isinstance(basis, FullBasis):
-        raise TypeError("rotating-frame evolution runs on the full basis")
-    params = ext.base
-    f = params.factor
-    p_int = f * ext.p_hz * p_scale
-    h_int = f * ext.h_hz
-    h0 = f * (params.c2p_hz / basis.n_atoms) * l2_full(basis) - sp.diags(
-        f * params.q_hz * n0_full(basis)
-    )
-    lo = h0.diagonal().min()
-    hi = h0.diagonal().max()
-    center = 0.5 * (lo + hi)
-    h0c = (h0 - sp.identity(basis.size) * center).tocsr()
-    # H0, Lx and Ly stacked, so that one sparse product applies all three
-    parts = sp.vstack([h0c, lx_full(basis), ly_full(basis)]).tocsr()
-
-    dt_auto = RAMP_DT_S
-    if p_int != 0.0:
-        dt_auto = min(dt_auto, 2.0 * math.pi / (24.0 * abs(p_int)))
-    if dt is None:
-        dt = dt_auto
-    elif dt > dt_auto:
-        raise StepSizeError(f"dt={dt:.3e} s is coarser than the automatic step {dt_auto:.3e} s")
-    n_steps = max(1, math.ceil(t / dt - 1e-9))
-    dt0 = t / n_steps
-    # each exponential's transverse weight |cbar + i sbar| is at most
-    # 2 (|a1| + |a2|) = 2 / sqrt(3)
-    rho = _rotating_rho(h0c, 2.0 / math.sqrt(3.0) * h_int, basis.n_atoms)
-    coef = _kernels.chebyshev_coefficients(0.5 * dt0 * rho)
-
-    psi = state.amplitudes.copy()
-    for s in range(n_steps):
-        th_a, th_b = (p_int * (t0 + (s + node) * dt0) for node in _kernels.GAUSS_NODES)
-        for wa, wb in ((_kernels.A1, _kernels.A2), (_kernels.A2, _kernels.A1)):
-            cbar = 2.0 * (wa * math.cos(th_a) + wb * math.cos(th_b))
-            sbar = 2.0 * (wa * math.sin(th_a) + wb * math.sin(th_b))
-            kx, ky = 2.0 * h_int * cbar / rho, 2.0 * h_int * sbar / rho
-
-            def recur(u, w):
-                hu = (parts @ u).reshape(3, -1)
-                return (2.0 / rho) * hu[0] - kx * hu[1] + ky * hu[2] - w
-
-            psi = _kernels.expv(recur, psi, coef)
-        psi = _kernels.renormalized(psi)
-    # defined up to a global phase (all reported observables are invariant)
-    return StateVector(basis, psi)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, StateVector
+from .basis import StateVector
 from .observables import batch_records, reference_eigensystem
 from .operators import PhysicsParams
 from .propagate import evolve_hold, evolve_ramp
@@ -278,8 +278,6 @@ def run_schedule(
     n_batch = len(states)
     params = [params] if single else list(params)
     offsets = [float(q_offset_hz)] * n_batch if np.ndim(q_offset_hz) == 0 else list(q_offset_hz)
-    if not all(isinstance(st.basis, SectorBasis) for st in states):
-        raise TypeError("run_schedule drives chain-sector states")
     refs = [reference_eigensystem(st.basis.n_atoms, st.basis.magnetization) for st in states]
 
     def records_of(b, cols, ts, qs):

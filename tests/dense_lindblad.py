@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 
-from spinmo.basis import FullBasis, StateVector
+from spinmo.basis import StateVector
 from spinmo.errors import ConfigError, ResourceCapError
 from spinmo.observables import singlet_amplitudes
-from spinmo.operators import PhysicsParams, l2_full, lx_full, ly_full, lz_full, n0_full
+from spinmo.operators import PhysicsParams
 from spinmo.schedule import Hold, Schedule
+
+from full_basis import FullBasis, embed, l2_full, lx_full, ly_full, lz_full, n0_full
 
 DENSE_N_CAP = 8
 
@@ -78,18 +80,10 @@ class DenseLindblad:
         return h
 
     def initial_density(self, state: StateVector) -> np.ndarray:
-        basis = state.basis
+        n = state.basis.n_atoms
         rho = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        n = basis.n_atoms
-        blk = self.block(n)
-        if isinstance(basis, FullBasis):
-            vec = state.amplitudes
-        else:
-            full = self.bases[n]
-            vec = np.zeros(full.size, dtype=np.complex128)
-            sub = full.block(basis.magnetization)
-            vec[sub] = state.amplitudes
-        rho[blk, blk] = np.outer(vec, vec.conj())
+        vec = embed(state, self.bases[n])
+        rho[self.block(n), self.block(n)] = np.outer(vec, vec.conj())
         return rho
 
     def run(

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinmo.basis import (
-    FullBasis,
-    PairBasis,
     SectorBasis,
     StateVector,
-    build_full_basis,
     build_pair_basis,
     polar_state,
     twin_fock_state,
 )
 from spinmo.errors import ResourceCapError
+
+from full_basis import build_full_basis, embed
 
 
 def test_pair_basis_n4():
@@ -109,10 +108,12 @@ def test_polar_and_twin_fock():
 
 def test_polar_on_full_basis():
     b = build_full_basis(4)
-    pol = polar_state(b)
-    assert pol.amplitudes[b.index_of((0, 4, 0))] == 1.0
-    tf = twin_fock_state(b)
-    assert tf.amplitudes[b.index_of((2, 0, 2))] == 1.0
+    pol = embed(polar_state(build_pair_basis(4)), b)
+    assert pol[b.index_of((0, 4, 0))] == 1.0 and np.linalg.norm(pol) == 1.0
+    tf = embed(twin_fock_state(build_pair_basis(4)), b)
+    assert tf[b.index_of((2, 0, 2))] == 1.0 and np.linalg.norm(tf) == 1.0
+    with pytest.raises(ValueError):
+        embed(polar_state(build_pair_basis(5)), b)
 
 
 def test_statevector_validation():

@@ -336,22 +336,17 @@ def test_loss_without_a_sample_step_records_the_segment_ends(tmp_path):
     assert [float(t) for t in times["loss"]] == [0.0, 0.03, 0.05]
 
 
-def test_exact_rotating_noise_records_on_the_sample_grid(tmp_path):
+@pytest.mark.parametrize("key, value", [("rotating_mode", "exact_scaled_p"), ("p_scale", 0.01)])
+def test_removed_relaxation_keys_are_config_errors(tmp_path, capsys, key, value):
     doc = {
         "physics": {"c2p_hz": 25.0, "n_atoms": 4},
         "schedule": {"segments": [{"kind": "hold", "q_hz": 0.5, "duration_s": 0.005}]},
-        "noise": {
-            "mode": "relaxation",
-            "rotating_mode": "exact_scaled_p",
-            "bz_bias_gauss": 1.0,
-            "p_scale": 0.01,
-            "n_traj": 2,
-        },
-        "output": {"sample_dt_s": 1e-3},
+        "noise": {"mode": "relaxation", "bz_bias_gauss": 1.0, "n_traj": 2, key: value},
     }
-    times = _t_columns(tmp_path, doc, (("evolve", "records.csv"), ("noise", "aggregate_all.csv")))
-    assert times["noise"] == times["evolve"]
-    assert [float(t) for t in times["noise"]] == pytest.approx([1e-3 * i for i in range(6)], abs=1e-15)
+    rc = main(["noise", "--config", str(write_cfg(tmp_path, doc)), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "$.noise" in err["message"] and key in err["message"]
 
 
 def test_loss_aggregates_when_no_atoms_remain(tmp_path):
@@ -547,7 +542,7 @@ def test_cli_import_leaves_out_numba_scipy_special_and_sparse_linalg():
     # each costs import time and memory on every run; none is needed
     src = str(Path(spinmo.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    unwanted = ("numba", "scipy.special", "scipy.sparse.linalg")
+    unwanted = ("numba", "scipy.special", "scipy.sparse", "scipy.sparse.linalg")
     code = f"import sys, spinmo.cli; print(sorted(m for m in {unwanted!r} if m in sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -7,29 +7,29 @@ import pytest
 from spinmo.basis import (
     SectorBasis,
     StateVector,
-    build_full_basis,
     build_pair_basis,
     polar_state,
     twin_fock_state,
 )
 from spinmo.observables import (
     batch_records,
-    conversion_efficiency,
-    fidelity_singlet,
-    fidelity_twinfock,
     occupied_levels,
     record_for,
     reference_eigensystem,
     singlet_amplitudes,
-    spin_moments,
-    squeezing_xi2,
 )
 from spinmo.operators import PhysicsParams, hamiltonian_sector, l2_sector
 from spinmo.spectra import eigensolve_tridiagonal
 
+from full_basis import build_full_basis, embed, spin_moments, xi2_full
+
 
 def singlet_state(n):
     return StateVector(build_pair_basis(n), singlet_amplitudes(n).astype(complex))
+
+
+def record(state):
+    return record_for(state, 0.0, 0.0)
 
 
 def test_occupied_levels_singlet_is_one():
@@ -64,19 +64,19 @@ def test_occupied_levels_invariant_under_global_phase():
 
 
 def test_xi2_singlet_zero():
-    assert abs(squeezing_xi2(singlet_state(12))) < 1e-12
+    assert abs(record(singlet_state(12)).xi2) < 1e-12
 
 
 def test_xi2_odd_ground_is_2_over_n():
     n = 5
     eig = reference_eigensystem(n)
     st = StateVector(build_pair_basis(n), eig.ground().astype(complex))
-    assert squeezing_xi2(st) == pytest.approx(2.0 / n, rel=1e-9)
+    assert record(st).xi2 == pytest.approx(2.0 / n, rel=1e-9)
 
 
 def test_xi2_polar_is_two():
     for n in (4, 25, 1000):
-        assert squeezing_xi2(polar_state(build_pair_basis(n))) == pytest.approx(2.0, rel=1e-12)
+        assert record(polar_state(build_pair_basis(n))).xi2 == pytest.approx(2.0, rel=1e-12)
 
 
 def test_xi2_coherent_spin_state_is_one():
@@ -92,11 +92,9 @@ def test_xi2_coherent_spin_state_is_one():
             * c[0] ** n0
             * c[1] ** npl
         )
-    st = StateVector(basis, amps)
-    assert abs(st.norm - 1) < 1e-12
-    assert squeezing_xi2(st) == pytest.approx(1.0, rel=1e-10)
-    m = spin_moments(st)
-    assert m.lx == pytest.approx(n, rel=1e-12)
+    assert abs(np.linalg.norm(amps) - 1) < 1e-12
+    assert xi2_full(basis, amps) == pytest.approx(1.0, rel=1e-10)
+    assert spin_moments(basis, amps)["lx"] == pytest.approx(n, rel=1e-12)
 
 
 def test_xi2_cross_path_sector_vs_full():
@@ -109,23 +107,20 @@ def test_xi2_cross_path_sector_vs_full():
     amps /= np.linalg.norm(amps)
     st_pair = StateVector(pair, amps)
     full = build_full_basis(n)
-    big = np.zeros(full.size, dtype=complex)
-    big[full.block(0)] = amps
-    st_full = StateVector(full, big)
-    assert abs(squeezing_xi2(st_pair) - squeezing_xi2(st_full)) < 1e-10
+    assert abs(record(st_pair).xi2 - xi2_full(full, embed(st_pair, full))) < 1e-10
 
 
 def test_fidelity_singlet_examples():
-    assert fidelity_singlet(singlet_state(8)) == pytest.approx(1.0, abs=1e-12)
+    assert record(singlet_state(8)).F_singlet == pytest.approx(1.0, abs=1e-12)
     # N=2: polar overlap with the total-spin-zero state is 1/3
-    assert fidelity_singlet(polar_state(build_pair_basis(2))) == pytest.approx(1 / 3, rel=1e-12)
-    assert fidelity_singlet(polar_state(build_pair_basis(5))) == 0.0  # odd N
+    assert record(polar_state(build_pair_basis(2))).F_singlet == pytest.approx(1 / 3, rel=1e-12)
+    assert record(polar_state(build_pair_basis(5))).F_singlet == 0.0  # odd N
 
 
 def test_fidelity_twinfock_examples():
     tf = twin_fock_state(build_pair_basis(6))
-    assert fidelity_twinfock(tf) == 1.0
-    assert fidelity_twinfock(singlet_state(2)) == pytest.approx(2 / 3, rel=1e-12)
+    assert record(tf).F_twinfock == 1.0
+    assert record(singlet_state(2)).F_twinfock == pytest.approx(2 / 3, rel=1e-12)
 
 
 def test_singlet_completeness():
@@ -136,13 +131,13 @@ def test_singlet_completeness():
     amps /= np.linalg.norm(amps)
     st = StateVector(build_pair_basis(n), amps)
     pops = ref.populations(st.amplitudes)
-    assert abs(fidelity_singlet(st) + pops[1:].sum() - 1.0) < 1e-10
+    assert abs(record(st).F_singlet + pops[1:].sum() - 1.0) < 1e-10
 
 
 def test_conversion_efficiency_examples():
-    assert conversion_efficiency(polar_state(build_pair_basis(6))) == 0.0
-    assert conversion_efficiency(twin_fock_state(build_pair_basis(6))) == 1.0
-    assert conversion_efficiency(singlet_state(2)) == pytest.approx(2 / 3, rel=1e-12)
+    assert record(polar_state(build_pair_basis(6))).pc == 0.0
+    assert record(twin_fock_state(build_pair_basis(6))).pc == 1.0
+    assert record(singlet_state(2)).pc == pytest.approx(2 / 3, rel=1e-12)
 
 
 def test_n2_singlet_structure():
@@ -199,6 +194,5 @@ def test_empty_sector_helpers_read_the_record():
     st = StateVector(SectorBasis(0, 0), np.ones(1, dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = record_for(st, 0.0, 0.0)
-        got = (fidelity_singlet(st), fidelity_twinfock(st), squeezing_xi2(st), conversion_efficiency(st))
-    assert got == (r.F_singlet, r.F_twinfock, r.xi2, r.pc) == (0.0, 0.0, 0.0, 0.0)
+        r = record(st)
+    assert (r.F_singlet, r.F_twinfock, r.xi2, r.pc, r.K, r.norm) == (0.0, 0.0, 0.0, 0.0, 1, 1.0)

@@ -15,8 +15,8 @@ from spinmo.opensystem import (
     run_loss_study,
 )
 from spinmo.operators import PhysicsParams, hamiltonian_pair
-from spinmo.propagate import evolve_constant
 from spinmo.schedule import Hold, LinearSweep, ParabolicRamp, Schedule, run_schedule
+from spinmo.spectra import eigensolve_tridiagonal
 
 from dense_lindblad import DenseLindblad
 
@@ -29,9 +29,9 @@ def test_gamma_zero_reduces_to_unitary():
     traj = gillespie_trajectory(st, sched, p, LossConfig(gamma_per_s=0.0, n_traj=1), index=0)
     assert traj.summary.n_jumps == 0 and traj.summary.final_n == n
     # matches the loss-free propagator to high accuracy
-    ref = evolve_constant(st, hamiltonian_pair(p.with_q(0.7)), 0.4)
+    ref = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(0.7))).evolve(st.amplitudes, [0.4])[:, 0]
     fin = traj.final_state
-    assert abs(abs(np.vdot(fin.amplitudes, ref.amplitudes)) ** 2 - 1) < 1e-10
+    assert abs(abs(np.vdot(fin.amplitudes, ref)) ** 2 - 1) < 1e-10
 
 
 def test_emptied_trajectory_records_read_the_empty_sector():
@@ -213,10 +213,10 @@ def test_dense_gamma_zero_is_pure_evolution():
     dl = DenseLindblad(n, p, 0.0)
     traj = dl.run(st, Schedule((Hold(0.4, 0.3),)))
     rho = traj[-1][1]
-    ref = evolve_constant(st, hamiltonian_pair(p.with_q(0.4)), 0.3)
+    ref = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(0.4))).evolve(st.amplitudes, [0.3])[:, 0]
     full = dl.bases[n]
     vec = np.zeros(full.size, dtype=complex)
-    vec[full.block(0)] = ref.amplitudes
+    vec[full.block(0)] = ref
     fid = float(np.real(vec.conj() @ rho[dl.block(n), dl.block(n)] @ vec))
     assert fid >= 1 - 1e-8
 

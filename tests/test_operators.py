@@ -12,23 +12,19 @@ import math
 import numpy as np
 import pytest
 
-from spinmo.basis import FullBasis, SectorBasis, build_full_basis, build_pair_basis
+from spinmo.basis import SectorBasis, build_pair_basis, polar_state
 from spinmo.operators import (
-    ExtendedParams,
     PhysicsParams,
     TriMatrix,
     hamiltonian_pair,
     hamiltonian_sector,
-    l2_full,
     l2_sector,
-    lx_full,
-    ly_full,
-    lz_full,
-    n0_full,
     oscillator_hamiltonian,
     unit_factor,
 )
 from spinmo.spectra import eigensolve_tridiagonal
+
+from full_basis import FullBasis, build_full_basis, embed, l2_full, lx_full, ly_full, lz_full, n0_full
 
 FX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2)
 FY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / math.sqrt(2)
@@ -170,19 +166,10 @@ def test_lx_single_particle_matches_spin_matrix():
 def test_polar_lx2_expectation_is_n():
     for n in (2, 4, 6):
         basis = build_full_basis(n)
-        from spinmo.basis import polar_state
-
-        pol = polar_state(basis)
+        pol = embed(polar_state(build_pair_basis(n)), basis)
         lx = lx_full(basis)
-        val = np.real(np.vdot(lx @ pol.amplitudes, lx @ pol.amplitudes))
+        val = np.real(np.vdot(lx @ pol, lx @ pol))
         assert abs(val - n) < 1e-12
-
-
-def test_extended_params_from_fields():
-    base = PhysicsParams(25.0, 100, 0.0)
-    ext = ExtendedParams.from_fields(base, bz_gauss=0.85, delta_bz_gauss=0.0, delta_bx_gauss=1e-4)
-    assert abs(ext.p_hz - 0.7e6 * 0.85) < 1e-9
-    assert abs(ext.h_hz - 70.0) < 1e-12
 
 
 def test_oscillator_spectrum():

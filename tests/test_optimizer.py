@@ -5,7 +5,7 @@ from scipy.linalg import expm
 
 from spinmo import optimizer, propagate
 from spinmo.basis import SectorBasis, StateVector, build_pair_basis, polar_state
-from spinmo.observables import occupied_levels, reference_eigensystem, singlet_amplitudes
+from spinmo.observables import occupied_levels, record_for, reference_eigensystem, singlet_amplitudes
 from spinmo.operators import PhysicsParams, hamiltonian_pair, hamiltonian_sector
 from spinmo.optimizer import (
     OptimizerConfig,
@@ -363,9 +363,7 @@ def test_run_amo_small_system_reaches_target():
     res = run_protocol(polar_state(build_pair_basis(n)), p, cfg)
     ks = res.amo.k_history
     assert all(b <= a for a, b in zip(ks, ks[1:]))
-    from spinmo.observables import fidelity_singlet
-
-    assert fidelity_singlet(res.final_state) > 0.8
+    assert record_for(res.final_state, 0.0, 0.0).F_singlet > 0.8
     grid_lo = cfg.q_min_hz
     for h in res.amo.schedule.segments:
         assert grid_lo <= h.q_hz <= res.schedule.segments[0].q_hz_at(res.schedule.segments[0].duration) + 1e-12

@@ -3,72 +3,51 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 from spinmo import _kernels, propagate
-from spinmo.basis import (
-    FullBasis,
-    NumberBasis,
-    SectorBasis,
-    StateVector,
-    build_full_basis,
-    build_pair_basis,
-    polar_state,
-)
+from spinmo.basis import StateVector, build_pair_basis, polar_state
 from spinmo.errors import StepSizeError
-from spinmo.noise import NoiseConfig, relaxation_params, sample_trajectory_config
 from spinmo.observables import reference_eigensystem
-from spinmo.operators import (
-    ExtendedParams,
-    PhysicsParams,
-    hamiltonian_full,
-    hamiltonian_pair,
-    hamiltonian_sector,
-    lx_full,
-    lz_full,
-    oscillator_hamiltonian,
-)
-from spinmo.propagate import RAMP_DT_S, evolve_constant, evolve_ramp, evolve_rotating
+from spinmo.operators import PhysicsParams, hamiltonian_pair, hamiltonian_sector, oscillator_hamiltonian
+from spinmo.propagate import RAMP_DT_S, evolve_ramp
 from spinmo.schedule import Hold, LinearSweep, ParabolicRamp
 from spinmo.spectra import eigensolve_tridiagonal
 
 
 def fidelity(a, b):
-    return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+    return abs(np.vdot(a, b)) ** 2
 
 
 def test_eigenstate_is_stationary():
     p = PhysicsParams(25.0, 20, 3.0)
-    h = hamiltonian_pair(p)
-    eig = eigensolve_tridiagonal(h)
-    st = StateVector(build_pair_basis(20), eig.vectors[:, 3].astype(complex))
-    out = evolve_constant(st, h, 0.37)
-    assert abs(fidelity(st, out) - 1) < 1e-10
+    eig = eigensolve_tridiagonal(hamiltonian_pair(p))
+    a = eig.vectors[:, 3].astype(complex)
+    out = eig.evolve(a, [0.37])[:, 0]
+    assert abs(fidelity(a, out) - 1) < 1e-10
 
 
 def test_singlet_invariant_at_zero_q():
     n = 12
     p = PhysicsParams(25.0, n, 0.0)
-    eig = reference_eigensystem(n)
-    st = StateVector(build_pair_basis(n), eig.ground().astype(complex))
-    out = evolve_constant(st, hamiltonian_pair(p), 1.7)
-    assert abs(fidelity(st, out) - 1) < 1e-10
+    a = reference_eigensystem(n).ground().astype(complex)
+    out = eigensolve_tridiagonal(hamiltonian_pair(p)).evolve(a, [1.7])[:, 0]
+    assert abs(fidelity(a, out) - 1) < 1e-10
 
 
 def test_composition_constant_h():
     p = PhysicsParams(25.0, 16, 2.0)
-    h = hamiltonian_pair(p)
-    st = polar_state(build_pair_basis(16))
-    one = evolve_constant(evolve_constant(st, h, 0.12), h, 0.34)
-    two = evolve_constant(st, h, 0.46)
+    eig = eigensolve_tridiagonal(hamiltonian_pair(p))
+    a = polar_state(build_pair_basis(16)).amplitudes
+    one = eig.evolve(eig.evolve(a, [0.12])[:, 0], [0.34])[:, 0]
+    two = eig.evolve(a, [0.46])[:, 0]
     assert fidelity(one, two) >= 1 - 1e-9
 
 
 def test_norm_preserved():
     p = PhysicsParams(25.0, 30, 1.0)
-    st = polar_state(build_pair_basis(30))
-    out = evolve_constant(st, hamiltonian_pair(p), 3.0)
-    assert abs(out.norm - 1) < 1e-9
+    a = polar_state(build_pair_basis(30)).amplitudes
+    out = eigensolve_tridiagonal(hamiltonian_pair(p)).evolve(a, [3.0])[:, 0]
+    assert abs(np.linalg.norm(out) - 1) < 1e-9
 
 
 def test_ramp_matches_constant_on_hold_segment():
@@ -77,9 +56,9 @@ def test_ramp_matches_constant_on_hold_segment():
     st = polar_state(build_pair_basis(n))
     q = 4.0
     seg = Hold(q, 0.21)
-    ref = evolve_constant(st, hamiltonian_pair(p.with_q(q)), 0.21)
+    ref = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(q))).evolve(st.amplitudes, [0.21])[:, 0]
     out, _ = evolve_ramp(st, seg, p)
-    assert fidelity(ref, out) >= 1 - 1e-8
+    assert fidelity(ref, out.amplitudes) >= 1 - 1e-8
 
 
 def test_ramp_energy_conservation_on_hold():
@@ -102,7 +81,7 @@ def test_ramp_dt_halving_converges():
     d0 = RAMP_DT_S
     a, _ = evolve_ramp(st, seg, p, dt=d0)
     b, _ = evolve_ramp(st, seg, p, dt=d0 / 2)
-    assert abs(fidelity(a, b) - 1) < 1e-6
+    assert abs(fidelity(a.amplitudes, b.amplitudes) - 1) < 1e-6
 
 
 def test_ramp_rejects_oversized_dt():
@@ -130,46 +109,9 @@ def test_oscillator_half_period_mirror():
     f0 = x0 * m * w * w
     left = eigensolve_tridiagonal(oscillator_hamiltonian(m, w, f0, d)).ground()
     right = eigensolve_tridiagonal(oscillator_hamiltonian(m, w, -f0, d)).ground()
-    st = StateVector(NumberBasis(d), left.astype(complex))
-    out = evolve_constant(st, oscillator_hamiltonian(m, w, 0.0, d), math.pi / w)
-    assert abs(np.vdot(right, out.amplitudes)) ** 2 >= 0.999
-
-
-def test_evolve_constant_dimension_mismatch():
-    p = PhysicsParams(25.0, 10)
-    st = polar_state(build_pair_basis(12))
-    with pytest.raises(ValueError):
-        evolve_constant(st, hamiltonian_pair(p), 0.1)
-
-
-def test_rotating_h0_reduces_to_block_evolution():
-    n = 6
-    basis = build_full_basis(n)
-    base = PhysicsParams(25.0, n, 0.7)
-    ext = ExtendedParams(base, p_hz=1e4, h_hz=0.0)
-    psi0 = polar_state(basis)
-    # a scaled rotation period of 24 steps of RAMP_DT_S or more leaves the
-    # step at RAMP_DT_S
-    p_scale = 1e-2
-    assert 2 * math.pi / (24 * base.factor * ext.p_hz * p_scale) >= RAMP_DT_S
-    rot = evolve_rotating(psi0, ext, 0.15, p_scale=p_scale)
-    pair = polar_state(build_pair_basis(n))
-    ref = evolve_constant(pair, hamiltonian_pair(base), 0.15)
-    blk = basis.block(0)
-    got = rot.amplitudes[blk]
-    assert abs(abs(np.vdot(got, ref.amplitudes)) ** 2 - 1) < 1e-10
-
-
-def test_rotating_p0_matches_static_transverse():
-    n = 6
-    basis = build_full_basis(n)
-    base = PhysicsParams(25.0, n, 0.5, convention="plain")
-    ext = ExtendedParams(base, p_hz=0.0, h_hz=4.0)
-    psi0 = polar_state(basis)
-    out = evolve_rotating(psi0, ext, 0.2, dt=2e-5)
-    h = hamiltonian_full(ext, basis)
-    dense = scipy.linalg.expm(-1j * 0.2 * h.toarray()) @ psi0.amplitudes
-    assert abs(abs(np.vdot(dense, out.amplitudes)) ** 2 - 1) < 1e-6
+    eig = eigensolve_tridiagonal(oscillator_hamiltonian(m, w, 0.0, d))
+    out = eig.evolve(left.astype(complex), [math.pi / w])[:, 0]
+    assert fidelity(right, out) >= 0.999
 
 
 @pytest.mark.parametrize(
@@ -335,48 +277,3 @@ def test_ramp_evaluates_few_chebyshev_coefficients(monkeypatch):
     second, _ = evolve_ramp(st, seg, p)
     assert 1 <= len(calls) <= 2
     assert np.array_equal(first.amplitudes, second.amplitudes)
-
-
-def test_rotating_evaluates_one_chebyshev_series(monkeypatch):
-    n = 6
-    basis = build_full_basis(n)
-    ext = ExtendedParams(PhysicsParams(25.0, n, 0.5, convention="plain"), p_hz=0.0, h_hz=4.0)
-    calls = _count_bessel(monkeypatch)
-    evolve_rotating(polar_state(basis), ext, 0.01, dt=2e-5)
-    assert len(calls) == 1
-
-
-def test_rotating_exact_mode_at_the_relaxation_bias():
-    p_scale = 1e-3
-    p = PhysicsParams(25.0, 7, 0.6)
-    cfg = NoiseConfig(bz_bias_gauss=0.85, delta_bx_gauss=1e-4, seed=2)
-    t0, t = 0.003, 0.01
-    for i in range(3):  # drawn N = 7, 5 and 8
-        draw = sample_trajectory_config(cfg, 7, i)
-        ext = relaxation_params(p, cfg, draw)
-        basis = build_full_basis(draw.n_atoms)
-        psi0 = polar_state(basis)
-        out = evolve_rotating(psi0, ext, t, p_scale=p_scale, t0=t0)
-        # the rotating-frame Hamiltonian H0 - h (Lx cos(Pt) - Ly sin(Pt)) is
-        # exp(iPt Lz) (H0 + P Lz - h Lx) exp(-iPt Lz) - P Lz, with P the
-        # scaled Zeeman rate, and H0 + P Lz - h Lx is time independent
-        rate = p.factor * ext.p_hz * p_scale
-        lz = lz_full(basis)
-        lab = hamiltonian_full(ExtendedParams(ext.base, 0.0, ext.h_hz), basis).toarray() + np.diag(rate * lz)
-        dense = np.exp(1j * rate * (t0 + t) * lz) * (
-            scipy.linalg.expm(-1j * t * lab) @ (np.exp(-1j * rate * t0 * lz) * psi0.amplitudes)
-        )
-        overlap = np.vdot(dense, out.amplitudes)
-        assert abs(abs(overlap) ** 2 - 1.0) < 1e-8
-        # amplitudes up to the global phase: the step's error here is at most
-        # 7.4e-8 and falls 16-fold per halving of the step
-        aligned = out.amplitudes * abs(overlap) / overlap
-        assert np.max(np.abs(aligned - dense)) < 1e-6
-
-
-def test_rotating_rejects_a_step_above_the_automatic_one():
-    n = 4
-    basis = build_full_basis(n)
-    ext = ExtendedParams(PhysicsParams(25.0, n, 0.5), p_hz=0.0, h_hz=4.0)
-    with pytest.raises(StepSizeError):
-        evolve_rotating(polar_state(basis), ext, 0.01, dt=2 * RAMP_DT_S)
