@@ -22,11 +22,15 @@ Bessel coefficients from Miller's backward recurrence.  A series stays
 exact on any interval that contains the spectrum, so the interval's
 radius is rounded up to a grid of ``RADIUS_STEPS_PER_OCTAVE`` steps per
 octave: the interval grows by at most 2^(1/16) - 1 = 4.4%, which costs
-at most about one extra term, and the coefficients are computed once per
-grid value and step length within one :func:`cf4_chain` call instead of
-once per exponential.  A batch of chains (an ensemble's trajectories, or
-a single state) is one block-diagonal operator, so a series costs one
-band product per term for the whole batch.
+at most about one extra term.  The coefficients are kept in a dict by
+series argument that the caller owns: one segment of a ramp
+(:func:`spinmo.propagate.evolve_ramp`) is one :func:`cf4_chain` call for
+its main line plus one per off-grid sample branch, all sharing one dict,
+so each argument's coefficients are computed once per segment and
+dropped with it.  A batch of chains (an ensemble's trajectories, or a
+single state) is one block-diagonal operator, so a series costs one band
+product and one vector update per term for the whole batch; what stays
+fixed between window changes is built once per window change.
 """
 
 from __future__ import annotations
@@ -98,40 +102,31 @@ def chebyshev_coefficients(x: float) -> list[complex]:
     return coef.tolist()
 
 
-def expv(recur, v: np.ndarray, coef: list[complex]) -> np.ndarray:
-    """``exp(-i x S) v`` for an operator S with spectrum in [-1, 1], given
-    ``coef = chebyshev_coefficients(x)`` and the Chebyshev recurrence
-    ``recur(u, w) = 2 S u - w``, which may overwrite ``w`` and return it."""
-    if len(coef) == 1:
-        return v.copy()
-    prev = v.copy()
-    cur = 0.5 * recur(v, np.zeros_like(v))
-    acc = coef[0] * v + coef[1] * cur
-    n = v.size
-    for c in coef[2:]:
-        prev, cur = cur, recur(cur, prev)
-        zaxpy(cur, acc, n, c)  # acc += c * cur, in place
-    return acc
-
-
 def renormalized(v: np.ndarray) -> np.ndarray:
-    """``v`` scaled to unit norm; a step that moved the norm by more than
-    ``NORM_TOL`` raises :class:`ConvergenceError`."""
-    nrm = float(np.linalg.norm(v))
+    """Scale the contiguous vector ``v`` in place to unit norm and return
+    it; a step that moved the norm by more than ``NORM_TOL`` raises
+    :class:`ConvergenceError`.  The squared norm is one dot product of the
+    float view of ``v``."""
+    w = v.view(np.float64)
+    nrm = math.sqrt(w @ w)
     if not abs(nrm - 1.0) <= NORM_TOL:  # also catches a NaN norm
         raise ConvergenceError(f"step changed the norm by {abs(nrm - 1.0):.2e}")
-    return v / nrm
+    v /= nrm
+    return v
 
 
 class _Band:
     """The leading windows of B chains laid end to end as one Hermitian band,
     with a zero coupling at each join, so that one band product applies all
-    B blocks.  Built once per change of the windows; only the q-dependent
-    diagonal is formed per exponential."""
+    B blocks.  Built once per change of the windows, with everything that
+    stays fixed until then (Gershgorin radii, block slices, edge levels and
+    couplings); only the q-dependent diagonal is formed per exponential."""
 
     def __init__(self, diag0, qdiag, off, ms):
         self.ms = np.array(ms)
         self.stops = np.cumsum(self.ms)
+        self.last = self.stops - 1  # each block's last level
+        self.blocks = [slice(stop - m, stop) for stop, m in zip(self.stops.tolist(), ms)]
         self.d0 = np.concatenate([d[:m] for d, m in zip(diag0, ms)])
         self.dq = np.concatenate([d[:m] for d, m in zip(qdiag, ms)])
         joined = []
@@ -155,9 +150,9 @@ class _Band:
         intervals, its radius rounded up to the grid.  ``coefs`` maps
         ``tau`` times a grid radius to its :func:`chebyshev_coefficients`
         and gains the ones computed here."""
-        diag = self.d0 + np.repeat(q, self.ms) * self.dq
-        lo = float(np.min(diag - self.radius))
-        hi = float(np.max(diag + self.radius))
+        diag = self.d0 + q.repeat(self.ms) * self.dq
+        lo = float((diag - self.radius).min())
+        hi = float((diag + self.radius).max())
         if not math.isfinite(hi - lo):
             raise ValueError("matrix entries must be finite")
         center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -167,27 +162,38 @@ class _Band:
         radius = 2.0 ** (
             math.ceil(RADIUS_STEPS_PER_OCTAVE * math.log2(radius)) / RADIUS_STEPS_PER_OCTAVE
         )
-        # 2 (H - center) / radius in BLAS Hermitian band storage: the
-        # superdiagonal over the diagonal
-        band = self.band
-        band[0, 1:] = self.off * (2.0 / radius)
-        band[1] = (diag - center) * (2.0 / radius)
-
-        def recur(u, w):
-            # positional (k, alpha, a, x, incx, offx, beta, y, incy, offy,
-            # lower, overwrite_y): keyword parsing would cost a third of the call
-            return zhbmv(1, 1.0, band, u, 1, 0, -1.0, w, 1, 0, 0, 1)
-
         x = tau * radius
         coef = coefs.get(x)
         if coef is None:
             coef = coefs[x] = chebyshev_coefficients(x)
-        return phase * expv(recur, v, coef)
+        if len(coef) == 1:
+            return phase * v
+        # S = (H - center) / radius; the band holds 2 S in BLAS Hermitian
+        # band storage, the superdiagonal over the diagonal
+        band = self.band
+        scale = 2.0 / radius
+        np.multiply(self.off, scale, out=band[0, 1:])
+        diag -= center
+        np.multiply(diag, scale, out=band[1])
+        # zhbmv positional (k, alpha, a, x, incx, offx, beta, y, incy, offy,
+        # lower, overwrite_y): keyword parsing would cost a third of the call.
+        # T_1 v = S v, then T_k v = 2 S T_(k-1) v - T_(k-2) v, overwriting
+        # T_(k-2) v; acc sums the series in place
+        cur = zhbmv(1, 0.5, band, v)
+        prev = v.copy()
+        acc = coef[0] * v + coef[1] * cur
+        n = v.size
+        for c in coef[2:]:
+            prev, cur = cur, zhbmv(1, 1.0, band, cur, 1, 0, -1.0, prev, 1, 0, 0, 1)
+            zaxpy(cur, acc, n, c)  # acc += c * cur
+        # phase first: numpy's complex product is not symmetric to the bit
+        return np.multiply(phase, acc, out=acc)
 
 
-def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol):
+def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=()):
     """Advance B chains in place through a half-step q grid, each on its
-    leading window, and return the window sizes reached.
+    leading window, and return copies of them after each step count in
+    ``keep``.
 
     ``psis``, ``diag0``, ``qdiag`` and ``off`` hold one array per chain;
     chain b has the Hamiltonian ``diag0[b] + q qdiag[b] + off[b]``, its
@@ -200,11 +206,19 @@ def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol):
     ``leak_tol`` doubles its window (at most to its whole chain), and the
     step is redone for the whole batch.  Each step ends with
     :func:`renormalized` on every block.
+
+    ``coefs`` maps a series argument to its :func:`chebyshev_coefficients`
+    and gains the ones computed here, so calls that share it (a segment's
+    main line and its sample branches) compute each once.  The result maps
+    each step count k in ``keep`` to copies of the chains after k steps and
+    their windows then, the start of a branch.
     """
     ms = list(ms)
     band = _Band(diag0, qdiag, off, ms)
+    reach = dt * band.edge_off
     v = np.concatenate([p[:m] for p, m in zip(psis, ms)])
-    coefs: dict = {}  # Chebyshev coefficients of this call, by x
+    keep = set(keep)
+    kept = {0: ([p.copy() for p in psis], list(ms))} if 0 in keep else {}
     # q at the nodes of every step, one row per step
     q0, qm, q1 = qgrid[0:-1:2], qgrid[1::2], qgrid[2::2]
     qa = _WA[0] * q0 + _WA[1] * qm + _WA[2] * q1
@@ -215,31 +229,31 @@ def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol):
         while True:
             mid = band.expv(v, q_first[s], 0.5 * dt, coefs)
             end = band.expv(mid, q_second[s], 0.5 * dt, coefs)
-            last = band.stops - 1
-            edge = np.maximum(np.maximum(np.abs(v[last]), np.abs(mid[last])), np.abs(end[last]))
-            grow = np.flatnonzero(dt * band.edge_off * edge > leak_tol)
-            if grow.size == 0:
+            last = band.last
+            edge = np.abs(np.array((v[last], mid[last], end[last]))).max(axis=0)
+            leaks = reach * edge > leak_tol
+            if not leaks.any():
                 break
-            _scatter(v, psis, band.stops)
-            for b in grow.tolist():
+            _scatter(v, psis, band.blocks)
+            for b in np.flatnonzero(leaks).tolist():
                 ms[b] = min(psis[b].shape[0], 2 * ms[b])
             band = _Band(diag0, qdiag, off, ms)
+            reach = dt * band.edge_off
             v = np.concatenate([p[:m] for p, m in zip(psis, ms)])
-        start = 0
-        for stop in band.stops.tolist():
-            end[start:stop] = renormalized(end[start:stop])
-            start = stop
+        for block in band.blocks:
+            renormalized(end[block])
         v = end
-    _scatter(v, psis, band.stops)
-    return ms
+        if s + 1 in keep:
+            _scatter(v, psis, band.blocks)
+            kept[s + 1] = ([p.copy() for p in psis], list(ms))
+    _scatter(v, psis, band.blocks)
+    return kept
 
 
-def _scatter(v: np.ndarray, psis, stops) -> None:
+def _scatter(v: np.ndarray, psis, blocks) -> None:
     """Write the concatenated windows ``v`` back into the chains."""
-    start = 0
-    for p, stop in zip(psis, stops.tolist()):
-        p[: stop - start] = v[start:stop]
-        start = stop
+    for p, block in zip(psis, blocks):
+        p[: block.stop - block.start] = v[block]
 
 
 # the benchmark's tracer wraps the kernel under this name; kept until the

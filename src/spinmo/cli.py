@@ -7,7 +7,7 @@
     spinmo oscillator-demo --config cfg.json --out dir
     spinmo phase-diagram   --config cfg.json --out dir
 
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 resource cap.
+Exit codes: 0 success, 2 config error, 3 numeric failure.
 Outputs are byte-identical for identical (config, seed); see runio for the
 manifest layout.  Every command runs in one process: a noise ensemble is
 advanced as one batch rather than spread over workers.
@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .basis import PairBasis, polar_state, twin_fock_state, StateVector
 from .config import load as load_config
-from .errors import ConfigError, ConvergenceError, ResourceCapError, SpinmoError, StepSizeError
+from .errors import ConfigError, ConvergenceError, SpinmoError, StepSizeError
 from .noise import NoiseConfig, run_dephasing_ensemble, run_relaxation_ensemble
 from .observables import reference_eigensystem
 from .opensystem import LossConfig, postselect, run_loss_study
@@ -362,9 +362,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(error_json(exc, 2), file=sys.stderr)
         return 2
-    except ResourceCapError as exc:
-        print(error_json(exc, 4), file=sys.stderr)
-        return 4
     except (ConvergenceError, StepSizeError, ArithmeticError, ValueError, SpinmoError) as exc:
         print(error_json(exc, 3), file=sys.stderr)
         return 3

@@ -231,9 +231,11 @@ def validate(doc: dict) -> None:
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
-        path = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in e.absolute_path
-        )
+        where = list(e.absolute_path)
+        if e.validator == "additionalProperties":
+            # an unknown key is reported at its own path, the first in sorted order
+            where.append(min(set(e.instance) - set(e.schema.get("properties", {}))))
+        path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in where)
         raise ConfigError(f"config invalid at {path}: {e.message}")
 
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: config errors exit 2, numeric
-failures exit 3, resource-cap violations exit 4.
+failures exit 3.
 """
 
 
@@ -11,10 +11,6 @@ class SpinmoError(Exception):
 
 class ConfigError(SpinmoError):
     """Invalid configuration value or malformed config document."""
-
-
-class ResourceCapError(SpinmoError):
-    """A requested computation exceeds a configured resource cap."""
 
 
 class ConvergenceError(SpinmoError):

@@ -28,7 +28,7 @@ from .spectra import EigenSystem, eigensolve_tridiagonal, real_map
 # at N = 200 the final xi2 is within 5.0e-8 of a run at a 2e-6 s step; a
 # 5e-4 s step gives 8.8e-7, and 1e-3 s gives 2.3e-5.
 RAMP_DT_S = 2.5e-4
-WINDOW_TOL = 1e-12  # norm outside the starting window; leakage budget per segment
+WINDOW_TOL = 1e-12  # leakage budget of a ramp's windows per segment
 # bound on the truncation error of every reference amplitude in a hold
 _TRUNCATION_TOL = 1e-12
 
@@ -162,9 +162,11 @@ def evolve_ramp(
     """Integrate one time-dependent segment (parabolic ramp or linear sweep).
 
     Returns the final state and ``(local_t, state)`` snapshots at the
-    requested sample times.  Snapshots are taken on side branches of a
-    fixed internal step grid, so the main trajectory (and therefore every
-    shared sample) is bit-identical no matter how densely it is sampled.
+    requested sample times.  The main line over the segment's fixed step
+    grid is one kernel call, which keeps copies of the states at the last
+    step before each sample time; a sample off the grid is a side branch
+    from that copy.  So the main trajectory (and therefore every shared
+    sample) is bit-identical no matter how densely it is sampled.
 
     ``state`` may also be a list of B chain-sector states, with ``params``
     and ``q_offset_hz`` lists of the same length (state b has its own atom
@@ -177,11 +179,15 @@ def evolve_ramp(
     :func:`spinmo._kernels.cf4_chain`, ``RAMP_DT_S`` long (or ``dt``, which
     may only be finer), with Chebyshev exponentials on the leading m levels
     of every chain, all chains in one block-diagonal series.  Each m starts
-    at twice its state's support (levels beyond it hold a norm of at most
-    ``WINDOW_TOL`` and are dropped) and doubles whenever a step's bound on
-    the amplitude leaving that window exceeds its share of a ``WINDOW_TOL``
-    budget for the segment; sample branches never grow the main windows.
-    States carry their exact phase.
+    on the first rung of the hold ladder (:func:`_first_block`): the whole
+    chain when twice its state's support fills it, else the first multiple
+    of 8 levels at least 8 beyond the support (levels beyond the support
+    hold a norm of at most 1e-12 and are dropped).  m doubles whenever a
+    step's bound on the amplitude leaving that window exceeds its share of
+    a ``WINDOW_TOL`` budget for the segment; sample branches never grow the
+    main windows.  The main line and the branches share one dict of
+    Chebyshev coefficients, which lives for this call only.  States carry
+    their exact phase.
     """
     single = isinstance(state, StateVector)
     states = [state] if single else list(state)
@@ -210,35 +216,33 @@ def evolve_ramp(
     psis = [st.amplitudes.copy() for st in states]
     ms = []
     for psi in psis:
-        m, _ = leading_window(psi, WINDOW_TOL)
+        m, _ = _first_block(psi)
         psi[m:] = 0.0
         ms.append(m)
-    step = 0  # current position on the main grid
 
     def q_grid(local_t: np.ndarray) -> np.ndarray:
         """q of every state (columns) at the local times (rows)."""
         q = np.asarray(segment.q_hz_at(np.clip(local_t, 0.0, duration)), dtype=np.float64)
         return q[:, None] + offsets
 
-    def advance(n_adv: int):
-        nonlocal ms, step
-        if n_adv <= 0:
-            return
-        ts = (step + 0.5 * np.arange(2 * n_adv + 1)) * dt0
-        ms = _kernels.cf4_chain(psis, diag0, qdiag, off, q_grid(ts), dt0, ms, leak_tol)
-        step += n_adv
-
-    for t_s in wanted:
-        k = min(int(math.floor(t_s / dt0 + 1e-9)), n_steps)
-        advance(k - step)
-        delta = t_s - step * dt0
-        branch = [psi.copy() for psi in psis]
+    # the main line, one call; a sample branches off at the last step before it
+    at_step = [min(int(math.floor(t_s / dt0 + 1e-9)), n_steps) for t_s in wanted]
+    coefs: dict = {}  # Chebyshev coefficients of this segment, by series argument
+    ts = 0.5 * np.arange(2 * n_steps + 1) * dt0
+    kept = _kernels.cf4_chain(
+        psis, diag0, qdiag, off, q_grid(ts), dt0, ms, leak_tol, coefs, at_step
+    )
+    for i, (t_s, k) in enumerate(zip(wanted, at_step)):
+        start, ms_k = kept[k]
+        # the last sample at step k takes the kept copy; earlier ones copy it
+        last_at_k = i + 1 == len(at_step) or at_step[i + 1] != k
+        branch = start if last_at_k else [psi.copy() for psi in start]
+        delta = t_s - k * dt0
         if delta > 1e-12 * max(1.0, duration):
-            t_here = step * dt0
+            t_here = k * dt0
             grid = q_grid(np.array([t_here, t_here + 0.5 * delta, t_here + delta]))
-            _kernels.cf4_chain(branch, diag0, qdiag, off, grid, delta, ms, leak_tol)
+            _kernels.cf4_chain(branch, diag0, qdiag, off, grid, delta, ms_k, leak_tol, coefs)
         samples.append((float(t_s), [StateVector(st.basis, b) for st, b in zip(states, branch)]))
-    advance(n_steps - step)
     finals = [StateVector(st.basis, psi) for st, psi in zip(states, psis)]
     if single:
         return finals[0], [(t, svs[0]) for t, svs in samples]

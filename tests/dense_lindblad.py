@@ -12,12 +12,14 @@ import math
 import numpy as np
 
 from spinmo.basis import StateVector
-from spinmo.errors import ConfigError, ResourceCapError
+from spinmo.errors import ConfigError
 from spinmo.observables import singlet_amplitudes
 from spinmo.operators import PhysicsParams
 from spinmo.schedule import Hold, Schedule
 
-from full_basis import FullBasis, embed, l2_full, lx_full, ly_full, lz_full, n0_full
+from full_basis import (
+    FullBasis, ResourceCapError, embed, l2_full, lx_full, ly_full, lz_full, n0_full,
+)
 
 DENSE_N_CAP = 8
 

@@ -22,10 +22,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from spinmo.basis import SectorBasis, StateVector
-from spinmo.errors import ResourceCapError
 from spinmo.operators import PhysicsParams, l2_sector
 
 FULL_BASIS_DEFAULT_CAP = 300
+
+
+class ResourceCapError(Exception):
+    """An oracle asked for more than its size cap."""
 
 
 class FullBasis:

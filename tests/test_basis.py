@@ -9,9 +9,7 @@ from spinmo.basis import (
     polar_state,
     twin_fock_state,
 )
-from spinmo.errors import ResourceCapError
-
-from full_basis import build_full_basis, embed
+from full_basis import ResourceCapError, build_full_basis, embed
 
 
 def test_pair_basis_n4():

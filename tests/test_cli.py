@@ -346,7 +346,7 @@ def test_removed_relaxation_keys_are_config_errors(tmp_path, capsys, key, value)
     rc = main(["noise", "--config", str(write_cfg(tmp_path, doc)), "--out", str(tmp_path / "x")])
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["exit_code"] == 2 and "$.noise" in err["message"] and key in err["message"]
+    assert err["exit_code"] == 2 and f"config invalid at $.noise.{key}:" in err["message"]
 
 
 def test_loss_aggregates_when_no_atoms_remain(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinmo.basis import SectorBasis, StateVector, build_pair_basis, polar_state
-from spinmo.errors import ConfigError, ResourceCapError
+from spinmo.errors import ConfigError
 from spinmo.observables import singlet_amplitudes
 from spinmo.opensystem import (
     LossConfig,
@@ -18,7 +18,7 @@ from spinmo.operators import PhysicsParams, hamiltonian_pair
 from spinmo.schedule import Hold, LinearSweep, ParabolicRamp, Schedule, run_schedule
 from spinmo.spectra import eigensolve_tridiagonal
 
-from dense_lindblad import DenseLindblad
+from dense_lindblad import DenseLindblad, ResourceCapError
 
 
 def test_gamma_zero_reduces_to_unitary():

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from spinmo import _kernels, propagate
 from spinmo.basis import StateVector, build_pair_basis, polar_state
-from spinmo.errors import StepSizeError
+from spinmo.errors import ConvergenceError, StepSizeError
 from spinmo.observables import reference_eigensystem
 from spinmo.operators import PhysicsParams, hamiltonian_pair, hamiltonian_sector, oscillator_hamiltonian
 from spinmo.propagate import RAMP_DT_S, evolve_ramp
@@ -255,6 +255,19 @@ def _count_bessel(monkeypatch):
     return calls
 
 
+def _count_kernel_calls(monkeypatch):
+    """Record (steps, shared coefficient dict) of every kernel call."""
+    calls = []
+    original = _kernels.cf4_chain
+
+    def counting(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=()):
+        calls.append((qgrid.shape[0] // 2, coefs))
+        return original(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep)
+
+    monkeypatch.setattr(_kernels, "cf4_chain", counting)
+    return calls
+
+
 def test_ramp_evaluates_few_chebyshev_coefficients(monkeypatch):
     # the last 5 ms of the reference ramp at N = 100 from its ground state:
     # one kernel call of 20 steps, 40 exponentials
@@ -263,17 +276,84 @@ def test_ramp_evaluates_few_chebyshev_coefficients(monkeypatch):
     p = PhysicsParams(25.0, n)
     ground = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(float(seg.q_hz_at(0.0))))).ground()
     st = StateVector(build_pair_basis(n), ground.astype(complex))
-    kernel_calls = []
-    original = _kernels.cf4_chain
-    monkeypatch.setattr(
-        _kernels, "cf4_chain", lambda *a: kernel_calls.append(a[4].shape[0] // 2) or original(*a)
-    )
+    kernel_calls = _count_kernel_calls(monkeypatch)
     calls = _count_bessel(monkeypatch)
     first, _ = evolve_ramp(st, seg, p)
-    assert kernel_calls == [20]
+    assert [steps for steps, _ in kernel_calls] == [20]
     assert 1 <= len(calls) <= 2
-    # nothing outlives a call: the same call computes them again
+    # nothing outlives a call: the same call computes them again, in a new dict
     del calls[:]
     second, _ = evolve_ramp(st, seg, p)
     assert 1 <= len(calls) <= 2
+    assert kernel_calls[1][1] is not kernel_calls[0][1]
     assert np.array_equal(first.amplitudes, second.amplitudes)
+
+
+def test_ramp_segment_is_one_kernel_call(monkeypatch):
+    # the benchmark's ramp: the first 5 ms of the reference ramp at N = 200
+    # from the polar state, sampled every 1 ms on the 0.25 ms step grid
+    n = 200
+    p = PhysicsParams(25.0, n)
+    st = polar_state(build_pair_basis(n))
+    seg = ParabolicRamp(277.0, 0.955, 0.0, 0.005)
+    unsampled, _ = evolve_ramp(st, seg, p)
+    windows = []
+
+    class RecordingBand(_kernels._Band):
+        def __init__(self, diag0, qdiag, off, ms):
+            windows.append(list(ms))
+            super().__init__(diag0, qdiag, off, ms)
+
+    monkeypatch.setattr(_kernels, "_Band", RecordingBand)
+    kernel_calls = _count_kernel_calls(monkeypatch)
+    calls = _count_bessel(monkeypatch)
+    final, samples = evolve_ramp(st, seg, p, sample_times=np.linspace(0.0, 0.005, 6))
+    # one main-line call of 20 steps; every sample lies on the grid
+    assert [steps for steps, _ in kernel_calls] == [20]
+    # each series argument's coefficients are computed once
+    assert len(calls) == len(set(calls)) == len(kernel_calls[0][1])
+    # the first window is the hold ladder's first rung: the support (1 level) + 8,
+    # rounded up to a multiple of 8, not twice the support
+    assert windows[0] == [16]
+    assert np.array_equal(final.amplitudes, unsampled.amplitudes)
+    assert [t for t, _ in samples] == list(np.linspace(0.0, 0.005, 6))
+    assert np.array_equal(samples[0][1].amplitudes, st.amplitudes)
+    assert np.array_equal(samples[-1][1].amplitudes, final.amplitudes)
+
+
+def test_off_grid_samples_branch_from_the_main_line(monkeypatch):
+    n = 40
+    p = PhysicsParams(25.0, n)
+    st = polar_state(build_pair_basis(n))
+    seg = ParabolicRamp(277.0, 0.955, 0.0, 0.002)
+    unsampled, _ = evolve_ramp(st, seg, p)
+    kernel_calls = _count_kernel_calls(monkeypatch)
+    # two samples inside one step, one on the grid
+    times = np.array([3.1e-4, 5e-4, 4.2e-4])
+    final, samples = evolve_ramp(st, seg, p, sample_times=times)
+    assert np.array_equal(final.amplitudes, unsampled.amplitudes)
+    # the main line, then one branch per off-grid sample, all on one dict
+    assert [steps for steps, _ in kernel_calls] == [8, 1, 1]
+    assert all(coefs is kernel_calls[0][1] for _, coefs in kernel_calls)
+    # two branches from the same step do not share a state
+    for t, sample in samples:
+        _, [(_, alone)] = evolve_ramp(st, seg, p, sample_times=[t])
+        assert np.array_equal(sample.amplitudes, alone.amplitudes)
+
+
+def test_renormalized_checks_the_step_norm():
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=33) + 1j * rng.normal(size=33)
+    v /= np.linalg.norm(v)
+    # just inside the tolerance: scaled in place to unit norm
+    inside = v * (1.0 + 0.9 * _kernels.NORM_TOL)
+    out = _kernels.renormalized(inside)
+    assert out is inside
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
+    for bad in (v * (1.0 + 1.1 * _kernels.NORM_TOL), v * (1.0 - 1.1 * _kernels.NORM_TOL)):
+        with pytest.raises(ConvergenceError, match="norm"):
+            _kernels.renormalized(bad)
+    nan = v.copy()
+    nan[5] = complex(np.nan, 0.0)
+    with pytest.raises(ConvergenceError, match="norm"):
+        _kernels.renormalized(nan)
