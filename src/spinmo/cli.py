@@ -29,13 +29,21 @@ from .opensystem import LossConfig, postselect, run_loss_study
 from .operators import PhysicsParams, oscillator_hamiltonian
 from .optimizer import OptimizerConfig, run_protocol
 from .runio import RunDir, error_json, write_records_csv, write_table_csv
-from .schedule import Schedule, landau_zener, reference_ramp, run_schedule
+from .schedule import PRESETS, Schedule, reference_ramp, run_schedule
 from .spectra import critical_q_estimate, eigensolve_tridiagonal, find_critical_q, gap
 
 
 def _physics(cfg: dict) -> PhysicsParams:
-    p = cfg["physics"]
-    return PhysicsParams(p["c2p_hz"], p["n_atoms"], p.get("q_hz", 0.0), p["convention"])
+    return PhysicsParams(**cfg["physics"])
+
+
+# section keys that choose what runs rather than set a dataclass field
+_NOT_FIELDS = ("mode", "ramp", "dephasing")
+
+
+def _fields(section: dict) -> dict:
+    """The keys of a config section that are fields of its dataclass."""
+    return {k: v for k, v in section.items() if k not in _NOT_FIELDS}
 
 
 def _initial_state(cfg: dict, params: PhysicsParams) -> StateVector:
@@ -63,44 +71,13 @@ def _schedule(cfg: dict) -> Schedule:
         raise ConfigError("this command requires a 'schedule' section")
     if "segments" in sc:
         return Schedule.from_dict(sc)
-    preset = sc.get("preset")
-    if preset == "reference_ramp":
-        return reference_ramp(
-            sc.get("q0_hz", 277.0), sc.get("T0_s", 0.955), sc.get("t_end_s", 0.9)
-        )
-    if preset == "landau_zener":
-        return landau_zener(sc.get("q0_hz", 277.0), sc.get("duration_s", 8.63))
+    if "preset" in sc:
+        return PRESETS[sc["preset"]](**{k: v for k, v in sc.items() if k != "preset"})
     raise ConfigError("schedule needs either 'segments' or a known 'preset'")
 
 
-def _opt_config(cfg: dict) -> OptimizerConfig:
-    o = cfg["optimizer"]
-    return OptimizerConfig(
-        q_min_hz=o["q_min_hz"],
-        q_max_hz=o["q_max_hz"],
-        points_per_decade=o["points_per_decade"],
-        dwell_window=o["dwell_window"],
-        sample_dt_s=o["sample_dt_s"],
-        step_time_cap_s=o["step_time_cap_s"],
-        max_steps=o["max_steps"],
-        k_threshold=o["k_threshold"],
-        seed=cfg["seed"],
-        refine_factor=o["refine_factor"],
-        plateau_s=o["plateau_s"],
-    )
-
-
 def _noise_config(cfg: dict) -> NoiseConfig:
-    n = cfg["noise"]
-    return NoiseConfig(
-        delta_bz_gauss=n["delta_bz_gauss"],
-        delta_bx_gauss=n["delta_bx_gauss"],
-        bz_bias_gauss=n["bz_bias_gauss"],
-        q_coeff_hz_per_g2=n["q_coeff_hz_per_g2"],
-        atom_number_spread=n["atom_number_spread"],
-        n_traj=n["n_traj"],
-        seed=cfg["seed"],
-    )
+    return NoiseConfig(**_fields(cfg["noise"]), seed=cfg["seed"])
 
 
 def cmd_evolve(cfg: dict, run: RunDir) -> None:
@@ -120,13 +97,11 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
     params = _physics(cfg)
     state = _initial_state(cfg, params)
     o = cfg["optimizer"]
-    opt = _opt_config(cfg)
-    ramp = reference_ramp(o["ramp"]["q0_hz"], o["ramp"]["T0_s"], o["ramp"]["t_end_s"])
     result = run_protocol(
         state,
         params,
-        opt,
-        ramp=ramp,
+        OptimizerConfig(**_fields(o), seed=cfg["seed"]),
+        ramp=reference_ramp(**o["ramp"]),
         mirrored=o["mode"] == "amoa",
         sample_dt=cfg["output"]["sample_dt_s"],
         ramp_dt=cfg["output"]["ramp_dt_s"],
@@ -212,11 +187,7 @@ def cmd_loss(cfg: dict, run: RunDir) -> None:
     params = _physics(cfg)
     state = _initial_state(cfg, params)
     sched = _schedule(cfg)
-    lcfg = LossConfig(
-        gamma_per_s=cfg["loss"]["gamma_per_s"],
-        n_traj=cfg["loss"]["n_traj"],
-        seed=cfg["seed"],
-    )
+    lcfg = LossConfig(**_fields(cfg["loss"]), seed=cfg["seed"])
     dephasing = _noise_config(cfg) if cfg["loss"]["dephasing"] else None
     result = run_loss_study(
         state,
@@ -350,11 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.convention is not None:
-            cfg["physics"]["convention"] = args.convention
+        cfg = load_config(args.config, seed=args.seed, convention=args.convention)
         run = RunDir(args.out, args.command, cfg)
         _COMMANDS[args.command](cfg, run)
         run.finalize()

@@ -6,51 +6,44 @@ JSON path of the offending value.
 
 from __future__ import annotations
 
+import inspect
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import jsonschema
 
 from .errors import ConfigError
+from .noise import NoiseConfig
+from .opensystem import LossConfig
+from .operators import PhysicsParams
+from .optimizer import OptimizerConfig
 from .propagate import RAMP_DT_S
+from .schedule import PRESETS, SAMPLE_DT_DEFAULT_S, SEGMENT_KINDS, reference_ramp
+from .schedule import REFERENCE_Q0_HZ, REFERENCE_T0_S, REFERENCE_T_END_S
 
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+# a segment document is its kind and the fields of that kind's dataclass;
+# the positive ones are those the dataclasses' __post_init__ require positive
 _SEGMENT_SCHEMA = {
     "oneOf": [
         {
             "type": "object",
             "properties": {
-                "kind": {"const": "parabolic_ramp"},
-                "q0_hz": {"type": "number"},
-                "T0_s": {"type": "number", "exclusiveMinimum": 0},
-                "t_begin_s": {"type": "number"},
-                "t_end_s": {"type": "number"},
+                "kind": {"const": kind},
+                **{f.name: _POSITIVE if f.name in ("T0_s", "duration_s") else _NUMBER for f in fields(cls)},
             },
-            "required": ["kind", "q0_hz", "T0_s", "t_begin_s", "t_end_s"],
+            "required": ["kind", *(f.name for f in fields(cls))],
             "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "hold"},
-                "q_hz": {"type": "number"},
-                "duration_s": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind", "q_hz", "duration_s"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "linear_sweep"},
-                "q_from_hz": {"type": "number"},
-                "q_to_hz": {"type": "number"},
-                "duration_s": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind", "q_from_hz", "q_to_hz", "duration_s"],
-            "additionalProperties": False,
-        },
+        }
+        for kind, cls in SEGMENT_KINDS.items()
     ]
 }
+
+# the keys of the reference ramp, as a preset and as the optimizer's entry ramp
+_RAMP_PROPERTIES = {"q0_hz": _NUMBER, "T0_s": _POSITIVE, "t_end_s": _POSITIVE}
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -81,11 +74,9 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "segments": {"type": "array", "items": _SEGMENT_SCHEMA},
-                "preset": {"enum": ["reference_ramp", "landau_zener"]},
-                "q0_hz": {"type": "number"},
-                "T0_s": {"type": "number", "exclusiveMinimum": 0},
-                "t_end_s": {"type": "number", "exclusiveMinimum": 0},
-                "duration_s": {"type": "number", "exclusiveMinimum": 0},
+                "preset": {"enum": list(PRESETS)},
+                **_RAMP_PROPERTIES,
+                "duration_s": _POSITIVE,
             },
             "additionalProperties": False,
         },
@@ -103,15 +94,7 @@ SCHEMA = {
                 "k_threshold": {"type": "number", "exclusiveMinimum": 0},
                 "refine_factor": {"type": "integer", "minimum": 1},
                 "plateau_s": {"type": "number", "exclusiveMinimum": 0},
-                "ramp": {
-                    "type": "object",
-                    "properties": {
-                        "q0_hz": {"type": "number"},
-                        "T0_s": {"type": "number", "exclusiveMinimum": 0},
-                        "t_end_s": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "additionalProperties": False,
-                },
+                "ramp": {"type": "object", "properties": _RAMP_PROPERTIES, "additionalProperties": False},
             },
             "additionalProperties": False,
         },
@@ -171,34 +154,24 @@ SCHEMA = {
     "additionalProperties": False,
 }
 
+
+def _field_defaults(cls) -> dict:
+    """The defaults of a config dataclass, less its ``seed``: the
+    top-level ``seed`` sets that."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING and f.name != "seed"}
+
+
 DEFAULTS = {
     "seed": 0,
-    "physics": {"q_hz": 0.0, "convention": "angular"},
+    "physics": _field_defaults(PhysicsParams),
     "initial_state": {"kind": "polar"},
     "optimizer": {
         "mode": "amo",
-        "q_min_hz": 1e-4,
-        "q_max_hz": None,
-        "points_per_decade": 40,
-        "dwell_window": 50,
-        "sample_dt_s": 1e-3,
-        "step_time_cap_s": 3.0,
-        "max_steps": 6,
-        "k_threshold": 1e-3,
-        "refine_factor": 4,
-        "plateau_s": 0.32,
-        "ramp": {"q0_hz": 277.0, "T0_s": 0.955, "t_end_s": 0.9},
+        **_field_defaults(OptimizerConfig),
+        "ramp": {"q0_hz": REFERENCE_Q0_HZ, "T0_s": REFERENCE_T0_S, "t_end_s": REFERENCE_T_END_S},
     },
-    "noise": {
-        "mode": "dephasing",
-        "delta_bz_gauss": 1e-4,
-        "delta_bx_gauss": 1e-4,
-        "bz_bias_gauss": 0.0,
-        "q_coeff_hz_per_g2": 277.0,
-        "atom_number_spread": True,
-        "n_traj": 100,
-    },
-    "loss": {"gamma_per_s": 0.005, "n_traj": 2000, "dephasing": True},
+    "noise": {"mode": "dephasing", **_field_defaults(NoiseConfig)},
+    "loss": {**_field_defaults(LossConfig), "dephasing": True},
     "oscillator": {
         "mass": 1.0,
         "omega": 1.0,
@@ -212,7 +185,12 @@ DEFAULTS = {
         "q_min_factor": 0.1,
         "q_max_factor": 10.0,
     },
-    "output": {"sample_dt_s": 1e-3, "ramp_dt_s": None},
+    "output": {"sample_dt_s": SAMPLE_DT_DEFAULT_S, "ramp_dt_s": None},
+}
+
+# the schedule keys each form reads: its segments, or its preset's arguments
+_SCHEDULE_KEYS = {
+    name: {"preset", *inspect.signature(build).parameters} for name, build in PRESETS.items()
 }
 
 
@@ -266,14 +244,35 @@ def _check_segments(cfg: dict) -> None:
             )
 
 
+def _check_unread_keys(cfg: dict) -> None:
+    """Keys that the rest of the config makes unread: a schedule key its
+    form does not read, a start q for a state other than a ground state."""
+    sc = cfg.get("schedule", {})
+    if "segments" in sc:
+        form, reads = "a schedule of 'segments'", {"segments"}
+    elif "preset" in sc:
+        form, reads = f"the {sc['preset']} preset", _SCHEDULE_KEYS[sc["preset"]]
+    else:
+        form, reads = "a schedule without 'segments' or 'preset'", set()
+    unread = sorted(set(sc) - reads)
+    if unread:
+        raise ConfigError(f"config invalid at $.schedule.{unread[0]}: {form} does not read it")
+    start = cfg["initial_state"]
+    if "q_hz" in start and start["kind"] != "ground":
+        raise ConfigError(
+            "config invalid at $.initial_state.q_hz: only a ground state reads q_hz, "
+            f"not {start['kind']!r}"
+        )
+
+
 def _check_hold_grid(cfg: dict) -> None:
     """The hold grid must not start above its end: ``q_max_hz``, or when
     that is null the q at the end of the entry ramp."""
     o = cfg["optimizer"]
     q_max, what = o["q_max_hz"], "q_max_hz"
     if q_max is None:
-        ramp = o["ramp"]
-        q_max = ramp["q0_hz"] * (1.0 - ramp["t_end_s"] / ramp["T0_s"]) ** 2
+        ramp = reference_ramp(**o["ramp"])
+        q_max = ramp.q_hz_at(ramp.duration)
         what = "the q at the end of the entry ramp"
     if o["q_min_hz"] > q_max:
         raise ConfigError(
@@ -300,12 +299,15 @@ def resolve(doc: dict) -> dict:
     cfg = _merge_defaults(doc, DEFAULTS)
     _check_atom_parity(cfg)
     _check_segments(cfg)
+    _check_unread_keys(cfg)
     _check_hold_grid(cfg)
     _check_ramp_dt(cfg)
     return cfg
 
 
-def load(path: str | Path) -> dict:
+def load(path: str | Path, seed: int | None = None, convention: str | None = None) -> dict:
+    """Read and resolve a config file; a ``seed`` or ``convention`` given
+    here replaces the file's before validation, so it is checked alike."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -314,4 +316,9 @@ def load(path: str | Path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if isinstance(doc, dict):
+        if seed is not None:
+            doc["seed"] = seed
+        if convention is not None and isinstance(doc.get("physics"), dict):
+            doc["physics"]["convention"] = convention
     return resolve(doc)

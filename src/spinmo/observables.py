@@ -20,8 +20,9 @@ pair-basis densities off one projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,8 +31,6 @@ from .operators import TriMatrix, l2_sector
 from .spectra import EigenSystem, eigensolve_tridiagonal
 
 K_THRESHOLD_DEFAULT = 1e-3
-
-CSV_FIELDS = ("t", "q", "K", "F_singlet", "F_twinfock", "xi2", "pc", "norm", "n_current")
 
 
 @dataclass(frozen=True)
@@ -49,17 +48,11 @@ class ObservableRecord:
     n_current: float
 
     def astuple(self) -> tuple:
-        return (
-            self.t,
-            self.q,
-            self.K,
-            self.F_singlet,
-            self.F_twinfock,
-            self.xi2,
-            self.pc,
-            self.norm,
-            self.n_current,
-        )
+        return _CSV_ROW(self)
+
+
+CSV_FIELDS = tuple(f.name for f in fields(ObservableRecord))
+_CSV_ROW = attrgetter(*CSV_FIELDS)
 
 
 @lru_cache(maxsize=64)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import StateVector
-from .observables import ObservableRecord, level_count, occupied_levels, reference_eigensystem
+from .observables import K_THRESHOLD_DEFAULT, ObservableRecord, level_count, occupied_levels, reference_eigensystem
 from .operators import PhysicsParams
 from .propagate import hold_levels, hold_start
 from .schedule import SAMPLE_DT_DEFAULT_S, Hold, Schedule, mirror_schedule, reference_ramp, run_schedule
@@ -56,7 +56,7 @@ class OptimizerConfig:
     sample_dt_s: float = 1e-3
     step_time_cap_s: float = 3.0
     max_steps: int = 6
-    k_threshold: float = 1e-3
+    k_threshold: float = K_THRESHOLD_DEFAULT
     seed: int = 0
     refine_factor: int = 4
     plateau_s: float = 0.32

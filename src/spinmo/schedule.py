@@ -17,12 +17,12 @@ evaluation is exactly reproducible from the serialized form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .basis import StateVector
-from .observables import batch_records, reference_eigensystem
+from .observables import K_THRESHOLD_DEFAULT, batch_records, reference_eigensystem
 from .operators import PhysicsParams
 from .propagate import evolve_hold, evolve_ramp
 
@@ -57,15 +57,6 @@ class ParabolicRamp:
     def mirrored(self) -> "ParabolicRamp":
         return ParabolicRamp(-self.q0_hz, self.T0_s, self.t_end_s, self.t_begin_s)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "parabolic_ramp",
-            "q0_hz": self.q0_hz,
-            "T0_s": self.T0_s,
-            "t_begin_s": self.t_begin_s,
-            "t_end_s": self.t_end_s,
-        }
-
 
 @dataclass(frozen=True)
 class Hold:
@@ -85,9 +76,6 @@ class Hold:
 
     def mirrored(self) -> "Hold":
         return Hold(-self.q_hz, self.duration_s)
-
-    def to_dict(self) -> dict:
-        return {"kind": "hold", "q_hz": self.q_hz, "duration_s": self.duration_s}
 
 
 @dataclass(frozen=True)
@@ -111,16 +99,13 @@ class LinearSweep:
     def mirrored(self) -> "LinearSweep":
         return LinearSweep(-self.q_to_hz, -self.q_from_hz, self.duration_s)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "linear_sweep",
-            "q_from_hz": self.q_from_hz,
-            "q_to_hz": self.q_to_hz,
-            "duration_s": self.duration_s,
-        }
-
 
 Segment = ParabolicRamp | Hold | LinearSweep
+
+# the "kind" of each segment in a schedule document; its other keys are
+# the segment's fields
+SEGMENT_KINDS = {"parabolic_ramp": ParabolicRamp, "hold": Hold, "linear_sweep": LinearSweep}
+_KIND_OF = {cls: kind for kind, cls in SEGMENT_KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -146,23 +131,17 @@ class Schedule:
         raise AssertionError("unreachable")
 
     def to_dict(self) -> dict:
-        return {"segments": [s.to_dict() for s in self.segments]}
+        return {"segments": [{"kind": _KIND_OF[type(s)], **asdict(s)} for s in self.segments]}
 
     @staticmethod
     def from_dict(doc: dict) -> "Schedule":
         segs = []
         for d in doc["segments"]:
-            kind = d.get("kind")
-            if kind == "parabolic_ramp":
-                segs.append(
-                    ParabolicRamp(d["q0_hz"], d["T0_s"], d["t_begin_s"], d["t_end_s"])
-                )
-            elif kind == "hold":
-                segs.append(Hold(d["q_hz"], d["duration_s"]))
-            elif kind == "linear_sweep":
-                segs.append(LinearSweep(d["q_from_hz"], d["q_to_hz"], d["duration_s"]))
-            else:
-                raise ValueError(f"unknown segment kind {kind!r}")
+            fields = dict(d)
+            cls = SEGMENT_KINDS.get(fields.pop("kind", None))
+            if cls is None:
+                raise ValueError(f"unknown segment kind {d.get('kind')!r}")
+            segs.append(cls(**fields))
         return Schedule(tuple(segs))
 
 
@@ -180,11 +159,13 @@ def mirror_schedule(s: Schedule) -> Schedule:
     return Schedule(tuple(seg.mirrored() for seg in reversed(s.segments)))
 
 
-def landau_zener(q0_hz: float, duration_s: float) -> Schedule:
+def landau_zener(q0_hz: float = REFERENCE_Q0_HZ, duration_s: float = 8.63) -> Schedule:
     """Single linear sweep from +q0 to -q0."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
     return Schedule((LinearSweep(q0_hz, -q0_hz, duration_s),))
+
+
+# the schedule presets of the config, by name; a preset's keys are its arguments
+PRESETS = {"reference_ramp": reference_ramp, "landau_zener": landau_zener}
 
 
 def _sample_grid(t_a: float, t_b: float, sample_dt: float) -> np.ndarray:
@@ -251,7 +232,7 @@ def run_schedule(
     sample_dt: float | None = SAMPLE_DT_DEFAULT_S,
     q_offset_hz: float | list[float] = 0.0,
     ramp_dt: float | None = None,
-    k_threshold: float = 1e-3,
+    k_threshold: float = K_THRESHOLD_DEFAULT,
     t0: float = 0.0,
 ) -> tuple:
     """Drive a state through a schedule, recording diagnostics.

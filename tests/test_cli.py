@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,10 +13,13 @@ import pytest
 
 import spinmo
 from spinmo import optimizer, propagate, schedule
-from spinmo.cli import main
-from spinmo.config import load as load_config, resolve
+from spinmo.cli import _COMMANDS, _schedule, main
+from spinmo.config import SCHEMA, load as load_config, resolve
 from spinmo.errors import ConfigError, StepSizeError
+from spinmo.noise import NoiseConfig
 from spinmo.observables import reference_eigensystem, singlet_amplitudes
+from spinmo.opensystem import LossConfig
+from spinmo.schedule import LinearSweep, ParabolicRamp, Schedule
 
 
 def write_cfg(tmp_path: Path, doc: dict, name: str = "cfg.json") -> Path:
@@ -51,6 +55,68 @@ def test_config_defaults_and_validation():
         resolve({"physics": {"c2p_hz": -1.0, "n_atoms": 10}})
     with pytest.raises(ConfigError):
         resolve({"physics": {"c2p_hz": 25.0, "n_atoms": 10}, "bogus": 1})
+
+
+RESOLVED_DEFAULTS = {
+    "seed": 0,
+    "physics": {"c2p_hz": 25.0, "n_atoms": 10, "q_hz": 0.0, "convention": "angular"},
+    "initial_state": {"kind": "polar"},
+    "optimizer": {
+        "mode": "amo",
+        "q_min_hz": 1e-4,
+        "q_max_hz": None,
+        "points_per_decade": 40,
+        "dwell_window": 50,
+        "sample_dt_s": 1e-3,
+        "step_time_cap_s": 3.0,
+        "max_steps": 6,
+        "k_threshold": 1e-3,
+        "refine_factor": 4,
+        "plateau_s": 0.32,
+        "ramp": {"q0_hz": 277.0, "T0_s": 0.955, "t_end_s": 0.9},
+    },
+    "noise": {
+        "mode": "dephasing",
+        "delta_bz_gauss": 1e-4,
+        "delta_bx_gauss": 1e-4,
+        "bz_bias_gauss": 0.0,
+        "q_coeff_hz_per_g2": 277.0,
+        "atom_number_spread": True,
+        "n_traj": 100,
+    },
+    "loss": {"gamma_per_s": 0.005, "n_traj": 2000, "dephasing": True},
+    "oscillator": {
+        "mass": 1.0,
+        "omega": 1.0,
+        "displacement_quanta": 7.0710678118654755,
+        "truncation": 150,
+        "n_samples": 201,
+    },
+    "phase_diagram": {
+        "n_list": [100, 1000],
+        "points_per_decade": 40,
+        "q_min_factor": 0.1,
+        "q_max_factor": 10.0,
+    },
+    "output": {"sample_dt_s": 1e-3, "ramp_dt_s": None},
+}
+
+
+def test_resolved_defaults_are_pinned():
+    cfg = resolve({"physics": {"c2p_hz": 25.0, "n_atoms": 10}})
+    assert cfg == RESOLVED_DEFAULTS
+    # the manifest writes the resolved config: 277 and 277.0 would differ there
+    assert json.dumps(cfg, sort_keys=True) == json.dumps(RESOLVED_DEFAULTS, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "section, cls",
+    [("optimizer", optimizer.OptimizerConfig), ("noise", NoiseConfig), ("loss", LossConfig)],
+)
+def test_schema_section_keys_are_the_dataclass_fields(section, cls):
+    # the CLI builds each dataclass from its section by key name
+    keys = set(SCHEMA["properties"][section]["properties"]) - {"mode", "ramp", "dephasing"}
+    assert keys == {f.name for f in dataclasses.fields(cls)} - {"seed"}
 
 
 def test_config_file_errors(tmp_path):
@@ -211,6 +277,55 @@ def test_seed_and_convention_overrides(tmp_path):
     ]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7 and manifest["convention"] == "plain"
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "neg"
+    cfg = write_cfg(tmp_path, BASE)
+    assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "config invalid at $.seed:" in err["message"]
+    assert not out.exists()
+
+
+RAMP_PRESET = {"preset": "reference_ramp", "q0_hz": 30.0, "T0_s": 0.08, "t_end_s": 0.05}
+
+
+@pytest.mark.parametrize(
+    "section, value, path",
+    [
+        ("schedule", dict(BASE["schedule"], preset="reference_ramp"), "$.schedule.preset"),
+        ("schedule", {"preset": "landau_zener", "q0_hz": 3.0, "T0_s": 0.08}, "$.schedule.T0_s"),
+        ("schedule", {"preset": "landau_zener", "t_end_s": 0.05}, "$.schedule.t_end_s"),
+        ("schedule", dict(RAMP_PRESET, duration_s=0.1), "$.schedule.duration_s"),
+        ("initial_state", {"kind": "polar", "q_hz": 0.5}, "$.initial_state.q_hz"),
+    ],
+    ids=["segments-and-preset", "landau-zener-T0", "landau-zener-t_end", "ramp-duration", "polar-q"],
+)
+def test_keys_nothing_reads_are_config_errors(tmp_path, capsys, section, value, path):
+    doc = dict(BASE, **{section: value})
+    with pytest.raises(ConfigError, match=re.escape(path + ":")):
+        resolve(doc)
+    out = tmp_path / "unread"
+    assert main(["evolve", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and path in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sched, segment",
+    [
+        (RAMP_PRESET, ParabolicRamp(30.0, 0.08, 0.0, 0.05)),
+        ({"preset": "reference_ramp"}, ParabolicRamp(277.0, 0.955, 0.0, 0.9)),
+        ({"preset": "landau_zener", "q0_hz": 3.0, "duration_s": 0.02}, LinearSweep(3.0, -3.0, 0.02)),
+        ({"preset": "landau_zener"}, LinearSweep(277.0, -277.0, 8.63)),
+    ],
+    ids=["reference-ramp", "reference-ramp-defaults", "landau-zener", "landau-zener-defaults"],
+)
+def test_schedule_presets_read_their_keys(sched, segment):
+    assert _schedule(resolve(dict(BASE, schedule=sched))) == Schedule((segment,))
 
 
 def test_oscillator_demo(tmp_path):
