@@ -68,12 +68,16 @@ def _initial_state(cfg: dict, params: PhysicsParams) -> StateVector:
 def _schedule(cfg: dict) -> Schedule:
     sc = cfg.get("schedule")
     if sc is None:
-        raise ConfigError("this command requires a 'schedule' section")
+        raise ConfigError(
+            "config invalid at $.schedule: this command requires a 'schedule' section"
+        )
     if "segments" in sc:
         return Schedule.from_dict(sc)
     if "preset" in sc:
         return PRESETS[sc["preset"]](**{k: v for k, v in sc.items() if k != "preset"})
-    raise ConfigError("schedule needs either 'segments' or a known 'preset'")
+    raise ConfigError(
+        "config invalid at $.schedule: a schedule needs either 'segments' or a 'preset'"
+    )
 
 
 def _noise_config(cfg: dict) -> NoiseConfig:
@@ -179,6 +183,7 @@ def cmd_noise(cfg: dict, run: RunDir) -> None:
         _noise_config(cfg),
         sample_dt=cfg["output"]["sample_dt_s"],
         ramp_dt=cfg["output"]["ramp_dt_s"],
+        info=run.info,
     )
     _write_ensemble(run, result)
 
@@ -197,6 +202,7 @@ def cmd_loss(cfg: dict, run: RunDir) -> None:
         sample_dt=cfg["output"]["sample_dt_s"],
         dephasing=dephasing,
         ramp_dt=cfg["output"]["ramp_dt_s"],
+        info=run.info,
     )
     write_table_csv(
         run.file("aggregate.csv"),
@@ -300,6 +306,8 @@ _COMMANDS = {
     "oscillator-demo": cmd_oscillator_demo,
     "phase-diagram": cmd_phase_diagram,
 }
+# the commands that run the config's schedule
+_SCHEDULED = ("evolve", "noise", "loss")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed, convention=args.convention)
+        if args.command in _SCHEDULED:
+            _schedule(cfg)  # a schedule error leaves no output directory
         run = RunDir(args.out, args.command, cfg)
         _COMMANDS[args.command](cfg, run)
         run.finalize()

@@ -13,6 +13,7 @@ nominal bias field, so a bias fluctuation delta_Bz leaves the residual
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +174,7 @@ def run_dephasing_ensemble(
     cfg: NoiseConfig,
     sample_dt: float | None = 1e-2,
     ramp_dt: float | None = None,
+    info: dict | None = None,
 ) -> EnsembleResult:
     """Replay one schedule over an ensemble of (delta_Bz, N) draws.
 
@@ -186,8 +188,12 @@ def run_dephasing_ensemble(
     Every trajectory starts from the polar state of its drawn atom number;
     a configured ``initial_state`` is not used (a known defect: mending it
     changes the outputs of existing runs).
+
+    ``info``, when given, receives the run's counters: trajectories and
+    the hold blocks solved.
     """
     draws = [sample_trajectory_config(cfg, params.n_atoms, i) for i in range(cfg.n_traj)]
+    counts: Counter = Counter()
     records, _ = run_schedule(
         [polar_state(PairBasis(d.n_atoms)) for d in draws],
         schedule,
@@ -195,7 +201,10 @@ def run_dephasing_ensemble(
         sample_dt=sample_dt,
         q_offset_hz=[q_offset(d.delta_bz_gauss, cfg) for d in draws],
         ramp_dt=ramp_dt,
+        counts=counts,
     )
+    if info is not None:
+        info.update(trajectories=cfg.n_traj, hold_blocks=counts["hold_blocks"])
     curves = [_curves_from_records(r) for r in records]
     times = np.array([r.t for r in records[0]])
     return EnsembleResult(times=times, classes=_parity_classes(times, curves, draws), draws=draws)
@@ -207,6 +216,7 @@ def run_relaxation_ensemble(
     cfg: NoiseConfig,
     sample_dt: float | None = 1e-2,
     ramp_dt: float | None = None,
+    info: dict | None = None,
 ) -> EnsembleResult:
     """Transverse-field robustness in the rotating-wave (averaged) limit.
 
@@ -229,4 +239,6 @@ def run_relaxation_ensemble(
                 f"rotating-wave limit invalid for trajectory {i}: h/p = "
                 f"{abs(h_hz / p_hz):.2e} > 1e-2"
             )
-    return run_dephasing_ensemble(schedule, params, cfg, sample_dt=sample_dt, ramp_dt=ramp_dt)
+    return run_dephasing_ensemble(
+        schedule, params, cfg, sample_dt=sample_dt, ramp_dt=ramp_dt, info=info
+    )

@@ -57,7 +57,10 @@ _CSV_ROW = attrgetter(*CSV_FIELDS)
 
 @lru_cache(maxsize=64)
 def reference_eigensystem(n_atoms: int, magnetization: int = 0) -> EigenSystem:
-    """Eigenbasis of the q = 0 Hamiltonian (pure spin-exchange chain)."""
+    """Eigenbasis of the q = 0 Hamiltonian (pure spin-exchange chain).
+    The chains of M and -M are one matrix, so they share one solve."""
+    if magnetization < 0:
+        return reference_eigensystem(n_atoms, -magnetization)
     return eigensolve_tridiagonal(l2_sector(n_atoms, magnetization))
 
 

@@ -9,20 +9,28 @@ through channel m with probability ``<n_m>/N``.  The pieces between
 jumps walk the schedule through the segment step of the schedule runner
 (:func:`~spinmo.schedule.advance_segment`), so a piece evolves exactly as
 the same stretch of :func:`~spinmo.schedule.run_schedule` does.
+
+A loss run keeps one table of the (N, M) sectors its trajectories reach
+(:class:`~spinmo.propagate.Sector`), so a sector's basis and ramp chain
+pieces are built once per run, and its reference eigensystem once, and
+only if a record or a hold reads it: a jump inside a ramp needs none.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import SectorBasis, StateVector
 from .errors import ConfigError
-from .observables import ObservableRecord, batch_records, reference_eigensystem
+from .observables import ObservableRecord, batch_records
 from .operators import PhysicsParams
+from .propagate import Sector
 from .schedule import Hold, LinearSweep, ParabolicRamp, Schedule, Segment
 from .schedule import advance_segment, segment_instants
 
@@ -86,8 +94,22 @@ def _slice_segment(seg: Segment, a: float, b: float) -> Segment:
     raise TypeError(f"unsupported segment {type(seg)!r}")
 
 
-def _apply_loss(state: StateVector, channel: int) -> StateVector:
-    """Annihilate one atom in Zeeman component ``channel`` and renormalize."""
+class _Sectors(dict):
+    """The chain sectors of one loss run by (N, M), each made when first
+    looked up, for the run's ``params``."""
+
+    def __init__(self, params: PhysicsParams):
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, key: tuple[int, int]) -> Sector:
+        self[key] = sector = Sector(SectorBasis(*key), self.params)
+        return sector
+
+
+def _apply_loss(state: StateVector, channel: int, sectors: _Sectors | None = None) -> StateVector:
+    """Annihilate one atom in Zeeman component ``channel`` and renormalize;
+    the new sector's basis comes from ``sectors`` when given."""
     basis: SectorBasis = state.basis
     n, m = basis.n_atoms, basis.magnetization
     if channel == 0:
@@ -102,7 +124,8 @@ def _apply_loss(state: StateVector, channel: int) -> StateVector:
     lost = w * state.amplitudes
     if not lost.any():  # an empty channel may have no target sector
         raise ArithmeticError("loss channel annihilated the state")
-    new_basis = SectorBasis(n - 1, m - channel)
+    target = (n - 1, m - channel)
+    new_basis = SectorBasis(*target) if sectors is None else sectors[target].basis
     out = np.zeros(new_basis.size, dtype=np.complex128)
     # each source level with w != 0 lands on its own target level
     live = w != 0.0
@@ -124,6 +147,16 @@ def _channel_probabilities(state: StateVector) -> np.ndarray:
     )
 
 
+def _draw_channel(p: np.ndarray, u: float) -> int:
+    """The channel (-1, 0 or +1) that probabilities ``p`` give a uniform
+    ``u`` in [0, 1) by inverse CDF: the step and the one uniform of
+    ``Generator.choice([-1, 0, 1], p=p)``, which it matches draw for draw.
+    A channel of probability 0 is never drawn."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right")) - 1
+
+
 def gillespie_trajectory(
     state0: StateVector,
     schedule: Schedule,
@@ -133,6 +166,8 @@ def gillespie_trajectory(
     sample_dt: float | None = None,
     q_offset_hz: float = 0.0,
     ramp_dt: float | None = None,
+    sectors: _Sectors | None = None,
+    counts: Counter | None = None,
 ) -> LossTrajectory:
     """One quantum-jump unraveling of the loss master equation.
 
@@ -145,18 +180,23 @@ def gillespie_trajectory(
     [t, t_next) goes to the piece that starts at t, so a record at a jump
     holds the post-jump state.  An emptied trajectory no longer evolves
     but is still recorded.
+
+    ``sectors`` is the run's sector table for ``params``
+    (:func:`run_loss_study`); without one the trajectory keeps its own.
+    The hold blocks solved are added to ``counts["hold_blocks"]``.
     """
     rng = np.random.default_rng([cfg.seed, 7, index])
+    sectors = _Sectors(params) if sectors is None else sectors
     state = state0.copy()
+    sector = sectors[state.basis.n_atoms, state.basis.magnetization]
     gamma = cfg.gamma_per_s
     jumps: list[JumpEvent] = []
     records: list[ObservableRecord] = []
     magnetizations: list[int] = []
-    ref = reference_eigensystem(state.basis.n_atoms, state.basis.magnetization)
 
     def emit(cols, ts, qs):
         basis = state.basis
-        records.extend(batch_records(basis, cols, ts, qs, ref))
+        records.extend(batch_records(basis, cols, ts, qs, sector.reference))
         magnetizations.extend([basis.magnetization] * len(ts))
 
     q_start = schedule.q_hz_at(0.0) + q_offset_hz if schedule.segments else 0.0
@@ -179,18 +219,18 @@ def gillespie_trajectory(
                     else _slice_segment(seg, t - t_seg, seg.duration if last else next_jump - t_seg)
                 )
                 (cols,), (state,) = advance_segment(
-                    [state], piece, [params], [q_offset_hz], [ref], ts[i:k] - t, ramp_dt
+                    [state], piece, [sector], [q_offset_hz], ts[i:k] - t, ramp_dt, counts
                 )
             if n_rec:
                 emit(cols[:, :n_rec], grid[i : i + n_rec], qs[i : i + n_rec])
             if last:
                 break
             t, i = next_jump, k
-            channel = int(rng.choice([-1, 0, 1], p=_channel_probabilities(state)))
+            channel = _draw_channel(_channel_probabilities(state), rng.random())
             jumps.append(JumpEvent(t=t, channel=channel, n_before=state.basis.n_atoms))
-            state = _apply_loss(state, channel)
+            state = _apply_loss(state, channel, sectors)
             n_now = state.basis.n_atoms
-            ref = reference_eigensystem(n_now, state.basis.magnetization)
+            sector = sectors[n_now, state.basis.magnetization]
             next_jump = t + rng.exponential(1.0 / (2.0 * gamma * n_now)) if n_now else math.inf
         t_seg = grid[-1]
 
@@ -233,12 +273,22 @@ def run_loss_study(
     sample_dt: float | None = 1e-2,
     dephasing: "NoiseConfig | None" = None,
     ramp_dt: float | None = None,
+    info: dict | None = None,
 ) -> LossStudyResult:
-    """Trajectory ensemble of the loss process, optionally with dephasing draws."""
+    """Trajectory ensemble of the loss process, optionally with dephasing draws.
+
+    The trajectories share one sector table, which is dropped on return.
+    ``info``, when given, receives the run's counters: trajectories, jumps,
+    the reference eigensystems solved, the hold blocks solved and the wall
+    time of a trajectory (median and max).
+    """
     from .noise import NoiseConfig, mean_stderr, q_offset, sample_trajectory_config
 
     rows = []
     summaries = []
+    sectors = _Sectors(params)
+    counts: Counter = Counter()
+    clock = [time.perf_counter()]
     for i in range(cfg.n_traj):
         dq = 0.0
         if dephasing is not None:
@@ -246,7 +296,7 @@ def run_loss_study(
             dq = q_offset(draw.delta_bz_gauss, dephasing)
         traj = gillespie_trajectory(
             state0, schedule, params, cfg, index=i, sample_dt=sample_dt, q_offset_hz=dq,
-            ramp_dt=ramp_dt,
+            ramp_dt=ramp_dt, sectors=sectors, counts=counts,
         )
         # per record: t, the transverse variance sum <L^2> - M^2 (the
         # record's xi2 holds it over N), N, F_singlet and M
@@ -255,7 +305,20 @@ def run_loss_study(
             for r, m in zip(traj.records, traj.magnetizations)
         ]).T)
         summaries.append(traj.summary)
+        clock.append(time.perf_counter())
     t, l2, n, f, m = np.stack(rows, axis=1)  # each trajectories x records
+    if info is not None:
+        traj_s = np.diff(clock)
+        info.update(
+            trajectories=cfg.n_traj,
+            jumps=sum(s.n_jumps for s in summaries),
+            # the chains of M and -M share one reference solve
+            reference_eigensystems=len(
+                {(na, abs(ma)) for (na, ma), sec in sectors.items() if "reference" in vars(sec)}
+            ),
+            hold_blocks=counts["hold_blocks"],
+            trajectory_wall_s={"p50": float(np.median(traj_s)), "max": float(traj_s.max())},
+        )
 
     l2_mean, l2_stderr = mean_stderr(l2)
     n_mean, n_stderr = mean_stderr(n)

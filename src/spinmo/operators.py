@@ -81,7 +81,7 @@ class TriMatrix:
         object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=np.float64))
         if self.offdiag.shape != (max(self.size - 1, 0),):
             raise ValueError("offdiag must have length len(diag) - 1")
-        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.offdiag).all()):
             raise ValueError("matrix entries must be finite")
 
     @property

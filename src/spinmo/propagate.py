@@ -13,14 +13,16 @@ truncation is certified step by step.  States carry their exact phase.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .basis import SectorBasis, StateVector
 from .errors import StepSizeError
-from .observables import reference_n0
+from .observables import reference_eigensystem, reference_n0
 from .operators import PhysicsParams, TriMatrix, l2_sector
 from .spectra import EigenSystem, eigensolve_tridiagonal, real_map
 
@@ -51,6 +53,27 @@ class _ChainPieces:
             qdiag=-f * basis.n_zero.astype(np.float64),
             off=f * (params.c2p_hz / n) * l2.offdiag,
         )
+
+
+class Sector:
+    """A chain sector as the evolution reads it, for one ``params``: its
+    basis, the chain pieces that its ramps read and the reference
+    eigensystem that its holds and records read.  The pieces and the
+    reference are built when first read and then kept, so a caller that
+    keeps a sector builds each at most once, and only if something reads
+    it."""
+
+    def __init__(self, basis: SectorBasis, params: PhysicsParams):
+        self.basis = basis
+        self.params = params
+
+    @cached_property
+    def pieces(self) -> _ChainPieces:
+        return _ChainPieces.build(self.params, self.basis)
+
+    @cached_property
+    def reference(self) -> EigenSystem:
+        return reference_eigensystem(self.basis.n_atoms, self.basis.magnetization)
 
 
 def leading_window(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
@@ -138,17 +161,21 @@ def hold_levels(
 
 
 def evolve_hold(
-    state: StateVector, q_hz: float, params: PhysicsParams, reference: EigenSystem, taus
+    state: StateVector, q_hz: float, sector: Sector, taus, counts: Counter | None = None
 ) -> np.ndarray:
     """``exp(-i H(q) tau)`` applied to a chain-sector state, one column per
     tau, on the block that :func:`hold_levels` certifies up to the longest
-    tau.  ``reference`` is the sector's reference eigensystem.  Each column
-    is its own product, so it depends on the other taus only through the
-    longest one."""
+    tau, in the reference frame of the state's ``sector``.  Each column is
+    its own product, so it depends on the other taus only through the
+    longest one.  The blocks solved are added to ``counts["hold_blocks"]``."""
+    reference = sector.reference
     a = reference.project(state.amplitudes)
-    eig, _ = hold_levels(a, q_hz, params, state.basis, reference, max(taus))
+    memo: dict = {}
+    eig, c = hold_levels(a, q_hz, sector.params, state.basis, reference, max(taus), memo=memo)
+    if counts is not None:
+        counts["hold_blocks"] += len(memo)
     r = reference.vectors[:, : eig.size]
-    return np.stack([real_map(r, col) for col in eig.evolve(a[: eig.size], taus).T], axis=1)
+    return np.stack([real_map(r, col) for col in eig.evolve_projected(c, taus)], axis=1)
 
 
 def evolve_ramp(
@@ -158,6 +185,7 @@ def evolve_ramp(
     dt: float | None = None,
     sample_times: np.ndarray | None = None,
     q_offset_hz: float | list[float] = 0.0,
+    pieces: list[_ChainPieces] | None = None,
 ) -> tuple:
     """Integrate one time-dependent segment (parabolic ramp or linear sweep).
 
@@ -188,6 +216,9 @@ def evolve_ramp(
     main windows.  The main line and the branches share one dict of
     Chebyshev coefficients, which lives for this call only.  States carry
     their exact phase.
+
+    ``pieces`` are the chain pieces of each state's sector and params
+    (:attr:`Sector.pieces`), for a caller that has built them already.
     """
     single = isinstance(state, StateVector)
     states = [state] if single else list(state)
@@ -200,7 +231,8 @@ def evolve_ramp(
         dt = RAMP_DT_S
     elif dt > RAMP_DT_S:
         raise StepSizeError(f"dt={dt:.3e} s is coarser than the ramp step {RAMP_DT_S:.3e} s")
-    pieces = [_ChainPieces.build(p, st.basis) for p, st in zip(params, states)]
+    if pieces is None:
+        pieces = [_ChainPieces.build(p, st.basis) for p, st in zip(params, states)]
     diag0 = [pc.diag0 for pc in pieces]
     qdiag = [pc.qdiag for pc in pieces]
     off = [pc.off for pc in pieces]

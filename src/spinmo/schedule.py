@@ -17,14 +17,15 @@ evaluation is exactly reproducible from the serialized form.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .basis import StateVector
-from .observables import K_THRESHOLD_DEFAULT, batch_records, reference_eigensystem
+from .observables import K_THRESHOLD_DEFAULT, batch_records
 from .operators import PhysicsParams
-from .propagate import evolve_hold, evolve_ramp
+from .propagate import Sector, evolve_hold, evolve_ramp
 
 REFERENCE_Q0_HZ = 277.0
 REFERENCE_T0_S = 0.955
@@ -191,32 +192,36 @@ def segment_instants(seg: Segment, t_start: float, sample_dt: float | None, q_of
 def advance_segment(
     states: list[StateVector],
     seg: Segment,
-    params: list[PhysicsParams],
+    sectors: list[Sector],
     q_offsets: list[float],
-    references: list,
     taus: np.ndarray,
     ramp_dt: float | None = None,
+    counts: Counter | None = None,
 ) -> tuple[list[np.ndarray], list[StateVector]]:
     """Evolve chain-sector states through one segment.
 
     Returns each state's amplitude columns at the sorted local times
-    ``taus`` and then at the segment's end, and the final states.  A hold
-    evolves each state by :func:`~spinmo.propagate.evolve_hold` on the
-    block certified for the whole segment; a ramp or sweep advances the
-    batch in one :func:`~spinmo.propagate.evolve_ramp` call, ``ramp_dt``
-    long steps and the taus on side branches.  State b sees the control
-    curve shifted by ``q_offsets[b]``; ``references[b]`` is its sector's
-    :func:`~spinmo.observables.reference_eigensystem`.
+    ``taus`` and then at the segment's end, and the final states.
+    ``sectors[b]`` is the :class:`~spinmo.propagate.Sector` of state b and
+    its params.  A hold evolves each state by
+    :func:`~spinmo.propagate.evolve_hold` on the block certified for the
+    whole segment, in its sector's reference frame, and adds the blocks it
+    solves to ``counts``; a ramp or sweep advances the batch in one
+    :func:`~spinmo.propagate.evolve_ramp` call on its sectors' chain
+    pieces, ``ramp_dt`` long steps and the taus on side branches, and
+    reads no reference.  State b sees the control curve shifted by
+    ``q_offsets[b]``.
     """
     if isinstance(seg, Hold):
         taus = np.concatenate((taus, [seg.duration]))
         cols = [
-            evolve_hold(st, seg.q_hz + dq, p, ref, taus)
-            for st, p, dq, ref in zip(states, params, q_offsets, references)
+            evolve_hold(st, seg.q_hz + dq, sec, taus, counts)
+            for st, sec, dq in zip(states, sectors, q_offsets)
         ]
         return cols, [StateVector(st.basis, c[:, -1].copy()) for st, c in zip(states, cols)]
     finals, samples = evolve_ramp(
-        states, seg, params, dt=ramp_dt, sample_times=taus, q_offset_hz=q_offsets
+        states, seg, [sec.params for sec in sectors], dt=ramp_dt, sample_times=taus,
+        q_offset_hz=q_offsets, pieces=[sec.pieces for sec in sectors],
     )
     cols = [
         np.column_stack([svs[b].amplitudes for _, svs in samples] + [final.amplitudes])
@@ -234,6 +239,7 @@ def run_schedule(
     ramp_dt: float | None = None,
     k_threshold: float = K_THRESHOLD_DEFAULT,
     t0: float = 0.0,
+    counts: Counter | None = None,
 ) -> tuple:
     """Drive a state through a schedule, recording diagnostics.
 
@@ -252,24 +258,25 @@ def run_schedule(
     schedule together: each ramp or sweep advances the whole batch in one
     :func:`evolve_ramp` call, and each hold evolves every state on its own
     block.  The result is then a list of record lists and a list of
-    final states.  A single state is a batch of one.
+    final states.  A single state is a batch of one.  The hold blocks
+    solved are added to ``counts["hold_blocks"]``.
     """
     single = isinstance(state0, StateVector)
     states = [st.copy() for st in ([state0] if single else state0)]
     n_batch = len(states)
     params = [params] if single else list(params)
     offsets = [float(q_offset_hz)] * n_batch if np.ndim(q_offset_hz) == 0 else list(q_offset_hz)
-    refs = [reference_eigensystem(st.basis.n_atoms, st.basis.magnetization) for st in states]
+    sectors = [Sector(st.basis, p) for st, p in zip(states, params)]
 
     def records_of(b, cols, ts, qs):
-        return batch_records(states[b].basis, cols, ts, qs, refs[b], k_threshold)
+        return batch_records(states[b].basis, cols, ts, qs, sectors[b].reference, k_threshold)
 
     q_start = [schedule.q_hz_at(0.0) + dq if schedule.segments else 0.0 for dq in offsets]
     records = [records_of(b, st.amplitudes[:, None], [t0], [q_start[b]]) for b, st in enumerate(states)]
     t_global = t0
     for seg in schedule.segments:
         ts, taus, qs = segment_instants(seg, t_global, sample_dt, offsets)
-        cols, states = advance_segment(states, seg, params, offsets, refs, taus, ramp_dt)
+        cols, states = advance_segment(states, seg, sectors, offsets, taus, ramp_dt, counts)
         for b in range(n_batch):
             records[b].extend(records_of(b, cols[b], ts, qs[b]))
         t_global = ts[-1]

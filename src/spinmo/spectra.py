@@ -52,11 +52,16 @@ class EigenSystem:
         Each column is its own product, so its floats do not depend on
         how many other times share the call.
         """
-        c = self.project(amplitudes)
         out = np.empty((self.size, len(taus)), dtype=complex)
-        for j, tau in enumerate(taus):
-            out[:, j] = real_map(self.vectors, np.exp(-1j * self.values * tau) * c)
+        for j, col in enumerate(self.evolve_projected(self.project(amplitudes), taus)):
+            out[:, j] = col
         return out
+
+    def evolve_projected(self, c: np.ndarray, taus) -> list[np.ndarray]:
+        """The columns of :meth:`evolve` for the state whose eigenbasis
+        amplitudes are ``c`` (:meth:`project`), one array per tau."""
+        rate = -1j * self.values
+        return [real_map(self.vectors, np.exp(rate * tau) * c) for tau in taus]
 
 
 def real_map(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -70,10 +75,8 @@ def real_map(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
+    lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def eigensolve_tridiagonal(m: TriMatrix) -> EigenSystem:

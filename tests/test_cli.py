@@ -200,6 +200,46 @@ def test_loss_determinism_rerun_identical_bytes(tmp_path):
     assert any(s["jumps"] for s in json.loads((out / "jumps.json").read_text()))
 
 
+@pytest.mark.parametrize("command", ["evolve", "noise", "loss"])
+@pytest.mark.parametrize("schedule", [None, {}], ids=["no-section", "empty-section"])
+def test_a_run_without_a_schedule_exits_2_before_its_output_directory(
+    tmp_path, capsys, command, schedule
+):
+    doc = {k: v for k, v in BASE.items() if k != "schedule"}
+    if schedule is not None:
+        doc["schedule"] = schedule
+    out = tmp_path / "x"
+    rc = main([command, "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "config invalid at $.schedule:" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["noise", "loss"])
+def test_ensemble_run_info_reports_its_counters(tmp_path, command):
+    doc = json.loads(json.dumps(BASE))
+    doc[command] = {"n_traj": 3} if command == "noise" else {"gamma_per_s": 2.0, "n_traj": 3}
+    runs = [tmp_path / "a", tmp_path / "b"]
+    cfg = write_cfg(tmp_path, doc)
+    for out in runs:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    for name in names:
+        if name != "run_info.json":
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    info = json.loads((runs[0] / "run_info.json").read_text())
+    assert info["trajectories"] == 3
+    # one hold segment, at least one block per trajectory
+    assert isinstance(info["hold_blocks"], int) and info["hold_blocks"] >= 3
+    if command == "loss":
+        jumps = json.loads((runs[0] / "jumps.json").read_text())
+        assert info["jumps"] == sum(len(t["jumps"]) for t in jumps) > 0
+        assert 1 <= info["reference_eigensystems"] <= 1 + info["jumps"]
+        wall = info["trajectory_wall_s"]
+        assert 0 < wall["p50"] <= wall["max"] <= info["wall_clock_s"]
+
+
 def test_threads_is_not_a_config_key(tmp_path, capsys):
     doc = dict(BASE, threads=2)
     rc = main(["evolve", "--config", str(write_cfg(tmp_path, doc)), "--out", str(tmp_path / "x")])

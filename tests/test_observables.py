@@ -170,7 +170,7 @@ def sector_columns(basis):
     return np.column_stack([rand / np.linalg.norm(rand), ground, site0]).astype(complex)
 
 
-@pytest.mark.parametrize("n,m", [(2, 0), (12, 0), (13, 0), (40, 3), (999, 1), (1000, 0)])
+@pytest.mark.parametrize("n,m", [(2, 0), (12, 0), (13, 0), (40, 3), (40, -3), (999, 1), (1000, 0)])
 def test_records_match_the_pair_basis_formulas(n, m):
     # the record reads K, F_singlet and xi2 off the populations in the
     # total-spin basis; here they are taken from the L^2 chain, the singlet
@@ -188,6 +188,17 @@ def test_records_match_the_pair_basis_formulas(n, m):
         assert abs(r.F_singlet - f) <= 1e-14
         pops = np.abs(ref.vectors.T.astype(complex) @ col) ** 2
         assert r.K == max(int((pops > 1e-3).sum()), 1)
+
+
+@pytest.mark.parametrize("n, m", [(9, 1), (40, 3)])
+def test_the_chains_of_m_and_minus_m_share_one_reference(n, m):
+    reference_eigensystem.cache_clear()
+    shared = reference_eigensystem(n, -m)
+    assert shared is reference_eigensystem(n, m)
+    # the L^2 chain reads |M| only, so the shared solve is the -M sector's own
+    direct = eigensolve_tridiagonal(l2_sector(n, -m))
+    assert np.array_equal(shared.values, direct.values)
+    assert np.array_equal(shared.vectors, direct.vectors)
 
 
 def test_empty_sector_helpers_read_the_record():

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import spinmo.observables
 from spinmo.basis import SectorBasis, StateVector, build_pair_basis, polar_state
 from spinmo.errors import ConfigError
 from spinmo.observables import singlet_amplitudes
@@ -10,6 +12,7 @@ from spinmo.opensystem import (
     LossConfig,
     _apply_loss,
     _channel_probabilities,
+    _draw_channel,
     gillespie_trajectory,
     postselect,
     run_loss_study,
@@ -92,6 +95,58 @@ def test_channel_probabilities_sum_to_one():
         probs = _channel_probabilities(StateVector(basis, amps))
         assert abs(probs.sum() - 1.0) < 1e-12
         assert np.all(probs >= 0)
+
+
+def test_channel_draw_matches_generator_choice():
+    rng = np.random.default_rng(17)
+    pairs = 0
+    for seed in range(1200):
+        # probabilities as _channel_probabilities gives them, some of them 0
+        w = rng.random(3) * (rng.random(3) > 0.3)
+        if not w.any():
+            w[seed % 3] = 1.0
+        p = w / w.sum()
+        want_rng, got_rng = np.random.default_rng([seed, 7]), np.random.default_rng([seed, 7])
+        for _ in range(3):
+            want = int(want_rng.choice([-1, 0, 1], p=p))
+            got = _draw_channel(p, got_rng.random())
+            assert got == want, (seed, p)
+            assert p[got + 1] > 0
+            pairs += 1
+        # one uniform per draw: the exponential stream goes on alike
+        assert want_rng.exponential(1.0) == got_rng.exponential(1.0)
+    assert pairs >= 1000
+
+
+def test_channel_sequence_of_a_lossy_trajectory_is_pinned():
+    n = 20
+    st = polar_state(build_pair_basis(n))
+    sched = Schedule((Hold(0.3, 0.5), ParabolicRamp(30.0, 0.08, 0.0, 0.05)))
+    cfg = LossConfig(gamma_per_s=0.2, n_traj=1, seed=3)
+    traj = gillespie_trajectory(st, sched, PhysicsParams(25.0, n), cfg, index=1, sample_dt=0.1)
+    assert [j.channel for j in traj.summary.jumps] == [-1, 0, 1, -1, 0]
+
+
+def test_references_are_built_only_for_sectors_that_are_read(monkeypatch):
+    built = []
+    original = spinmo.observables.reference_eigensystem
+
+    def recording(n_atoms, magnetization=0):
+        built.append((n_atoms, magnetization))
+        return original(n_atoms, magnetization)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinmo") and getattr(module, "reference_eigensystem", None) is original:
+            monkeypatch.setattr(module, "reference_eigensystem", recording)
+    n = 40
+    st = polar_state(build_pair_basis(n))
+    # every jump falls inside the one ramp, and the records sit at its ends
+    sched = Schedule((ParabolicRamp(30.0, 0.08, 0.0, 0.05),))
+    cfg = LossConfig(gamma_per_s=2.0, n_traj=1, seed=2)
+    traj = gillespie_trajectory(st, sched, PhysicsParams(25.0, n), cfg, sample_dt=0.1)
+    s = traj.summary
+    assert s.n_jumps >= 2 and [r.t for r in traj.records] == [0.0, 0.05]
+    assert set(built) == {(n, 0), (s.final_n, s.final_m)}
 
 
 def test_apply_loss_moves_sector():
