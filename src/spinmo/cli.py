@@ -161,7 +161,7 @@ def _write_ensemble(run: RunDir, result) -> None:
                 cls: {
                     "xi2": float(agg.xi2[-1]),
                     "F_singlet": float(agg.mean["F_singlet"][-1]),
-                    "n_mean": float(agg.n_mean[-1]),
+                    "n_mean": float(agg.mean["n_current"][-1]),
                 }
                 for cls, agg in result.classes.items()
             },
@@ -204,18 +204,19 @@ def cmd_loss(cfg: dict, run: RunDir) -> None:
         ramp_dt=cfg["output"]["ramp_dt_s"],
         info=run.info,
     )
+    agg = result.aggregate
     write_table_csv(
         run.file("aggregate.csv"),
         ["t", "xi2", "xi2_stderr", "n_mean", "n_stderr", "f_singlet_mean", "f_singlet_stderr"],
         list(
             zip(
                 result.times,
-                result.xi2,
-                result.xi2_stderr,
-                result.n_mean,
-                result.n_stderr,
-                result.f_singlet_mean,
-                result.f_singlet_stderr,
+                agg.xi2,
+                agg.xi2_stderr,
+                agg.mean["n_current"],
+                agg.stderr["n_current"],
+                agg.mean["F_singlet"],
+                agg.stderr["F_singlet"],
             )
         ),
     )

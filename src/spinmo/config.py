@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -204,6 +205,10 @@ def _merge_defaults(doc: dict, defaults: dict) -> dict:
     return out
 
 
+def _json_path(where: list) -> str:
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in where)
+
+
 def validate(doc: dict) -> None:
     validator = jsonschema.Draft202012Validator(SCHEMA)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
@@ -213,8 +218,17 @@ def validate(doc: dict) -> None:
         if e.validator == "additionalProperties":
             # an unknown key is reported at its own path, the first in sorted order
             where.append(min(set(e.instance) - set(e.schema.get("properties", {}))))
-        path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in where)
-        raise ConfigError(f"config invalid at {path}: {e.message}")
+        raise ConfigError(f"config invalid at {_json_path(where)}: {e.message}")
+
+
+def _check_finite(node, where: list) -> None:
+    """Every number must be finite: ``json.loads`` reads NaN and Infinity,
+    and the schema's bounds let them through."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"config invalid at {_json_path(where)}: {node} is not a finite number")
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, val in items:
+        _check_finite(val, [*where, key])
 
 
 def _check_atom_parity(cfg: dict) -> None:
@@ -296,6 +310,7 @@ def resolve(doc: dict) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     validate(doc)
+    _check_finite(doc, [])
     cfg = _merge_defaults(doc, DEFAULTS)
     _check_atom_parity(cfg)
     _check_segments(cfg)

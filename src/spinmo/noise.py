@@ -4,7 +4,9 @@ transverse relaxation in the rotating-wave limit.
 Noise is quasi-static: every trajectory draws one (delta_Bz, delta_Bx,
 atom number) triple from counter-based streams (seed, index), replays
 the nominal control schedule on the pair sector of its atom number, and
-the ensemble is aggregated split by atom-number parity.  The quadratic
+the ensemble is aggregated split by atom-number parity.  :func:`aggregate`
+is the one ensemble statistic; the loss study and its postselection
+(:mod:`spinmo.opensystem`) use it too.  The quadratic
 Zeeman control is realized through a microwave shift computed for the
 nominal bias field, so a bias fluctuation delta_Bz leaves the residual
 ((Bz+delta)^2 - Bz^2) * 277 Hz/G^2 on every q value.
@@ -82,90 +84,79 @@ def q_offset(delta_bz_gauss: float, cfg: NoiseConfig) -> float:
 
 
 @dataclass
-class ParityAggregate:
-    """Mean and standard error of every observable column, one parity class."""
+class Aggregate:
+    """Mean and standard error of every curve over a set of trajectories,
+    and the squeezing of the set."""
 
     n_traj: int
-    times: np.ndarray
     mean: dict[str, np.ndarray]
     stderr: dict[str, np.ndarray]
-    xi2: np.ndarray            # moments averaged over the class, then combined
+    xi2: np.ndarray            # moments averaged over the set, then combined
     xi2_stderr: np.ndarray
-    n_mean: np.ndarray
 
 
 @dataclass
 class EnsembleResult:
     times: np.ndarray
-    classes: dict[str, ParityAggregate]  # "all", "even", "odd"
+    classes: dict[str, Aggregate]  # "all", "even", "odd"
     draws: list[TrajectoryDraw]
-
-    def final(self, cls: str, fieldname: str) -> float:
-        return float(self.classes[cls].mean[fieldname][-1])
 
 
 _CURVE_FIELDS = ("K", "F_singlet", "F_twinfock", "pc", "n_current")
 
 
-def mean_stderr(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean over the trajectories (rows) of ``stack`` and its standard
-    error, 0 for a single trajectory."""
-    n = stack.shape[0]
-    stderr = stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(stack.shape[1])
-    return stack.mean(axis=0), stderr
+def trajectory_curves(records: list[ObservableRecord], magnetizations) -> dict[str, np.ndarray]:
+    """The curves of one trajectory that :func:`aggregate` reads: the
+    record fields, the transverse variance sum ``l2`` = <L^2> - M^2 (the
+    record's xi2 holds it over N) and the M of each record's sector."""
+    curves = {f: np.array([getattr(r, f) for r in records], dtype=float) for f in _CURVE_FIELDS}
+    curves["l2"] = np.array([r.xi2 * r.n_current for r in records])
+    curves["M"] = np.asarray(magnetizations, dtype=float)
+    return curves
 
 
-def _aggregate(
-    times: np.ndarray,
-    curves: list[dict[str, np.ndarray]],
-    members: list[int],
-) -> ParityAggregate:
-    sel = [curves[i] for i in members]
-    n = len(sel)
+def aggregate(curves: list[dict[str, np.ndarray]]) -> Aggregate:
+    """The one ensemble statistic: mean and standard error (0 for a single
+    trajectory) of every curve over the trajectories, and
+
+        xi^2 = (<<L^2> - M^2> + Var M) / <N>,
+
+    the spin moments averaged over the ensemble before they combine:
+    transverse variances from each trajectory's ``l2``, longitudinal from
+    the spread of M across trajectories.  xi^2 is undefined (nan) where
+    no trajectory keeps an atom."""
+    n = len(curves)
     mean: dict[str, np.ndarray] = {}
     stderr: dict[str, np.ndarray] = {}
-    for f in _CURVE_FIELDS:
-        mean[f], stderr[f] = mean_stderr(np.stack([c[f] for c in sel]))
-    # spin moments are averaged over the ensemble before combining into xi^2
-    l2_mean, l2_stderr = mean_stderr(np.stack([c["l2"] for c in sel]))
+    for f in (*_CURVE_FIELDS, "l2"):
+        stack = np.stack([c[f] for c in curves])
+        mean[f] = stack.mean(axis=0)
+        stderr[f] = stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(stack.shape[1])
     n_mean = mean["n_current"]
-    xi2 = l2_mean / n_mean
-    xi2_stderr = l2_stderr / n_mean
-    return ParityAggregate(
+
+    def per_atom(x):
+        return np.divide(x, n_mean, out=np.full_like(x, np.nan), where=n_mean > 0)
+
+    var_m = np.stack([c["M"] for c in curves]).var(axis=0)
+    return Aggregate(
         n_traj=n,
-        times=times,
         mean=mean,
         stderr=stderr,
-        xi2=xi2,
-        xi2_stderr=xi2_stderr,
-        n_mean=n_mean,
+        xi2=per_atom(mean.pop("l2") + var_m),
+        xi2_stderr=per_atom(stderr.pop("l2")),
     )
 
 
 def _parity_classes(
-    times: np.ndarray, curves: list[dict[str, np.ndarray]], draws: list[TrajectoryDraw]
-) -> dict[str, ParityAggregate]:
+    curves: list[dict[str, np.ndarray]], draws: list[TrajectoryDraw]
+) -> dict[str, Aggregate]:
     """Aggregates over all trajectories and over each atom-number parity drawn."""
-    members = list(range(len(draws)))
-    classes = {"all": _aggregate(times, curves, members)}
+    classes = {"all": aggregate(curves)}
     for name, parity in (("even", 0), ("odd", 1)):
-        sel = [i for i in members if draws[i].n_atoms % 2 == parity]
+        sel = [c for c, d in zip(curves, draws) if d.n_atoms % 2 == parity]
         if sel:
-            classes[name] = _aggregate(times, curves, sel)
+            classes[name] = aggregate(sel)
     return classes
-
-
-def _curves_from_records(records: list[ObservableRecord]) -> dict[str, np.ndarray]:
-    n_i = records[0].n_current
-    out = {
-        "K": np.array([r.K for r in records], dtype=float),
-        "F_singlet": np.array([r.F_singlet for r in records]),
-        "F_twinfock": np.array([r.F_twinfock for r in records]),
-        "pc": np.array([r.pc for r in records]),
-        "n_current": np.array([r.n_current for r in records]),
-        "l2": np.array([r.xi2 * n_i for r in records]),  # M = 0 sector: <L^2> = xi2 * N
-    }
-    return out
 
 
 def run_dephasing_ensemble(
@@ -181,9 +172,10 @@ def run_dephasing_ensemble(
     The schedule is the one optimized for the nominal atom number; it is
     not re-optimized per trajectory (the experiment cannot adapt to an
     unknown shot-to-shot N).  All trajectories run as one batch of
-    :func:`~spinmo.schedule.run_schedule`, so each ramp step
-    advances the whole ensemble.  Aggregates are split by atom-number
-    parity.
+    :func:`~spinmo.schedule.run_schedule` with the one ``params``, so each
+    ramp step advances the whole ensemble; the draws differ in atom number
+    only through their bases.  Aggregates (:func:`aggregate`) are split
+    by atom-number parity.
 
     Every trajectory starts from the polar state of its drawn atom number;
     a configured ``initial_state`` is not used (a known defect: mending it
@@ -197,7 +189,7 @@ def run_dephasing_ensemble(
     records, _ = run_schedule(
         [polar_state(PairBasis(d.n_atoms)) for d in draws],
         schedule,
-        [PhysicsParams(params.c2p_hz, d.n_atoms, params.q_hz, params.convention) for d in draws],
+        params,
         sample_dt=sample_dt,
         q_offset_hz=[q_offset(d.delta_bz_gauss, cfg) for d in draws],
         ramp_dt=ramp_dt,
@@ -205,9 +197,9 @@ def run_dephasing_ensemble(
     )
     if info is not None:
         info.update(trajectories=cfg.n_traj, hold_blocks=counts["hold_blocks"])
-    curves = [_curves_from_records(r) for r in records]
+    curves = [trajectory_curves(r, np.zeros(len(r))) for r in records]  # pair sectors: M = 0
     times = np.array([r.t for r in records[0]])
-    return EnsembleResult(times=times, classes=_parity_classes(times, curves, draws), draws=draws)
+    return EnsembleResult(times=times, classes=_parity_classes(curves, draws), draws=draws)
 
 
 def run_relaxation_ensemble(

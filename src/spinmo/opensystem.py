@@ -28,11 +28,12 @@ import numpy as np
 
 from .basis import SectorBasis, StateVector
 from .errors import ConfigError
+from .noise import Aggregate, NoiseConfig, aggregate, q_offset, sample_trajectory_config
+from .noise import trajectory_curves
 from .observables import ObservableRecord, batch_records
 from .operators import PhysicsParams
 from .propagate import Sector
-from .schedule import Hold, LinearSweep, ParabolicRamp, Schedule, Segment
-from .schedule import advance_segment, segment_instants
+from .schedule import Schedule, advance_segment, segment_instants
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,7 @@ class TrajectorySummary:
     final_m: int
     n_jumps: int
     terminated_empty: bool
-    final_f_singlet: float
-    final_l2: float
+    final: ObservableRecord  # the record of the final state
     jumps: list[JumpEvent]
 
 
@@ -73,25 +73,6 @@ class LossTrajectory:
     final_state: StateVector
     records: list[ObservableRecord]
     magnetizations: list[int]  # the M of each record's sector
-
-
-def _slice_segment(seg: Segment, a: float, b: float) -> Segment:
-    """Sub-segment covering local times [a, b] of ``seg``."""
-    if isinstance(seg, Hold):
-        return Hold(seg.q_hz, b - a)
-    if isinstance(seg, LinearSweep):
-        return LinearSweep(float(seg.q_hz_at(a)), float(seg.q_hz_at(b)), b - a)
-    if isinstance(seg, ParabolicRamp):
-        frac_a = a / seg.duration
-        frac_b = b / seg.duration
-        span = seg.t_end_s - seg.t_begin_s
-        return ParabolicRamp(
-            seg.q0_hz,
-            seg.T0_s,
-            seg.t_begin_s + span * frac_a,
-            seg.t_begin_s + span * frac_b,
-        )
-    raise TypeError(f"unsupported segment {type(seg)!r}")
 
 
 class _Sectors(dict):
@@ -216,7 +197,7 @@ def gillespie_trajectory(
             else:
                 piece = (
                     seg if last and t == t_seg
-                    else _slice_segment(seg, t - t_seg, seg.duration if last else next_jump - t_seg)
+                    else seg.between(t - t_seg, seg.duration if last else next_jump - t_seg)
                 )
                 (cols,), (state,) = advance_segment(
                     [state], piece, [sector], [q_offset_hz], ts[i:k] - t, ramp_dt, counts
@@ -235,15 +216,13 @@ def gillespie_trajectory(
         t_seg = grid[-1]
 
     basis = state.basis
-    final = records[-1]  # the last record holds the final state
     summary = TrajectorySummary(
         index=index,
         final_n=basis.n_atoms,
         final_m=basis.magnetization,
         n_jumps=len(jumps),
         terminated_empty=basis.n_atoms == 0,
-        final_f_singlet=final.F_singlet,
-        final_l2=final.xi2 * final.n_current + basis.magnetization**2,
+        final=records[-1],  # the last record holds the final state
         jumps=jumps,
     )
     return LossTrajectory(summary, state, records, magnetizations)
@@ -252,17 +231,12 @@ def gillespie_trajectory(
 @dataclass
 class LossStudyResult:
     times: np.ndarray
-    xi2: np.ndarray
-    xi2_stderr: np.ndarray
-    n_mean: np.ndarray
-    n_stderr: np.ndarray
-    f_singlet_mean: np.ndarray
-    f_singlet_stderr: np.ndarray
+    aggregate: Aggregate  # over every trajectory, by :func:`~spinmo.noise.aggregate`
     summaries: list[TrajectorySummary]
 
     @property
     def unselected_final_f_singlet(self) -> float:
-        return float(np.mean([s.final_f_singlet for s in self.summaries]))
+        return float(np.mean([s.final.F_singlet for s in self.summaries]))
 
 
 def run_loss_study(
@@ -271,20 +245,23 @@ def run_loss_study(
     params: PhysicsParams,
     cfg: LossConfig,
     sample_dt: float | None = 1e-2,
-    dephasing: "NoiseConfig | None" = None,
+    dephasing: NoiseConfig | None = None,
     ramp_dt: float | None = None,
     info: dict | None = None,
 ) -> LossStudyResult:
     """Trajectory ensemble of the loss process, optionally with dephasing draws.
 
-    The trajectories share one sector table, which is dropped on return.
+    Every trajectory starts from ``state0``.  With ``dephasing``,
+    trajectory i takes the field offset of noise draw i
+    (:func:`~spinmo.noise.sample_trajectory_config`) but not its atom
+    number: the drawn N is never used, so a loss run has no atom-number
+    shot noise.  The trajectories share one sector table, which is dropped
+    on return, and are aggregated by :func:`~spinmo.noise.aggregate`.
     ``info``, when given, receives the run's counters: trajectories, jumps,
     the reference eigensystems solved, the hold blocks solved and the wall
     time of a trajectory (median and max).
     """
-    from .noise import NoiseConfig, mean_stderr, q_offset, sample_trajectory_config
-
-    rows = []
+    curves = []
     summaries = []
     sectors = _Sectors(params)
     counts: Counter = Counter()
@@ -298,15 +275,9 @@ def run_loss_study(
             state0, schedule, params, cfg, index=i, sample_dt=sample_dt, q_offset_hz=dq,
             ramp_dt=ramp_dt, sectors=sectors, counts=counts,
         )
-        # per record: t, the transverse variance sum <L^2> - M^2 (the
-        # record's xi2 holds it over N), N, F_singlet and M
-        rows.append(np.array([
-            (r.t, r.xi2 * r.n_current, r.n_current, r.F_singlet, m)
-            for r, m in zip(traj.records, traj.magnetizations)
-        ]).T)
+        curves.append(trajectory_curves(traj.records, traj.magnetizations))
         summaries.append(traj.summary)
         clock.append(time.perf_counter())
-    t, l2, n, f, m = np.stack(rows, axis=1)  # each trajectories x records
     if info is not None:
         traj_s = np.diff(clock)
         info.update(
@@ -319,31 +290,14 @@ def run_loss_study(
             hold_blocks=counts["hold_blocks"],
             trajectory_wall_s={"p50": float(np.median(traj_s)), "max": float(traj_s.max())},
         )
-
-    l2_mean, l2_stderr = mean_stderr(l2)
-    n_mean, n_stderr = mean_stderr(n)
-    f_mean, f_stderr = mean_stderr(f)
-
-    def per_atom(x):
-        # xi2 is undefined (nan) where no trajectory keeps an atom
-        return np.divide(x, n_mean, out=np.full_like(x, np.nan), where=n_mean > 0)
-
-    # ensemble moments: transverse variances from per-traj (<L^2> - M^2),
-    # longitudinal from the spread of M across trajectories
-    return LossStudyResult(
-        times=t[0],
-        xi2=per_atom(l2_mean + m.var(axis=0)),
-        xi2_stderr=per_atom(l2_stderr),
-        n_mean=n_mean,
-        n_stderr=n_stderr,
-        f_singlet_mean=f_mean,
-        f_singlet_stderr=f_stderr,
-        summaries=summaries,
-    )
+    # every trajectory records at the same instants
+    times = np.array([r.t for r in traj.records])
+    return LossStudyResult(times=times, aggregate=aggregate(curves), summaries=summaries)
 
 
 def postselect(summaries: list[TrajectorySummary], predicate) -> dict:
-    """Aggregate final-state diagnostics over the surviving subset."""
+    """Final-state diagnostics over the trajectories that ``predicate``
+    selects: :func:`~spinmo.noise.aggregate` of their final records."""
     keep = [s for s in summaries if predicate(s)]
     result = {
         "n_selected": len(keep),
@@ -353,16 +307,11 @@ def postselect(summaries: list[TrajectorySummary], predicate) -> dict:
     if not keep:
         result["empty"] = True
         return result
-    f = np.array([s.final_f_singlet for s in keep])
-    l2 = np.array([s.final_l2 for s in keep])
-    m = np.array([float(s.final_m) for s in keep])
-    n = np.array([float(s.final_n) for s in keep])
-    n_mean = n.mean()
-    result["final_f_singlet_mean"] = float(f.mean())
-    result["final_f_singlet_stderr"] = float(f.std(ddof=1) / math.sqrt(len(keep))) if len(keep) > 1 else 0.0
+    agg = aggregate([trajectory_curves([s.final], [s.final_m]) for s in keep])
+    n_mean = float(agg.mean["n_current"][0])
+    result["final_f_singlet_mean"] = float(agg.mean["F_singlet"][0])
+    result["final_f_singlet_stderr"] = float(agg.stderr["F_singlet"][0])
     # xi2 is undefined (null) when no selected trajectory keeps an atom
-    result["final_xi2"] = (
-        float(((l2 - m**2).mean() + (np.mean(m**2) - m.mean() ** 2)) / n_mean) if n_mean else None
-    )
-    result["final_n_mean"] = float(n_mean)
+    result["final_xi2"] = float(agg.xi2[0]) if n_mean else None
+    result["final_n_mean"] = n_mean
     return result

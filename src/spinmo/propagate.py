@@ -181,7 +181,7 @@ def evolve_hold(
 def evolve_ramp(
     state: StateVector | list[StateVector],
     segment,
-    params: PhysicsParams | list[PhysicsParams],
+    params: PhysicsParams,
     dt: float | None = None,
     sample_times: np.ndarray | None = None,
     q_offset_hz: float | list[float] = 0.0,
@@ -196,9 +196,10 @@ def evolve_ramp(
     from that copy.  So the main trajectory (and therefore every shared
     sample) is bit-identical no matter how densely it is sampled.
 
-    ``state`` may also be a list of B chain-sector states, with ``params``
-    and ``q_offset_hz`` lists of the same length (state b has its own atom
-    number and sees the control curve shifted by ``q_offset_hz[b]``).  The
+    ``state`` may also be a list of B chain-sector states that share
+    ``params``, with ``q_offset_hz`` a list of the same length (state b has
+    its own sector, whose basis sets its atom number, and sees the control
+    curve shifted by ``q_offset_hz[b]``).  The
     batch then advances together and the result holds lists: the final
     states and ``(local_t, states)`` snapshots.  A single state is a batch
     of one.
@@ -217,12 +218,11 @@ def evolve_ramp(
     Chebyshev coefficients, which lives for this call only.  States carry
     their exact phase.
 
-    ``pieces`` are the chain pieces of each state's sector and params
+    ``pieces`` are the chain pieces of each state's sector
     (:attr:`Sector.pieces`), for a caller that has built them already.
     """
     single = isinstance(state, StateVector)
     states = [state] if single else list(state)
-    params = [params] if single else list(params)
     offsets = np.broadcast_to(np.asarray(q_offset_hz, dtype=np.float64), (len(states),))
     duration = segment.duration
     if duration <= 0:
@@ -232,7 +232,7 @@ def evolve_ramp(
     elif dt > RAMP_DT_S:
         raise StepSizeError(f"dt={dt:.3e} s is coarser than the ramp step {RAMP_DT_S:.3e} s")
     if pieces is None:
-        pieces = [_ChainPieces.build(p, st.basis) for p, st in zip(params, states)]
+        pieces = [_ChainPieces.build(params, st.basis) for st in states]
     diag0 = [pc.diag0 for pc in pieces]
     qdiag = [pc.qdiag for pc in pieces]
     off = [pc.off for pc in pieces]

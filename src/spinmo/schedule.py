@@ -58,6 +58,16 @@ class ParabolicRamp:
     def mirrored(self) -> "ParabolicRamp":
         return ParabolicRamp(-self.q0_hz, self.T0_s, self.t_end_s, self.t_begin_s)
 
+    def between(self, a: float, b: float) -> "ParabolicRamp":
+        """The stretch over local times [a, b]: the same arc, model times scaled."""
+        span = self.t_end_s - self.t_begin_s
+        return ParabolicRamp(
+            self.q0_hz,
+            self.T0_s,
+            self.t_begin_s + span * (a / self.duration),
+            self.t_begin_s + span * (b / self.duration),
+        )
+
 
 @dataclass(frozen=True)
 class Hold:
@@ -77,6 +87,10 @@ class Hold:
 
     def mirrored(self) -> "Hold":
         return Hold(-self.q_hz, self.duration_s)
+
+    def between(self, a: float, b: float) -> "Hold":
+        """The stretch over local times [a, b]."""
+        return Hold(self.q_hz, b - a)
 
 
 @dataclass(frozen=True)
@@ -99,6 +113,10 @@ class LinearSweep:
 
     def mirrored(self) -> "LinearSweep":
         return LinearSweep(-self.q_to_hz, -self.q_from_hz, self.duration_s)
+
+    def between(self, a: float, b: float) -> "LinearSweep":
+        """The stretch over local times [a, b]."""
+        return LinearSweep(float(self.q_hz_at(a)), float(self.q_hz_at(b)), b - a)
 
 
 Segment = ParabolicRamp | Hold | LinearSweep
@@ -202,8 +220,8 @@ def advance_segment(
 
     Returns each state's amplitude columns at the sorted local times
     ``taus`` and then at the segment's end, and the final states.
-    ``sectors[b]`` is the :class:`~spinmo.propagate.Sector` of state b and
-    its params.  A hold evolves each state by
+    ``sectors[b]`` is the :class:`~spinmo.propagate.Sector` of state b;
+    the sectors share one params.  A hold evolves each state by
     :func:`~spinmo.propagate.evolve_hold` on the block certified for the
     whole segment, in its sector's reference frame, and adds the blocks it
     solves to ``counts``; a ramp or sweep advances the batch in one
@@ -220,7 +238,7 @@ def advance_segment(
         ]
         return cols, [StateVector(st.basis, c[:, -1].copy()) for st, c in zip(states, cols)]
     finals, samples = evolve_ramp(
-        states, seg, [sec.params for sec in sectors], dt=ramp_dt, sample_times=taus,
+        states, seg, sectors[0].params, dt=ramp_dt, sample_times=taus,
         q_offset_hz=q_offsets, pieces=[sec.pieces for sec in sectors],
     )
     cols = [
@@ -233,7 +251,7 @@ def advance_segment(
 def run_schedule(
     state0: StateVector | list[StateVector],
     schedule: Schedule,
-    params: PhysicsParams | list[PhysicsParams],
+    params: PhysicsParams,
     sample_dt: float | None = SAMPLE_DT_DEFAULT_S,
     q_offset_hz: float | list[float] = 0.0,
     ramp_dt: float | None = None,
@@ -253,8 +271,10 @@ def run_schedule(
     shifts the whole control curve, which is how quasi-static field noise
     enters.
 
-    ``state0`` may also be a list of B states, with ``params`` and
-    ``q_offset_hz`` lists of the same length.  The states then walk the
+    ``state0`` may also be a list of B states, which share ``params`` and
+    may have atom numbers of their own (the evolution reads N off each
+    state's basis, never off ``params``), with ``q_offset_hz`` a list of
+    the same length.  The states then walk the
     schedule together: each ramp or sweep advances the whole batch in one
     :func:`evolve_ramp` call, and each hold evolves every state on its own
     block.  The result is then a list of record lists and a list of
@@ -264,9 +284,8 @@ def run_schedule(
     single = isinstance(state0, StateVector)
     states = [st.copy() for st in ([state0] if single else state0)]
     n_batch = len(states)
-    params = [params] if single else list(params)
     offsets = [float(q_offset_hz)] * n_batch if np.ndim(q_offset_hz) == 0 else list(q_offset_hz)
-    sectors = [Sector(st.basis, p) for st, p in zip(states, params)]
+    sectors = [Sector(st.basis, params) for st in states]
 
     def records_of(b, cols, ts, qs):
         return batch_records(states[b].basis, cols, ts, qs, sectors[b].reference, k_threshold)

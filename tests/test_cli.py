@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -213,6 +214,30 @@ def test_a_run_without_a_schedule_exits_2_before_its_output_directory(
     assert rc == 2 and not out.exists()
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit_code"] == 2 and "config invalid at $.schedule:" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("loss", ("loss", "gamma_per_s"), math.nan),
+        ("evolve", ("schedule", "segments", 1, "duration_s"), math.inf),
+        ("optimize", ("optimizer", "step_time_cap_s"), math.inf),
+        ("evolve", ("physics", "c2p_hz"), math.nan),
+    ],
+    ids=["nan-gamma", "inf-hold", "inf-step-cap", "nan-c2p"],
+)
+def test_a_non_finite_number_exits_2_at_its_path(tmp_path, capsys, command, path, value):
+    doc = json.loads(json.dumps(BASE))
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[path[-1]] = value  # json.dumps writes NaN and Infinity, which json.loads reads
+    out = tmp_path / "x"
+    rc = main([command, "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    assert err["exit_code"] == 2 and f"config invalid at {where}:" in err["message"]
 
 
 @pytest.mark.parametrize("command", ["noise", "loss"])

@@ -109,10 +109,10 @@ def test_batched_trajectories_match_each_draw_run_alone(monkeypatch):
     )
     draws = [sample_trajectory_config(cfg, n, i) for i in range(cfg.n_traj)]
     assert {d.n_atoms % 2 for d in draws} == {0, 1}
-    params = [PhysicsParams(25.0, d.n_atoms) for d in draws]
     offsets = [q_offset(d.delta_bz_gauss, cfg) for d in draws]
+    # the batch shares the nominal params: N comes from each state's basis
     batched, _ = run_schedule(
-        [polar_state(PairBasis(d.n_atoms)) for d in draws], sched, params,
+        [polar_state(PairBasis(d.n_atoms)) for d in draws], sched, p,
         sample_dt=5e-3, q_offset_hz=offsets,
     )
 
@@ -126,9 +126,10 @@ def test_batched_trajectories_match_each_draw_run_alone(monkeypatch):
     )
     assert np.any(ms.max(axis=0) == sizes)
 
-    for d, p_b, dq, recs in zip(draws, params, offsets, batched):
+    for d, dq, recs in zip(draws, offsets, batched):
         alone, _ = run_schedule(
-            polar_state(PairBasis(d.n_atoms)), sched, p_b, sample_dt=5e-3, q_offset_hz=dq
+            polar_state(PairBasis(d.n_atoms)), sched, PhysicsParams(25.0, d.n_atoms),
+            sample_dt=5e-3, q_offset_hz=dq,
         )
         assert [(r.t, r.q) for r in recs] == [(r.t, r.q) for r in alone]
         for r, a in zip(recs, alone):

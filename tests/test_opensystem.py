@@ -7,6 +7,7 @@ import pytest
 import spinmo.observables
 from spinmo.basis import SectorBasis, StateVector, build_pair_basis, polar_state
 from spinmo.errors import ConfigError
+from spinmo.noise import NoiseConfig, run_dephasing_ensemble
 from spinmo.observables import singlet_amplitudes
 from spinmo.opensystem import (
     LossConfig,
@@ -44,7 +45,7 @@ def test_emptied_trajectory_records_read_the_empty_sector():
     sched = Schedule((Hold(0.3, 0.05),))
     cfg = LossConfig(gamma_per_s=200.0, n_traj=1)
     traj = gillespie_trajectory(st, sched, PhysicsParams(25.0, n), cfg, index=0, sample_dt=0.01)
-    assert traj.summary.terminated_empty and traj.summary.final_f_singlet == 0.0
+    assert traj.summary.terminated_empty and traj.summary.final.F_singlet == 0.0
     last = traj.records[-1]
     assert (last.K, last.F_singlet, last.F_twinfock, last.xi2, last.pc, last.n_current) == (
         1, 0.0, 0.0, 0.0, 0.0, 0.0
@@ -202,6 +203,30 @@ def test_apply_loss_matches_the_level_by_level_jump():
                 assert np.array_equal(got.amplitudes, want.amplitudes)
 
 
+@pytest.mark.parametrize("n", [16, 40, 100])
+def test_lossless_study_aggregates_as_the_dephasing_ensemble(n):
+    # the same draws through both ensembles: one batch of run_schedule, and
+    # one trajectory at a time; the batch shares one Chebyshev interval, so
+    # the two agree to rounding, not bit for bit
+    p = PhysicsParams(25.0, n)
+    sched = Schedule(
+        (ParabolicRamp(277.0, 0.955, 0.895, 0.9), Hold(0.2936, 0.0095), Hold(0.0, 0.005))
+    )
+    noise = NoiseConfig(delta_bz_gauss=5e-2, atom_number_spread=False, n_traj=4, seed=3)
+    ens = run_dephasing_ensemble(sched, p, noise, sample_dt=5e-3)
+    res = run_loss_study(
+        polar_state(build_pair_basis(n)), sched, p, LossConfig(gamma_per_s=0.0, n_traj=4),
+        sample_dt=5e-3, dephasing=noise,
+    )
+    want, got = ens.classes["all"], res.aggregate
+    assert np.array_equal(res.times, ens.times) and got.n_traj == want.n_traj == 4
+    assert want.stderr["F_singlet"].max() > 1e-3  # the draws differ
+    pairs = [(got.xi2, want.xi2), (got.xi2_stderr, want.xi2_stderr)]
+    pairs += [(got.mean[f], want.mean[f]) for f in ("F_singlet", "n_current")]
+    for a, b in pairs:
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
 def test_sector_bookkeeping_after_jumps():
     n = 30
     p = PhysicsParams(25.0, n)
@@ -233,7 +258,8 @@ def test_mean_atom_number_decay():
     sched = Schedule((Hold(0.0, 2.0),))
     cfg = LossConfig(gamma_per_s=gamma, n_traj=400, seed=13)
     res = run_loss_study(st, sched, p, cfg, sample_dt=0.5)
-    for t, mean, se in zip(res.times, res.n_mean, res.n_stderr):
+    agg = res.aggregate
+    for t, mean, se in zip(res.times, agg.mean["n_current"], agg.stderr["n_current"]):
         expect = n * math.exp(-2 * gamma * t)
         assert abs(mean - expect) <= max(3 * se, 1e-9)
 
@@ -247,7 +273,7 @@ def test_postselect_always_true_matches_full():
     res = run_loss_study(st, sched, p, cfg, sample_dt=0.25)
     sel = postselect(res.summaries, lambda s: True)
     assert sel["n_selected"] == cfg.n_traj and sel["survival_fraction"] == 1.0
-    mean_f = np.mean([s.final_f_singlet for s in res.summaries])
+    mean_f = np.mean([s.final.F_singlet for s in res.summaries])
     assert sel["final_f_singlet_mean"] == pytest.approx(mean_f, abs=0)
 
 
@@ -325,8 +351,9 @@ def test_gillespie_dense_agreement_small():
     dl = DenseLindblad(n, p, gamma)
     rho = dl.run(st, sched)[-1][1]
     obs = dl.observables(rho)
+    mean, stderr = res.aggregate.mean, res.aggregate.stderr
     i = -1
-    se_n = max(res.n_stderr[i], 1e-6)
-    assert abs(res.n_mean[i] - obs["n"]) < 3.5 * se_n
-    se_f = max(res.f_singlet_stderr[i], 1e-6)
-    assert abs(res.f_singlet_mean[i] - obs["f_singlet"]) < 3.5 * se_f
+    se_n = max(stderr["n_current"][i], 1e-6)
+    assert abs(mean["n_current"][i] - obs["n"]) < 3.5 * se_n
+    se_f = max(stderr["F_singlet"][i], 1e-6)
+    assert abs(mean["F_singlet"][i] - obs["f_singlet"]) < 3.5 * se_f

@@ -55,6 +55,20 @@ def test_mirrored_ramp_runs_backwards():
     assert float(rev.q_hz_at(rev.duration)) == pytest.approx(-277.0)
 
 
+@pytest.mark.parametrize(
+    "seg",
+    [ParabolicRamp(277.0, 0.955, 0.0, 0.9), ParabolicRamp(-277.0, 0.955, 0.9, 0.0),
+     Hold(0.5, 0.2), LinearSweep(1.0, 0.1, 0.3)],
+    ids=["ramp", "reversed-ramp", "hold", "sweep"],
+)
+def test_between_is_the_stretch_of_the_segment(seg):
+    a, b = 0.3 * seg.duration, 0.7 * seg.duration
+    piece = seg.between(a, b)
+    assert type(piece) is type(seg) and piece.duration == pytest.approx(b - a, rel=1e-12)
+    local = np.linspace(0.0, b - a, 7)
+    assert np.allclose(piece.q_hz_at(local), seg.q_hz_at(a + local), rtol=1e-12, atol=1e-12)
+
+
 def test_landau_zener_shape():
     sched = landau_zener(277.0, 8.63)
     seg = sched.segments[0]
