@@ -24,9 +24,9 @@ from .basis import PairBasis, polar_state, twin_fock_state, StateVector
 from .config import load as load_config
 from .errors import ConfigError, ConvergenceError, SpinmoError, StepSizeError
 from .noise import NoiseConfig, run_dephasing_ensemble, run_relaxation_ensemble
-from .observables import reference_eigensystem
+from .observables import singlet_amplitudes
 from .opensystem import LossConfig, postselect, run_loss_study
-from .operators import PhysicsParams, oscillator_hamiltonian
+from .operators import PhysicsParams, hamiltonian_pair, oscillator_hamiltonian
 from .optimizer import OptimizerConfig, run_protocol
 from .runio import RunDir, error_json, write_records_csv, write_table_csv
 from .schedule import PRESETS, Schedule, reference_ramp, run_schedule
@@ -54,12 +54,9 @@ def _initial_state(cfg: dict, params: PhysicsParams) -> StateVector:
     if kind == "twin_fock":
         return twin_fock_state(basis)
     if kind == "singlet":
-        eig = reference_eigensystem(params.n_atoms, 0)
-        return StateVector(basis, eig.ground().astype(np.complex128))
+        return StateVector(basis, singlet_amplitudes(params.n_atoms).astype(np.complex128))
     if kind == "ground":
         q = cfg["initial_state"].get("q_hz", params.q_hz)
-        from .operators import hamiltonian_pair
-
         eig = eigensolve_tridiagonal(hamiltonian_pair(params.with_q(q)))
         return StateVector(basis, eig.ground().astype(np.complex128))
     raise ConfigError(f"unknown initial state {kind!r}")

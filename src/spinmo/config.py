@@ -241,9 +241,10 @@ def _check_atom_parity(cfg: dict) -> None:
             "config invalid at $.optimizer.mode: the mirrored protocol (amoa) "
             f"requires an even atom number, got N={n}"
         )
-    if cfg["initial_state"]["kind"] == "twin_fock":
+    state = {"twin_fock": "twin-Fock", "singlet": "singlet"}.get(cfg["initial_state"]["kind"])
+    if state:
         raise ConfigError(
-            "config invalid at $.initial_state.kind: the twin-Fock state "
+            f"config invalid at $.initial_state.kind: the {state} state "
             f"requires an even atom number, got N={n}"
         )
 

@@ -12,8 +12,8 @@ the same stretch of :func:`~spinmo.schedule.run_schedule` does.
 
 A loss run keeps one table of the (N, M) sectors its trajectories reach
 (:class:`~spinmo.propagate.Sector`), so a sector's basis and ramp chain
-pieces are built once per run, and its reference eigensystem once, and
-only if a record or a hold reads it: a jump inside a ramp needs none.
+are built once per run, and its reference eigensystem once, and only if
+a record or a hold reads it: a jump inside a ramp needs none.
 """
 
 from __future__ import annotations

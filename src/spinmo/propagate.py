@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,53 +34,33 @@ WINDOW_TOL = 1e-12  # leakage budget of a ramp's windows per segment
 _TRUNCATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class _ChainPieces:
-    """Sector Hamiltonian split as H(q) = diag0 + q*qdiag + off-diagonal."""
-
-    diag0: np.ndarray
-    qdiag: np.ndarray
-    off: np.ndarray
-
-    @classmethod
-    def build(cls, params: PhysicsParams, basis: SectorBasis) -> "_ChainPieces":
-        n = basis.n_atoms
-        l2 = l2_sector(n, basis.magnetization)
-        f = params.factor
-        return cls(
-            diag0=f * (params.c2p_hz / n) * l2.diag,
-            qdiag=-f * basis.n_zero.astype(np.float64),
-            off=f * (params.c2p_hz / n) * l2.offdiag,
-        )
-
-
 class Sector:
     """A chain sector as the evolution reads it, for one ``params``: its
-    basis, the chain pieces that its ramps read and the reference
-    eigensystem that its holds and records read.  The pieces and the
-    reference are built when first read and then kept, so a caller that
-    keeps a sector builds each at most once, and only if something reads
-    it."""
+    basis, the chain that its ramps read and the reference eigensystem
+    that its holds and records read.  The chain and the reference are
+    built when first read and then kept, so a caller that keeps a sector
+    builds each at most once, and only if something reads it."""
 
     def __init__(self, basis: SectorBasis, params: PhysicsParams):
         self.basis = basis
         self.params = params
 
     @cached_property
-    def pieces(self) -> _ChainPieces:
-        return _ChainPieces.build(self.params, self.basis)
+    def chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sector Hamiltonian split as H(q) = diag0 + q qdiag + off:
+        ``(diag0, qdiag, off)``."""
+        n = self.basis.n_atoms
+        l2 = l2_sector(n, self.basis.magnetization)
+        f = self.params.factor
+        return (
+            f * (self.params.c2p_hz / n) * l2.diag,
+            -f * self.basis.n_zero.astype(np.float64),
+            f * (self.params.c2p_hz / n) * l2.offdiag,
+        )
 
     @cached_property
     def reference(self) -> EigenSystem:
         return reference_eigensystem(self.basis.n_atoms, self.basis.magnetization)
-
-
-def leading_window(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
-    """Twice the support of ``a`` (at most its length), and ``||a[k:]||``
-    for k = 0, ..., n.  The support is the fewest leading levels outside
-    which the norm of ``a`` is at most ``tol``."""
-    tail = np.append(np.sqrt(np.cumsum((a.real**2 + a.imag**2)[::-1])[::-1]), 0.0)
-    return min(a.size, 2 * int(np.argmax(tail <= tol))), tail
 
 
 def _ladder(m: int, n: int) -> int:
@@ -90,12 +69,15 @@ def _ladder(m: int, n: int) -> int:
 
 
 def _first_block(a: np.ndarray) -> tuple[int, np.ndarray]:
-    """The first block of :func:`hold_levels` for amplitudes ``a``, and
-    the tail norms of ``a``: the whole chain when twice the support of
-    ``a`` fills it, else the first rung of the 8-level ladder at least 8
-    levels beyond the support."""
-    m, tail = leading_window(a, _TRUNCATION_TOL)
-    return (m if m == a.size else _ladder(m // 2 + 8, a.size)), tail
+    """The first block of :func:`hold_levels` and of a ramp's window for
+    amplitudes ``a``, and ``||a[k:]||`` for k = 0, ..., n: the whole chain
+    when twice the support of ``a`` fills it, else the first rung of the
+    8-level ladder at least 8 levels beyond the support.  The support is
+    the fewest leading levels outside which the norm of ``a`` is at most
+    ``_TRUNCATION_TOL``."""
+    tail = np.append(np.sqrt(np.cumsum((a.real**2 + a.imag**2)[::-1])[::-1]), 0.0)
+    support = int(np.argmax(tail <= _TRUNCATION_TOL))
+    return (a.size if 2 * support >= a.size else _ladder(support + 8, a.size)), tail
 
 
 def hold_start(state: StateVector, reference: EigenSystem) -> tuple[np.ndarray, tuple]:
@@ -179,30 +161,21 @@ def evolve_hold(
 
 
 def evolve_ramp(
-    state: StateVector | list[StateVector],
-    segment,
-    params: PhysicsParams,
-    dt: float | None = None,
-    sample_times: np.ndarray | None = None,
-    q_offset_hz: float | list[float] = 0.0,
-    pieces: list[_ChainPieces] | None = None,
-) -> tuple:
-    """Integrate one time-dependent segment (parabolic ramp or linear sweep).
+    states: list[StateVector], segment, sectors: list[Sector], q_offsets, taus, dt: float | None = None
+) -> list[np.ndarray]:
+    """Integrate chain-sector states through one time-dependent segment
+    (parabolic ramp or linear sweep), and return each state's amplitude
+    columns at the local times ``taus``, as :func:`evolve_hold` does.
+    ``taus`` must be sorted and lie within the segment, else ``ValueError``.
 
-    Returns the final state and ``(local_t, state)`` snapshots at the
-    requested sample times.  The main line over the segment's fixed step
-    grid is one kernel call, which keeps copies of the states at the last
-    step before each sample time; a sample off the grid is a side branch
-    from that copy.  So the main trajectory (and therefore every shared
-    sample) is bit-identical no matter how densely it is sampled.
-
-    ``state`` may also be a list of B chain-sector states that share
-    ``params``, with ``q_offset_hz`` a list of the same length (state b has
-    its own sector, whose basis sets its atom number, and sees the control
-    curve shifted by ``q_offset_hz[b]``).  The
-    batch then advances together and the result holds lists: the final
-    states and ``(local_t, states)`` snapshots.  A single state is a batch
-    of one.
+    State b reads its chain off ``sectors[b]`` (:attr:`Sector.chain`),
+    whose basis sets its atom number, and sees the control curve shifted
+    by ``q_offsets[b]``.  The batch advances together.  The main line over
+    the segment's fixed step grid is one kernel call, which keeps copies of
+    the states at the last step before each tau; a tau off the grid is a
+    side branch from that copy.  So the main trajectory (and therefore
+    every shared column) is bit-identical no matter how densely it is
+    sampled.
 
     Each step is the fourth-order commutator-free Magnus step of
     :func:`spinmo._kernels.cf4_chain`, ``RAMP_DT_S`` long (or ``dt``, which
@@ -217,13 +190,7 @@ def evolve_ramp(
     main windows.  The main line and the branches share one dict of
     Chebyshev coefficients, which lives for this call only.  States carry
     their exact phase.
-
-    ``pieces`` are the chain pieces of each state's sector
-    (:attr:`Sector.pieces`), for a caller that has built them already.
     """
-    single = isinstance(state, StateVector)
-    states = [state] if single else list(state)
-    offsets = np.broadcast_to(np.asarray(q_offset_hz, dtype=np.float64), (len(states),))
     duration = segment.duration
     if duration <= 0:
         raise ValueError("segment duration must be positive")
@@ -231,19 +198,16 @@ def evolve_ramp(
         dt = RAMP_DT_S
     elif dt > RAMP_DT_S:
         raise StepSizeError(f"dt={dt:.3e} s is coarser than the ramp step {RAMP_DT_S:.3e} s")
-    if pieces is None:
-        pieces = [_ChainPieces.build(params, st.basis) for st in states]
-    diag0 = [pc.diag0 for pc in pieces]
-    qdiag = [pc.qdiag for pc in pieces]
-    off = [pc.off for pc in pieces]
+    taus = np.asarray(taus, dtype=float)
+    if np.any(np.diff(taus) < 0):
+        raise ValueError("taus must be sorted")
+    if taus.size and (taus[0] < -1e-12 or taus[-1] > duration + 1e-12):
+        raise ValueError("taus must lie within the segment")
+    diag0, qdiag, off = map(list, zip(*(sec.chain for sec in sectors)))
+    offsets = np.asarray(q_offsets, dtype=np.float64)
     n_steps = max(1, math.ceil(duration / dt - 1e-9))
     dt0 = duration / n_steps
     leak_tol = WINDOW_TOL / n_steps
-
-    samples: list[tuple[float, list[StateVector]]] = []
-    wanted = np.sort(np.asarray(sample_times, dtype=float)) if sample_times is not None else np.empty(0)
-    if wanted.size and (wanted[0] < -1e-12 or wanted[-1] > duration + 1e-12):
-        raise ValueError("sample times must lie within the segment")
 
     psis = [st.amplitudes.copy() for st in states]
     ms = []
@@ -257,16 +221,17 @@ def evolve_ramp(
         q = np.asarray(segment.q_hz_at(np.clip(local_t, 0.0, duration)), dtype=np.float64)
         return q[:, None] + offsets
 
-    # the main line, one call; a sample branches off at the last step before it
-    at_step = [min(int(math.floor(t_s / dt0 + 1e-9)), n_steps) for t_s in wanted]
+    # the main line, one call; a tau branches off at the last step before it
+    at_step = [min(int(math.floor(t_s / dt0 + 1e-9)), n_steps) for t_s in taus]
     coefs: dict = {}  # Chebyshev coefficients of this segment, by series argument
     ts = 0.5 * np.arange(2 * n_steps + 1) * dt0
     kept = _kernels.cf4_chain(
         psis, diag0, qdiag, off, q_grid(ts), dt0, ms, leak_tol, coefs, at_step
     )
-    for i, (t_s, k) in enumerate(zip(wanted, at_step)):
+    branches = []
+    for i, (t_s, k) in enumerate(zip(taus, at_step)):
         start, ms_k = kept[k]
-        # the last sample at step k takes the kept copy; earlier ones copy it
+        # the last tau at step k takes the kept copy; earlier ones copy it
         last_at_k = i + 1 == len(at_step) or at_step[i + 1] != k
         branch = start if last_at_k else [psi.copy() for psi in start]
         delta = t_s - k * dt0
@@ -274,8 +239,5 @@ def evolve_ramp(
             t_here = k * dt0
             grid = q_grid(np.array([t_here, t_here + 0.5 * delta, t_here + delta]))
             _kernels.cf4_chain(branch, diag0, qdiag, off, grid, delta, ms_k, leak_tol, coefs)
-        samples.append((float(t_s), [StateVector(st.basis, b) for st, b in zip(states, branch)]))
-    finals = [StateVector(st.basis, psi) for st, psi in zip(states, psis)]
-    if single:
-        return finals[0], [(t, svs[0]) for t, svs in samples]
-    return finals, samples
+        branches.append(branch)
+    return [np.stack([branch[b] for branch in branches], axis=1) for b in range(len(states))]

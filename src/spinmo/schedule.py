@@ -221,31 +221,24 @@ def advance_segment(
     Returns each state's amplitude columns at the sorted local times
     ``taus`` and then at the segment's end, and the final states.
     ``sectors[b]`` is the :class:`~spinmo.propagate.Sector` of state b;
-    the sectors share one params.  A hold evolves each state by
+    the sectors share one params.  State b sees the control curve shifted
+    by ``q_offsets[b]``.  A hold evolves each state by
     :func:`~spinmo.propagate.evolve_hold` on the block certified for the
     whole segment, in its sector's reference frame, and adds the blocks it
     solves to ``counts``; a ramp or sweep advances the batch in one
-    :func:`~spinmo.propagate.evolve_ramp` call on its sectors' chain
-    pieces, ``ramp_dt`` long steps and the taus on side branches, and
-    reads no reference.  State b sees the control curve shifted by
-    ``q_offsets[b]``.
+    :func:`~spinmo.propagate.evolve_ramp` call on its sectors' chains,
+    ``ramp_dt`` long steps and the taus on side branches, and reads no
+    reference.
     """
+    taus = np.append(taus, seg.duration)
     if isinstance(seg, Hold):
-        taus = np.concatenate((taus, [seg.duration]))
         cols = [
             evolve_hold(st, seg.q_hz + dq, sec, taus, counts)
             for st, sec, dq in zip(states, sectors, q_offsets)
         ]
-        return cols, [StateVector(st.basis, c[:, -1].copy()) for st, c in zip(states, cols)]
-    finals, samples = evolve_ramp(
-        states, seg, sectors[0].params, dt=ramp_dt, sample_times=taus,
-        q_offset_hz=q_offsets, pieces=[sec.pieces for sec in sectors],
-    )
-    cols = [
-        np.column_stack([svs[b].amplitudes for _, svs in samples] + [final.amplitudes])
-        for b, final in enumerate(finals)
-    ]
-    return cols, finals
+    else:
+        cols = evolve_ramp(states, seg, sectors, q_offsets, taus, ramp_dt)
+    return cols, [StateVector(st.basis, c[:, -1].copy()) for st, c in zip(states, cols)]
 
 
 def run_schedule(

@@ -52,10 +52,7 @@ class EigenSystem:
         Each column is its own product, so its floats do not depend on
         how many other times share the call.
         """
-        out = np.empty((self.size, len(taus)), dtype=complex)
-        for j, col in enumerate(self.evolve_projected(self.project(amplitudes), taus)):
-            out[:, j] = col
-        return out
+        return np.stack(self.evolve_projected(self.project(amplitudes), taus), axis=1)
 
     def evolve_projected(self, c: np.ndarray, taus) -> list[np.ndarray]:
         """The columns of :meth:`evolve` for the state whose eigenbasis

@@ -658,6 +658,7 @@ def test_optimize_run_info_counts_hold_scans_by_flag(tmp_path, monkeypatch):
     [
         ("optimizer", {"mode": "amoa"}, "$.optimizer.mode"),
         ("initial_state", {"kind": "twin_fock"}, "$.initial_state.kind"),
+        ("initial_state", {"kind": "singlet"}, "$.initial_state.kind"),
     ],
 )
 def test_odd_atom_number_is_a_config_error(tmp_path, capsys, section, value, path):
@@ -718,11 +719,15 @@ def test_loss_on_the_reference_ramp(tmp_path):
     assert len(json.loads((out / "jumps.json").read_text())) == 2
 
 
-def test_cli_import_leaves_out_numba_scipy_special_and_sparse_linalg():
-    # each costs import time and memory on every run; none is needed
+def test_cli_import_leaves_out_heavy_modules():
+    # each costs import time and memory on every run (scipy.optimize, .interpolate
+    # and .integrate each about 0.3 s over spinmo.cli on a 2-core host); none is needed
     src = str(Path(spinmo.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    unwanted = ("numba", "scipy.special", "scipy.sparse", "scipy.sparse.linalg")
+    unwanted = (
+        "numba", "mpmath", "scipy.integrate", "scipy.interpolate", "scipy.ndimage",
+        "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.special",
+    )
     code = f"import sys, spinmo.cli; print(sorted(m for m in {unwanted!r} if m in sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

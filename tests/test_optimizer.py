@@ -271,8 +271,8 @@ def test_optimize_step_projects_its_state_once(monkeypatch):
     grid = geometric_grid(1e-2, 1.0, 4)
     alone = [first_local_min_k(st, float(q), p, cfg, ref) for q in grid]
     windows = []
-    original = propagate.leading_window
-    monkeypatch.setattr(propagate, "leading_window", lambda a, tol: windows.append(tol) or original(a, tol))
+    original = propagate._first_block
+    monkeypatch.setattr(propagate, "_first_block", lambda a: windows.append(a) or original(a))
     step = optimize_step(st, 1.0, p, cfg, ref, grid=grid)
     assert len(windows) == 1
     # the same scans as each grid point scanned on its own

@@ -9,13 +9,21 @@ from spinmo.basis import StateVector, build_pair_basis, polar_state
 from spinmo.errors import ConvergenceError, StepSizeError
 from spinmo.observables import reference_eigensystem
 from spinmo.operators import PhysicsParams, hamiltonian_pair, hamiltonian_sector, oscillator_hamiltonian
-from spinmo.propagate import RAMP_DT_S, evolve_ramp
+from spinmo.propagate import RAMP_DT_S, Sector, evolve_ramp
 from spinmo.schedule import Hold, LinearSweep, ParabolicRamp
 from spinmo.spectra import eigensolve_tridiagonal
 
 
 def fidelity(a, b):
     return abs(np.vdot(a, b)) ** 2
+
+
+def _ramp(st, seg, p, dt=None, taus=()):
+    """One state through a ramp segment, as ``advance_segment`` runs it:
+    its final amplitudes and its amplitude columns at the sorted ``taus``."""
+    taus = np.append(np.asarray(taus, dtype=float), seg.duration)
+    (cols,) = evolve_ramp([st], seg, [Sector(st.basis, p)], [0.0], taus, dt)
+    return cols[:, -1], cols[:, :-1]
 
 
 def test_eigenstate_is_stationary():
@@ -57,8 +65,8 @@ def test_ramp_matches_constant_on_hold_segment():
     q = 4.0
     seg = Hold(q, 0.21)
     ref = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(q))).evolve(st.amplitudes, [0.21])[:, 0]
-    out, _ = evolve_ramp(st, seg, p)
-    assert fidelity(ref, out.amplitudes) >= 1 - 1e-8
+    out, _ = _ramp(st, seg, p)
+    assert fidelity(ref, out) >= 1 - 1e-8
 
 
 def test_ramp_energy_conservation_on_hold():
@@ -66,9 +74,9 @@ def test_ramp_energy_conservation_on_hold():
     p = PhysicsParams(25.0, n, 2.5)
     h = hamiltonian_pair(p)
     st = polar_state(build_pair_basis(n))
-    out, _ = evolve_ramp(st, Hold(2.5, 0.31), p)
+    out, _ = _ramp(st, Hold(2.5, 0.31), p)
     e0 = h.expectation(st.amplitudes)
-    e1 = h.expectation(out.amplitudes)
+    e1 = h.expectation(out)
     hnorm = max(np.max(np.abs(h.diag)), np.max(np.abs(h.offdiag)))
     assert abs(e1 - e0) <= 1e-8 * hnorm
 
@@ -79,9 +87,9 @@ def test_ramp_dt_halving_converges():
     st = polar_state(build_pair_basis(n))
     seg = ParabolicRamp(60.0, 0.5, 0.0, 0.35)
     d0 = RAMP_DT_S
-    a, _ = evolve_ramp(st, seg, p, dt=d0)
-    b, _ = evolve_ramp(st, seg, p, dt=d0 / 2)
-    assert abs(fidelity(a.amplitudes, b.amplitudes) - 1) < 1e-6
+    a, _ = _ramp(st, seg, p, dt=d0)
+    b, _ = _ramp(st, seg, p, dt=d0 / 2)
+    assert abs(fidelity(a, b) - 1) < 1e-6
 
 
 def test_ramp_rejects_oversized_dt():
@@ -90,7 +98,16 @@ def test_ramp_rejects_oversized_dt():
     st = polar_state(build_pair_basis(n))
     seg = ParabolicRamp(100.0, 0.5, 0.0, 0.3)
     with pytest.raises(StepSizeError):
-        evolve_ramp(st, seg, p, dt=0.05)
+        _ramp(st, seg, p, dt=0.05)
+
+
+def test_ramp_rejects_unsorted_taus():
+    n = 20
+    p = PhysicsParams(25.0, n)
+    st = polar_state(build_pair_basis(n))
+    seg = LinearSweep(10.0, 1.0, 0.2)
+    with pytest.raises(ValueError, match="sorted"):
+        evolve_ramp([st], seg, [Sector(st.basis, p)], [0.0], [0.1, 0.05, 0.2])
 
 
 def test_ramp_samples_equal_final_state():
@@ -98,9 +115,9 @@ def test_ramp_samples_equal_final_state():
     p = PhysicsParams(25.0, n)
     st = polar_state(build_pair_basis(n))
     seg = LinearSweep(10.0, 1.0, 0.2)
-    final, samples = evolve_ramp(st, seg, p, sample_times=np.array([0.1, 0.2]))
-    assert samples[-1][0] == 0.2
-    assert np.array_equal(samples[-1][1].amplitudes, final.amplitudes)
+    final, samples = _ramp(st, seg, p, taus=np.array([0.1, 0.2]))
+    assert samples.shape[1] == 2
+    assert np.array_equal(samples[:, -1], final)
 
 
 def test_oscillator_half_period_mirror():
@@ -124,13 +141,13 @@ def test_windowed_ramp_matches_the_whole_chain(monkeypatch, n, t_end_s):
     st = polar_state(build_pair_basis(n))
     seg = ParabolicRamp(277.0, 0.955, 0.0, t_end_s)
     times = np.linspace(0.0, t_end_s, 7)[1:-1]
-    windowed, w_samples = evolve_ramp(st, seg, p, sample_times=times)
+    windowed, w_samples = _ramp(st, seg, p, taus=times)
     # a window that starts as the whole chain never truncates
-    monkeypatch.setattr(propagate, "leading_window", lambda a, tol: (a.size, None))
-    whole, h_samples = evolve_ramp(st, seg, p, sample_times=times)
-    assert np.max(np.abs(windowed.amplitudes - whole.amplitudes)) <= 1e-12
-    for (_, a), (_, b) in zip(w_samples, h_samples):
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-12
+    monkeypatch.setattr(propagate, "_first_block", lambda a: (a.size, None))
+    whole, h_samples = _ramp(st, seg, p, taus=times)
+    assert np.max(np.abs(windowed - whole)) <= 1e-12
+    for a, b in zip(w_samples.T, h_samples.T, strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def _dense_magnus4(st, seg, p, n_steps):
@@ -156,7 +173,7 @@ def test_ramp_step_is_fourth_order():
     seg = LinearSweep(200.0, -200.0, 0.01)
     ref = _dense_magnus4(st, seg, p, 8 * round(seg.duration / RAMP_DT_S))
     err = [
-        np.max(np.abs(evolve_ramp(st, seg, p, dt=dt)[0].amplitudes - ref))
+        np.max(np.abs(_ramp(st, seg, p, dt=dt)[0] - ref))
         for dt in (RAMP_DT_S, RAMP_DT_S / 2)
     ]
     assert 1e-9 < err[1] < err[0] < 1e-5
@@ -278,15 +295,15 @@ def test_ramp_evaluates_few_chebyshev_coefficients(monkeypatch):
     st = StateVector(build_pair_basis(n), ground.astype(complex))
     kernel_calls = _count_kernel_calls(monkeypatch)
     calls = _count_bessel(monkeypatch)
-    first, _ = evolve_ramp(st, seg, p)
+    first, _ = _ramp(st, seg, p)
     assert [steps for steps, _ in kernel_calls] == [20]
     assert 1 <= len(calls) <= 2
     # nothing outlives a call: the same call computes them again, in a new dict
     del calls[:]
-    second, _ = evolve_ramp(st, seg, p)
+    second, _ = _ramp(st, seg, p)
     assert 1 <= len(calls) <= 2
     assert kernel_calls[1][1] is not kernel_calls[0][1]
-    assert np.array_equal(first.amplitudes, second.amplitudes)
+    assert np.array_equal(first, second)
 
 
 def test_ramp_segment_is_one_kernel_call(monkeypatch):
@@ -296,7 +313,7 @@ def test_ramp_segment_is_one_kernel_call(monkeypatch):
     p = PhysicsParams(25.0, n)
     st = polar_state(build_pair_basis(n))
     seg = ParabolicRamp(277.0, 0.955, 0.0, 0.005)
-    unsampled, _ = evolve_ramp(st, seg, p)
+    unsampled, _ = _ramp(st, seg, p)
     windows = []
 
     class RecordingBand(_kernels._Band):
@@ -307,7 +324,7 @@ def test_ramp_segment_is_one_kernel_call(monkeypatch):
     monkeypatch.setattr(_kernels, "_Band", RecordingBand)
     kernel_calls = _count_kernel_calls(monkeypatch)
     calls = _count_bessel(monkeypatch)
-    final, samples = evolve_ramp(st, seg, p, sample_times=np.linspace(0.0, 0.005, 6))
+    final, samples = _ramp(st, seg, p, taus=np.linspace(0.0, 0.005, 6))
     # one main-line call of 20 steps; every sample lies on the grid
     assert [steps for steps, _ in kernel_calls] == [20]
     # each series argument's coefficients are computed once
@@ -315,10 +332,10 @@ def test_ramp_segment_is_one_kernel_call(monkeypatch):
     # the first window is the hold ladder's first rung: the support (1 level) + 8,
     # rounded up to a multiple of 8, not twice the support
     assert windows[0] == [16]
-    assert np.array_equal(final.amplitudes, unsampled.amplitudes)
-    assert [t for t, _ in samples] == list(np.linspace(0.0, 0.005, 6))
-    assert np.array_equal(samples[0][1].amplitudes, st.amplitudes)
-    assert np.array_equal(samples[-1][1].amplitudes, final.amplitudes)
+    assert np.array_equal(final, unsampled)
+    assert samples.shape[1] == 6
+    assert np.array_equal(samples[:, 0], st.amplitudes)
+    assert np.array_equal(samples[:, -1], final)
 
 
 def test_off_grid_samples_branch_from_the_main_line(monkeypatch):
@@ -326,19 +343,19 @@ def test_off_grid_samples_branch_from_the_main_line(monkeypatch):
     p = PhysicsParams(25.0, n)
     st = polar_state(build_pair_basis(n))
     seg = ParabolicRamp(277.0, 0.955, 0.0, 0.002)
-    unsampled, _ = evolve_ramp(st, seg, p)
+    unsampled, _ = _ramp(st, seg, p)
     kernel_calls = _count_kernel_calls(monkeypatch)
     # two samples inside one step, one on the grid
-    times = np.array([3.1e-4, 5e-4, 4.2e-4])
-    final, samples = evolve_ramp(st, seg, p, sample_times=times)
-    assert np.array_equal(final.amplitudes, unsampled.amplitudes)
+    times = np.array([3.1e-4, 4.2e-4, 5e-4])
+    final, samples = _ramp(st, seg, p, taus=times)
+    assert np.array_equal(final, unsampled)
     # the main line, then one branch per off-grid sample, all on one dict
     assert [steps for steps, _ in kernel_calls] == [8, 1, 1]
     assert all(coefs is kernel_calls[0][1] for _, coefs in kernel_calls)
     # two branches from the same step do not share a state
-    for t, sample in samples:
-        _, [(_, alone)] = evolve_ramp(st, seg, p, sample_times=[t])
-        assert np.array_equal(sample.amplitudes, alone.amplitudes)
+    for t, sample in zip(times, samples.T, strict=True):
+        _, alone = _ramp(st, seg, p, taus=[t])
+        assert np.array_equal(sample, alone[:, 0])
 
 
 def test_renormalized_checks_the_step_norm():
