@@ -12,7 +12,6 @@ from .basis import (
     PairBasis,
     SectorBasis,
     StateVector,
-    build_pair_basis,
     polar_state,
     twin_fock_state,
 )
@@ -22,7 +21,6 @@ from .operators import (
     hamiltonian_pair,
     hamiltonian_sector,
     l2_sector,
-    oscillator_hamiltonian,
 )
 from .spectra import (
     EigenSystem,
@@ -31,7 +29,6 @@ from .spectra import (
     eigensolve_tridiagonal,
     find_critical_q,
     gap,
-    perturbative_gap,
 )
 from .propagate import evolve_ramp
 from .observables import (

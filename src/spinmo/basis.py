@@ -56,20 +56,6 @@ class SectorBasis:
     def size(self) -> int:
         return (self.n_atoms - abs(self.magnetization)) // 2 + 1
 
-    def config(self, k: int) -> tuple[int, int, int]:
-        """Occupations ``(n_minus, n_zero, n_plus)`` of chain site k."""
-        return (int(self.n_minus[k]), int(self.n_zero[k]), int(self.n_plus[k]))
-
-    def index_of(self, config: tuple[int, int, int]) -> int:
-        """Inverse of :meth:`config`; raises KeyError for foreign configs."""
-        nm, n0, np_ = config
-        if nm + n0 + np_ != self.n_atoms or np_ - nm != self.magnetization:
-            raise KeyError(f"{config} not in sector (N={self.n_atoms}, M={self.magnetization})")
-        k = min(nm, np_)
-        if n0 != self.n_atoms - 2 * k - abs(self.magnetization) or n0 < 0:
-            raise KeyError(f"{config} not in sector (N={self.n_atoms}, M={self.magnetization})")
-        return int(k)
-
 
 class PairBasis(SectorBasis):
     """Zero-magnetization pair sector: ``|k> = |n_+1=k, n_0=N-2k, n_-1=k>``."""
@@ -77,11 +63,6 @@ class PairBasis(SectorBasis):
     def __init__(self, n_atoms: int):
         _check_n_atoms(n_atoms)
         super().__init__(n_atoms=n_atoms, magnetization=0)
-
-
-def build_pair_basis(n_atoms: int) -> PairBasis:
-    """Pair basis of the M = 0 sector; size is ``N//2 + 1``."""
-    return PairBasis(n_atoms)
 
 
 @dataclass
@@ -103,21 +84,8 @@ class StateVector:
                 f"{self.basis.size}"
             )
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes / self.norm)
-
     def copy(self) -> "StateVector":
         return StateVector(self.basis, self.amplitudes.copy())
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity_to(self, other: "StateVector") -> float:
-        return float(abs(self.overlap(other)) ** 2)
 
 
 def polar_state(basis: SectorBasis) -> StateVector:

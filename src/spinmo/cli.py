@@ -4,7 +4,6 @@
     spinmo optimize        --config cfg.json --out dir
     spinmo noise           --config cfg.json --out dir
     spinmo loss            --config cfg.json --out dir
-    spinmo oscillator-demo --config cfg.json --out dir
     spinmo phase-diagram   --config cfg.json --out dir
 
 Exit codes: 0 success, 2 config error, 3 numeric failure.
@@ -26,7 +25,7 @@ from .errors import ConfigError, ConvergenceError, SpinmoError, StepSizeError
 from .noise import NoiseConfig, run_dephasing_ensemble, run_relaxation_ensemble
 from .observables import singlet_amplitudes
 from .opensystem import LossConfig, postselect, run_loss_study
-from .operators import PhysicsParams, hamiltonian_pair, oscillator_hamiltonian
+from .operators import PhysicsParams, hamiltonian_pair
 from .optimizer import OptimizerConfig, run_protocol
 from .runio import RunDir, error_json, write_records_csv, write_table_csv
 from .schedule import PRESETS, Schedule, reference_ramp, run_schedule
@@ -243,36 +242,6 @@ def cmd_loss(cfg: dict, run: RunDir) -> None:
     )
 
 
-def cmd_oscillator_demo(cfg: dict, run: RunDir) -> None:
-    o = cfg["oscillator"]
-    mass, omega, d = o["mass"], o["omega"], o["truncation"]
-    alpha = o["displacement_quanta"]
-    x0 = alpha * np.sqrt(2.0 / (mass * omega))
-    force = x0 * mass * omega**2
-    g_left = eigensolve_tridiagonal(oscillator_hamiltonian(mass, omega, force, d)).ground()
-    g_right = eigensolve_tridiagonal(oscillator_hamiltonian(mass, omega, -force, d)).ground()
-    eig = eigensolve_tridiagonal(oscillator_hamiltonian(mass, omega, 0.0, d))
-    n = np.arange(d - 1)
-    xs = np.sqrt((n + 1) / (2.0 * mass * omega))
-
-    times = np.linspace(0.0, np.pi / omega, o["n_samples"])
-    rows = []
-    for t, psi in zip(times, eig.evolve(g_left, times).T):
-        xval = 2.0 * float(np.real(np.sum(xs * psi[:-1].conj() * psi[1:])))
-        fid = float(abs(np.vdot(g_right, psi)) ** 2)
-        rows.append((t, xval, fid))
-    write_table_csv(run.file("oscillator.csv"), ["t", "x_expect", "fidelity_mirror"], rows)
-    run.write_json(
-        "summary.json",
-        {
-            "half_period_s": float(np.pi / omega),
-            "final_fidelity": rows[-1][2],
-            "x_initial": rows[0][1],
-            "x_final": rows[-1][1],
-        },
-    )
-
-
 def cmd_phase_diagram(cfg: dict, run: RunDir) -> None:
     params = _physics(cfg)
     pd = cfg["phase_diagram"]
@@ -301,7 +270,6 @@ _COMMANDS = {
     "optimize": cmd_optimize,
     "noise": cmd_noise,
     "loss": cmd_loss,
-    "oscillator-demo": cmd_oscillator_demo,
     "phase-diagram": cmd_phase_diagram,
 }
 # the commands that run the config's schedule

@@ -121,17 +121,6 @@ SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "oscillator": {
-            "type": "object",
-            "properties": {
-                "mass": {"type": "number", "exclusiveMinimum": 0},
-                "omega": {"type": "number", "exclusiveMinimum": 0},
-                "displacement_quanta": {"type": "number", "exclusiveMinimum": 0},
-                "truncation": {"type": "integer", "minimum": 2},
-                "n_samples": {"type": "integer", "minimum": 2},
-            },
-            "additionalProperties": False,
-        },
         "phase_diagram": {
             "type": "object",
             "properties": {
@@ -173,13 +162,6 @@ DEFAULTS = {
     },
     "noise": {"mode": "dephasing", **_field_defaults(NoiseConfig)},
     "loss": {**_field_defaults(LossConfig), "dephasing": True},
-    "oscillator": {
-        "mass": 1.0,
-        "omega": 1.0,
-        "displacement_quanta": 7.0710678118654755,
-        "truncation": 150,
-        "n_samples": 201,
-    },
     "phase_diagram": {
         "n_list": [100, 1000],
         "points_per_decade": 40,

@@ -88,24 +88,6 @@ class TriMatrix:
     def size(self) -> int:
         return self.diag.shape[0]
 
-    def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        if self.size > 1:
-            idx = np.arange(self.size - 1)
-            m[idx, idx + 1] = self.offdiag
-            m[idx + 1, idx] = self.offdiag
-        return m
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        if self.size > 1:
-            out[:-1] += self.offdiag * v[1:]
-            out[1:] += self.offdiag * v[:-1]
-        return out
-
-    def expectation(self, v: np.ndarray) -> float:
-        return float(np.real(np.vdot(v, self.matvec(v))))
-
 
 def l2_sector(n_atoms: int, magnetization: int = 0) -> TriMatrix:
     """Total-spin-squared chain in the fixed-(N, M) sector, units of 1."""
@@ -138,21 +120,3 @@ def hamiltonian_pair(params: PhysicsParams) -> TriMatrix:
     """Pair-sector Hamiltonian for ``params.n_atoms`` atoms, internal units."""
     return hamiltonian_sector(params, SectorBasis(params.n_atoms, 0))
 
-
-def oscillator_hamiltonian(
-    mass: float, omega: float, force: float, truncation: int
-) -> TriMatrix:
-    """Tilted harmonic oscillator in its number basis (hbar = 1).
-
-    ``H = P^2/2M + M w^2 x^2 / 2 + F x`` truncated to the lowest
-    ``truncation`` number states; x = (a + a^dag)/sqrt(2 M w) makes the
-    matrix tridiagonal.
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    if mass <= 0 or omega <= 0:
-        raise ValueError("mass and omega must be positive")
-    n = np.arange(truncation, dtype=np.float64)
-    diag = omega * (n + 0.5)
-    off = force * np.sqrt((n[:-1] + 1.0) / (2.0 * mass * omega))
-    return TriMatrix(diag, off)

@@ -99,20 +99,10 @@ def gap(params: PhysicsParams) -> float:
     return float(values[1] - values[0]) / params.factor
 
 
-def perturbative_gap(n_atoms: int, q_over_c2p: float) -> float:
-    """Small-q expansion of the gap in units of c2p.
-
-    Valid near the critical region |q| << c2p; the quadratic form
-    ``6/N - 0.1907*N*x + 0.0253*N^3*x^2`` has its minimum at
-    ``x = 3.7688/N^2``.
-    """
-    n = float(n_atoms)
-    x = q_over_c2p
-    return 6.0 / n - 0.1907 * n * x + 0.0253 * n**3 * x * x
-
-
 def critical_q_estimate(n_atoms: int, c2p_hz: float) -> float:
-    """Closed-form location of the perturbative gap minimum, in Hz."""
+    """Closed-form location of the perturbative gap minimum, in Hz: the
+    vertex ``x = 3.7688/N^2`` of the small-q expansion of the gap,
+    ``6/N - 0.1907*N*x + 0.0253*N^3*x^2`` in units of c2p with x = q/c2p."""
     return 3.7688 / float(n_atoms) ** 2 * c2p_hz
 
 

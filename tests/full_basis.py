@@ -12,6 +12,10 @@ The lab-frame Hamiltonian on it is
     H = c2p * L^2 / N  -  q * n0  -  p * Lz  -  h * Lx
 
 with ``p`` the linear Zeeman and ``h`` the transverse splitting in Hz.
+
+The module also holds the chain-sector helpers that only the tests read:
+site occupations and their inverse, and the dense form and expectation
+value of a tridiagonal chain.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from spinmo.basis import SectorBasis, StateVector
-from spinmo.operators import PhysicsParams, l2_sector
+from spinmo.operators import PhysicsParams, TriMatrix, l2_sector
 
 FULL_BASIS_DEFAULT_CAP = 300
 
@@ -96,6 +100,42 @@ def embed(state: StateVector, basis: FullBasis) -> np.ndarray:
     out = np.zeros(basis.size, dtype=np.complex128)
     out[basis.block(sector.magnetization)] = state.amplitudes
     return out
+
+
+def sector_config(basis: SectorBasis, k: int) -> tuple[int, int, int]:
+    """Occupations ``(n_minus, n_zero, n_plus)`` of chain site k."""
+    return (int(basis.n_minus[k]), int(basis.n_zero[k]), int(basis.n_plus[k]))
+
+
+def sector_index(basis: SectorBasis, config: tuple[int, int, int]) -> int:
+    """Inverse of :func:`sector_config`; raises KeyError for foreign configs."""
+    nm, n0, np_ = config
+    n, m = basis.n_atoms, basis.magnetization
+    if nm + n0 + np_ != n or np_ - nm != m:
+        raise KeyError(f"{config} not in sector (N={n}, M={m})")
+    k = min(nm, np_)
+    if n0 != n - 2 * k - abs(m) or n0 < 0:
+        raise KeyError(f"{config} not in sector (N={n}, M={m})")
+    return int(k)
+
+
+def to_dense(m: TriMatrix) -> np.ndarray:
+    """The tridiagonal chain as a dense symmetric matrix."""
+    out = np.diag(m.diag)
+    if m.size > 1:
+        idx = np.arange(m.size - 1)
+        out[idx, idx + 1] = m.offdiag
+        out[idx + 1, idx] = m.offdiag
+    return out
+
+
+def expectation(m: TriMatrix, v: np.ndarray) -> float:
+    """``<v|m|v>``, with ``m v`` formed band by band."""
+    mv = m.diag * v
+    if m.size > 1:
+        mv[:-1] += m.offdiag * v[1:]
+        mv[1:] += m.offdiag * v[:-1]
+    return float(np.real(np.vdot(v, mv)))
 
 
 def lz_full(basis: FullBasis) -> np.ndarray:

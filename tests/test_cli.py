@@ -86,13 +86,6 @@ RESOLVED_DEFAULTS = {
         "n_traj": 100,
     },
     "loss": {"gamma_per_s": 0.005, "n_traj": 2000, "dephasing": True},
-    "oscillator": {
-        "mass": 1.0,
-        "omega": 1.0,
-        "displacement_quanta": 7.0710678118654755,
-        "truncation": 150,
-        "n_samples": 201,
-    },
     "phase_diagram": {
         "n_list": [100, 1000],
         "points_per_decade": 40,
@@ -283,8 +276,12 @@ def test_exit_code_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["bogus", "--config", "c.json", "--out", "x"], ["evolve", "--config", "c.json"]],
-    ids=["unknown-command", "missing-out"],
+    [
+        ["bogus", "--config", "c.json", "--out", "x"],
+        ["evolve", "--config", "c.json"],
+        ["oscillator-demo", "--config", "c.json", "--out", "x"],
+    ],
+    ids=["unknown-command", "missing-out", "removed-command"],
 )
 def test_bad_command_line_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -391,16 +388,6 @@ def test_keys_nothing_reads_are_config_errors(tmp_path, capsys, section, value, 
 )
 def test_schedule_presets_read_their_keys(sched, segment):
     assert _schedule(resolve(dict(BASE, schedule=sched))) == Schedule((segment,))
-
-
-def test_oscillator_demo(tmp_path):
-    cfg = write_cfg(tmp_path, {"physics": {"c2p_hz": 25.0, "n_atoms": 4}})
-    out = tmp_path / "osc"
-    assert main(["oscillator-demo", "--config", str(cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["final_fidelity"] >= 0.999
-    head = (out / "oscillator.csv").read_text().splitlines()[0]
-    assert head == "t,x_expect,fidelity_mirror"
 
 
 def test_phase_diagram_small(tmp_path):
@@ -527,6 +514,16 @@ def test_removed_relaxation_keys_are_config_errors(tmp_path, capsys, key, value)
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit_code"] == 2 and f"config invalid at $.noise.{key}:" in err["message"]
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_removed_oscillator_section_is_a_config_error(tmp_path, capsys, command):
+    doc = dict(BASE, oscillator={"truncation": 40, "n_samples": 11})
+    out = tmp_path / "osc"
+    assert main([command, "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "config invalid at $.oscillator:" in err["message"]
+    assert not out.exists()
 
 
 def test_loss_aggregates_when_no_atoms_remain(tmp_path):

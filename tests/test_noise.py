@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinmo import _kernels
-from spinmo.basis import PairBasis, StateVector, build_pair_basis, polar_state
+from spinmo.basis import PairBasis, StateVector, polar_state
 from spinmo.errors import ConfigError
 from spinmo.noise import (
     NoiseConfig,
@@ -84,7 +84,7 @@ def test_single_trajectory_zero_noise_matches_deterministic():
     )
     sched = _tiny_schedule()
     ens = run_dephasing_ensemble(sched, p, cfg, sample_dt=0.01)
-    records, _ = run_schedule(polar_state(build_pair_basis(n)), sched, p, sample_dt=0.01)
+    records, _ = run_schedule(polar_state(PairBasis(n)), sched, p, sample_dt=0.01)
     agg = ens.classes["all"]
     for i, r in enumerate(records):
         assert agg.mean["F_singlet"][i] == r.F_singlet
@@ -215,10 +215,10 @@ def test_relaxation_averaged_matches_the_lab_frame_oracle(n):
     hold = Hold(0.6, 0.02)
     ens = run_relaxation_ensemble(Schedule((hold,)), p, cfg, sample_dt=None)
     basis = build_full_basis(n)
-    psi0 = embed(polar_state(build_pair_basis(n)), basis)
+    psi0 = embed(polar_state(PairBasis(n)), basis)
     singlet = singlet_amplitudes(n)
     if singlet is not None:
-        singlet = embed(StateVector(build_pair_basis(n), singlet), basis)
+        singlet = embed(StateVector(PairBasis(n), singlet), basis)
     f_singlet, xi2 = [], []
     for d in ens.draws:
         p_hz = -GYROMAGNETIC_RATIO_HZ_PER_G * (cfg.bz_bias_gauss + d.delta_bz_gauss)

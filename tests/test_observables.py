@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from spinmo.basis import (
+    PairBasis,
     SectorBasis,
     StateVector,
-    build_pair_basis,
     polar_state,
     twin_fock_state,
 )
@@ -21,11 +21,11 @@ from spinmo.observables import (
 from spinmo.operators import PhysicsParams, hamiltonian_sector, l2_sector
 from spinmo.spectra import eigensolve_tridiagonal
 
-from full_basis import build_full_basis, embed, spin_moments, xi2_full
+from full_basis import build_full_basis, embed, expectation, spin_moments, xi2_full
 
 
 def singlet_state(n):
-    return StateVector(build_pair_basis(n), singlet_amplitudes(n).astype(complex))
+    return StateVector(PairBasis(n), singlet_amplitudes(n).astype(complex))
 
 
 def record(state):
@@ -42,7 +42,7 @@ def test_occupied_levels_equal_superposition_is_two():
     n = 10
     ref = reference_eigensystem(n)
     amp = (ref.vectors[:, 0] + ref.vectors[:, 2]) / math.sqrt(2)
-    st = StateVector(build_pair_basis(n), amp.astype(complex))
+    st = StateVector(PairBasis(n), amp.astype(complex))
     assert occupied_levels(st, ref) == 2
 
 
@@ -50,7 +50,7 @@ def test_occupied_levels_threshold_knob():
     n = 10
     ref = reference_eigensystem(n)
     amp = math.sqrt(0.995) * ref.vectors[:, 0] + math.sqrt(0.005) * ref.vectors[:, 1]
-    st = StateVector(build_pair_basis(n), amp.astype(complex))
+    st = StateVector(PairBasis(n), amp.astype(complex))
     assert occupied_levels(st, ref, threshold=1e-3) == 2
     assert occupied_levels(st, ref, threshold=1e-2) == 1
 
@@ -70,13 +70,13 @@ def test_xi2_singlet_zero():
 def test_xi2_odd_ground_is_2_over_n():
     n = 5
     eig = reference_eigensystem(n)
-    st = StateVector(build_pair_basis(n), eig.ground().astype(complex))
+    st = StateVector(PairBasis(n), eig.ground().astype(complex))
     assert record(st).xi2 == pytest.approx(2.0 / n, rel=1e-9)
 
 
 def test_xi2_polar_is_two():
     for n in (4, 25, 1000):
-        assert record(polar_state(build_pair_basis(n))).xi2 == pytest.approx(2.0, rel=1e-12)
+        assert record(polar_state(PairBasis(n))).xi2 == pytest.approx(2.0, rel=1e-12)
 
 
 def test_xi2_coherent_spin_state_is_one():
@@ -102,7 +102,7 @@ def test_xi2_cross_path_sector_vs_full():
     # path must reproduce the chain formula to 1e-10
     n = 8
     rng = np.random.default_rng(5)
-    pair = build_pair_basis(n)
+    pair = PairBasis(n)
     amps = rng.normal(size=pair.size) + 1j * rng.normal(size=pair.size)
     amps /= np.linalg.norm(amps)
     st_pair = StateVector(pair, amps)
@@ -113,12 +113,12 @@ def test_xi2_cross_path_sector_vs_full():
 def test_fidelity_singlet_examples():
     assert record(singlet_state(8)).F_singlet == pytest.approx(1.0, abs=1e-12)
     # N=2: polar overlap with the total-spin-zero state is 1/3
-    assert record(polar_state(build_pair_basis(2))).F_singlet == pytest.approx(1 / 3, rel=1e-12)
-    assert record(polar_state(build_pair_basis(5))).F_singlet == 0.0  # odd N
+    assert record(polar_state(PairBasis(2))).F_singlet == pytest.approx(1 / 3, rel=1e-12)
+    assert record(polar_state(PairBasis(5))).F_singlet == 0.0  # odd N
 
 
 def test_fidelity_twinfock_examples():
-    tf = twin_fock_state(build_pair_basis(6))
+    tf = twin_fock_state(PairBasis(6))
     assert record(tf).F_twinfock == 1.0
     assert record(singlet_state(2)).F_twinfock == pytest.approx(2 / 3, rel=1e-12)
 
@@ -129,14 +129,14 @@ def test_singlet_completeness():
     rng = np.random.default_rng(11)
     amps = rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)
     amps /= np.linalg.norm(amps)
-    st = StateVector(build_pair_basis(n), amps)
+    st = StateVector(PairBasis(n), amps)
     pops = ref.populations(st.amplitudes)
     assert abs(record(st).F_singlet + pops[1:].sum() - 1.0) < 1e-10
 
 
 def test_conversion_efficiency_examples():
-    assert record(polar_state(build_pair_basis(6))).pc == 0.0
-    assert record(twin_fock_state(build_pair_basis(6))).pc == 1.0
+    assert record(polar_state(PairBasis(6))).pc == 0.0
+    assert record(twin_fock_state(PairBasis(6))).pc == 1.0
     assert record(singlet_state(2)).pc == pytest.approx(2 / 3, rel=1e-12)
 
 
@@ -149,7 +149,7 @@ def test_n2_singlet_structure():
 
 def test_record_for_fields():
     n = 6
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     r = record_for(st, 0.5, 277.0)
     ref = reference_eigensystem(n)
     pops = ref.populations(st.amplitudes)
@@ -183,7 +183,7 @@ def test_records_match_the_pair_basis_formulas(n, m):
     singlet = singlet_amplitudes(n) if m == 0 else None
     for j, r in enumerate(records):
         col = cols[:, j]
-        assert abs(r.xi2 - (l2.expectation(col) - m * m) / n) <= 1e-12
+        assert abs(r.xi2 - (expectation(l2, col) - m * m) / n) <= 1e-12
         f = abs(np.vdot(singlet, col)) ** 2 if singlet is not None else 0.0
         assert abs(r.F_singlet - f) <= 1e-14
         pops = np.abs(ref.vectors.T.astype(complex) @ col) ** 2

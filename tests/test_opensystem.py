@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spinmo.observables
-from spinmo.basis import SectorBasis, StateVector, build_pair_basis, polar_state
+from spinmo.basis import PairBasis, SectorBasis, StateVector, polar_state
 from spinmo.errors import ConfigError
 from spinmo.noise import NoiseConfig, run_dephasing_ensemble
 from spinmo.observables import singlet_amplitudes
@@ -23,12 +23,13 @@ from spinmo.schedule import Hold, LinearSweep, ParabolicRamp, Schedule, run_sche
 from spinmo.spectra import eigensolve_tridiagonal
 
 from dense_lindblad import DenseLindblad, ResourceCapError
+from full_basis import sector_config, sector_index
 
 
 def test_gamma_zero_reduces_to_unitary():
     n = 8
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((Hold(0.7, 0.4),))
     traj = gillespie_trajectory(st, sched, p, LossConfig(gamma_per_s=0.0, n_traj=1), index=0)
     assert traj.summary.n_jumps == 0 and traj.summary.final_n == n
@@ -41,7 +42,7 @@ def test_gamma_zero_reduces_to_unitary():
 def test_emptied_trajectory_records_read_the_empty_sector():
     # two atoms at 200/s are both lost within the 50 ms hold
     n = 2
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((Hold(0.3, 0.05),))
     cfg = LossConfig(gamma_per_s=200.0, n_traj=1)
     traj = gillespie_trajectory(st, sched, PhysicsParams(25.0, n), cfg, index=0, sample_dt=0.01)
@@ -68,7 +69,7 @@ MIXED = Schedule((
 @pytest.mark.parametrize("dt", [0.1, 1e-2])
 def test_lossless_trajectory_records_what_run_schedule_records(n, dt):
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     cfg = LossConfig(gamma_per_s=0.0, n_traj=1)
     traj = gillespie_trajectory(st, MIXED, p, cfg, sample_dt=dt, q_offset_hz=0.2)
     records, final = run_schedule(st, MIXED, p, sample_dt=dt, q_offset_hz=0.2)
@@ -79,7 +80,7 @@ def test_lossless_trajectory_records_what_run_schedule_records(n, dt):
 def test_lossless_trajectory_takes_the_ramp_step_it_is_given():
     n = 12
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     cfg = LossConfig(gamma_per_s=0.0, n_traj=1)
     traj = gillespie_trajectory(st, MIXED, p, cfg, sample_dt=1e-2, ramp_dt=1e-4)
     assert traj.records == run_schedule(st, MIXED, p, sample_dt=1e-2, ramp_dt=1e-4)[0]
@@ -121,7 +122,7 @@ def test_channel_draw_matches_generator_choice():
 
 def test_channel_sequence_of_a_lossy_trajectory_is_pinned():
     n = 20
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((Hold(0.3, 0.5), ParabolicRamp(30.0, 0.08, 0.0, 0.05)))
     cfg = LossConfig(gamma_per_s=0.2, n_traj=1, seed=3)
     traj = gillespie_trajectory(st, sched, PhysicsParams(25.0, n), cfg, index=1, sample_dt=0.1)
@@ -140,7 +141,7 @@ def test_references_are_built_only_for_sectors_that_are_read(monkeypatch):
         if name.startswith("spinmo") and getattr(module, "reference_eigensystem", None) is original:
             monkeypatch.setattr(module, "reference_eigensystem", recording)
     n = 40
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     # every jump falls inside the one ramp, and the records sit at its ends
     sched = Schedule((ParabolicRamp(30.0, 0.08, 0.0, 0.05),))
     cfg = LossConfig(gamma_per_s=2.0, n_traj=1, seed=2)
@@ -152,12 +153,12 @@ def test_references_are_built_only_for_sectors_that_are_read(monkeypatch):
 
 def test_apply_loss_moves_sector():
     n = 6
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     out = _apply_loss(st, 0)
     assert out.basis.n_atoms == n - 1 and out.basis.magnetization == 0
-    assert abs(out.norm - 1) < 1e-12
+    assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
     # losing a +1 atom from a paired state lowers M by one
-    tf = StateVector(build_pair_basis(n), np.eye(4)[3].astype(complex))
+    tf = StateVector(PairBasis(n), np.eye(4)[3].astype(complex))
     out2 = _apply_loss(tf, 1)
     assert out2.basis.magnetization == -1
 
@@ -167,7 +168,7 @@ def _apply_loss_by_level(state, channel):
     basis = state.basis
     moves = []
     for k in range(basis.size):
-        n_minus, n_zero, n_plus = basis.config(k)
+        n_minus, n_zero, n_plus = sector_config(basis, k)
         lost = (n_minus, n_zero, n_plus)[channel + 1]
         if lost == 0:
             continue
@@ -178,7 +179,7 @@ def _apply_loss_by_level(state, channel):
     new_basis = SectorBasis(basis.n_atoms - 1, basis.magnetization - channel)
     out = np.zeros(new_basis.size, dtype=np.complex128)
     for after, amp in moves:
-        out[new_basis.index_of(after)] += amp
+        out[sector_index(new_basis, after)] += amp
     return StateVector(new_basis, out / np.linalg.norm(out))
 
 
@@ -215,7 +216,7 @@ def test_lossless_study_aggregates_as_the_dephasing_ensemble(n):
     noise = NoiseConfig(delta_bz_gauss=5e-2, atom_number_spread=False, n_traj=4, seed=3)
     ens = run_dephasing_ensemble(sched, p, noise, sample_dt=5e-3)
     res = run_loss_study(
-        polar_state(build_pair_basis(n)), sched, p, LossConfig(gamma_per_s=0.0, n_traj=4),
+        polar_state(PairBasis(n)), sched, p, LossConfig(gamma_per_s=0.0, n_traj=4),
         sample_dt=5e-3, dephasing=noise,
     )
     want, got = ens.classes["all"], res.aggregate
@@ -230,7 +231,7 @@ def test_lossless_study_aggregates_as_the_dephasing_ensemble(n):
 def test_sector_bookkeeping_after_jumps():
     n = 30
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((Hold(0.1, 2.0),))
     traj = gillespie_trajectory(st, sched, p, LossConfig(gamma_per_s=0.05, n_traj=1, seed=11), index=4)
     s = traj.summary
@@ -241,7 +242,7 @@ def test_sector_bookkeeping_after_jumps():
 def test_no_jump_survival_fraction():
     n, gamma, t_hold = 12, 0.02, 1.5
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((Hold(0.2, t_hold),))
     cfg = LossConfig(gamma_per_s=gamma, n_traj=600, seed=8)
     res = run_loss_study(st, sched, p, cfg, sample_dt=0.75)
@@ -254,7 +255,7 @@ def test_no_jump_survival_fraction():
 def test_mean_atom_number_decay():
     n, gamma = 20, 0.05
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((Hold(0.0, 2.0),))
     cfg = LossConfig(gamma_per_s=gamma, n_traj=400, seed=13)
     res = run_loss_study(st, sched, p, cfg, sample_dt=0.5)
@@ -267,7 +268,7 @@ def test_mean_atom_number_decay():
 def test_postselect_always_true_matches_full():
     n = 10
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((Hold(0.3, 0.5),))
     cfg = LossConfig(gamma_per_s=0.03, n_traj=50, seed=2)
     res = run_loss_study(st, sched, p, cfg, sample_dt=0.25)
@@ -280,7 +281,7 @@ def test_postselect_always_true_matches_full():
 def test_postselect_empty_selection_flagged():
     n = 6
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     cfg = LossConfig(gamma_per_s=0.0, n_traj=3, seed=1)
     res = run_loss_study(st, Schedule((Hold(0.1, 0.1),)), p, cfg, sample_dt=0.05)
     sel = postselect(res.summaries, lambda s: s.final_n == 0)
@@ -290,7 +291,7 @@ def test_postselect_empty_selection_flagged():
 def test_dense_gamma_zero_is_pure_evolution():
     n = 4
     p = PhysicsParams(25.0, n, 0.4)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     dl = DenseLindblad(n, p, 0.0)
     traj = dl.run(st, Schedule((Hold(0.4, 0.3),)))
     rho = traj[-1][1]
@@ -306,7 +307,7 @@ def test_dense_trace_hermiticity_positivity():
     n = 4
     p = PhysicsParams(25.0, n)
     dl = DenseLindblad(n, p, 0.05)
-    traj = dl.run(polar_state(build_pair_basis(n)), Schedule((Hold(0.0, 1.0),)), sample_dt=0.25)
+    traj = dl.run(polar_state(PairBasis(n)), Schedule((Hold(0.0, 1.0),)), sample_dt=0.25)
     for t, rho in traj:
         assert abs(np.trace(rho).real - 1.0) < 1e-8
         assert np.linalg.norm(rho - rho.conj().T) < 1e-10
@@ -323,7 +324,7 @@ def test_dense_rejects_ramps():
 
     dl = DenseLindblad(3, PhysicsParams(25.0, 3), 0.01)
     with pytest.raises(ConfigError):
-        dl.run(polar_state(build_pair_basis(3)), Schedule((LinearSweep(1.0, 0.0, 0.1),)))
+        dl.run(polar_state(PairBasis(3)), Schedule((LinearSweep(1.0, 0.0, 0.1),)))
 
 
 def test_between_jump_evolution_is_gamma_independent():
@@ -331,7 +332,7 @@ def test_between_jump_evolution_is_gamma_independent():
     # equals the loss-free evolution
     n = 8
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((Hold(0.5, 0.2),))
     a = gillespie_trajectory(st, sched, p, LossConfig(gamma_per_s=1e-12, n_traj=1, seed=5), index=0)
     b = gillespie_trajectory(st, sched, p, LossConfig(gamma_per_s=0.0, n_traj=1, seed=5), index=0)
@@ -343,7 +344,7 @@ def test_between_jump_evolution_is_gamma_independent():
 def test_gillespie_dense_agreement_small():
     n = 4
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((Hold(0.0, 1.0),))
     gamma = 0.08
     cfg = LossConfig(gamma_per_s=gamma, n_traj=500, seed=6)

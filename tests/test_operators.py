@@ -12,19 +12,29 @@ import math
 import numpy as np
 import pytest
 
-from spinmo.basis import SectorBasis, build_pair_basis, polar_state
+from spinmo.basis import PairBasis, SectorBasis, polar_state
 from spinmo.operators import (
     PhysicsParams,
     TriMatrix,
     hamiltonian_pair,
     hamiltonian_sector,
     l2_sector,
-    oscillator_hamiltonian,
     unit_factor,
 )
 from spinmo.spectra import eigensolve_tridiagonal
 
-from full_basis import FullBasis, build_full_basis, embed, l2_full, lx_full, ly_full, lz_full, n0_full
+from full_basis import (
+    FullBasis,
+    build_full_basis,
+    embed,
+    l2_full,
+    lx_full,
+    ly_full,
+    lz_full,
+    n0_full,
+    sector_config,
+    to_dense,
+)
 
 FX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2)
 FY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / math.sqrt(2)
@@ -64,7 +74,7 @@ def embedding(basis, n):
     if isinstance(basis, FullBasis):
         configs = [tuple(s) for s in basis.states]
     else:
-        configs = [basis.config(k) for k in range(basis.size)]
+        configs = [sector_config(basis, k) for k in range(basis.size)]
     p = np.zeros((dim**3, len(configs)))
     for col, (nm, n0, npl) in enumerate(configs):
         p[npl * dim * dim + n0 * dim + nm, col] = 1.0
@@ -78,7 +88,7 @@ def test_sector_chains_match_oracle(n):
         basis = SectorBasis(n, m)
         p = embedding(basis, n)
         want = p.T @ l2o @ p
-        got = l2_sector(n, m).to_dense()
+        got = to_dense(l2_sector(n, m))
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -166,34 +176,10 @@ def test_lx_single_particle_matches_spin_matrix():
 def test_polar_lx2_expectation_is_n():
     for n in (2, 4, 6):
         basis = build_full_basis(n)
-        pol = embed(polar_state(build_pair_basis(n)), basis)
+        pol = embed(polar_state(PairBasis(n)), basis)
         lx = lx_full(basis)
         val = np.real(np.vdot(lx @ pol, lx @ pol))
         assert abs(val - n) < 1e-12
-
-
-def test_oscillator_spectrum():
-    h = oscillator_hamiltonian(1.0, 2.0, 0.0, 40)
-    eig = eigensolve_tridiagonal(h)
-    assert np.allclose(eig.values, 2.0 * (np.arange(40) + 0.5), atol=1e-12)
-
-
-def test_oscillator_tilt_shifts_spectrum_rigidly():
-    m, w, f, d = 1.3, 0.7, 0.4, 120
-    e0 = eigensolve_tridiagonal(oscillator_hamiltonian(m, w, 0.0, d)).values
-    e1 = eigensolve_tridiagonal(oscillator_hamiltonian(m, w, f, d)).values
-    shift = -f * f / (2 * m * w * w)
-    low = slice(0, 30)  # truncation distorts the top of the spectrum only
-    assert np.max(np.abs((e1 - e0)[low] - shift)) < 1e-9
-    assert np.max(np.abs(np.diff(e1)[low] - w)) < 1e-9
-
-
-def test_oscillator_displaced_ground_tail():
-    m, w, d = 1.0, 1.0, 150
-    x0 = 10.0 / math.sqrt(m * w)
-    h = oscillator_hamiltonian(m, w, x0 * m * w * w, d)
-    g = eigensolve_tridiagonal(h).ground()
-    assert abs(g[-1]) ** 2 < 1e-12
 
 
 def test_trimatrix_validation():

@@ -4,7 +4,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 
 from spinmo import optimizer, propagate
-from spinmo.basis import SectorBasis, StateVector, build_pair_basis, polar_state
+from spinmo.basis import PairBasis, SectorBasis, StateVector, polar_state
 from spinmo.observables import occupied_levels, record_for, reference_eigensystem, singlet_amplitudes
 from spinmo.operators import PhysicsParams, hamiltonian_pair, hamiltonian_sector
 from spinmo.optimizer import (
@@ -18,9 +18,11 @@ from spinmo.optimizer import (
 from spinmo.schedule import ParabolicRamp, Schedule, run_schedule
 from spinmo.spectra import eigensolve_tridiagonal
 
+from full_basis import to_dense
+
 
 def singlet_state(n):
-    return StateVector(build_pair_basis(n), singlet_amplitudes(n).astype(complex))
+    return StateVector(PairBasis(n), singlet_amplitudes(n).astype(complex))
 
 
 def test_geometric_grid_shape():
@@ -48,7 +50,7 @@ def test_first_local_min_flags_flat_eigenstate():
     p = PhysicsParams(25.0, n)
     q = 2.0
     eig = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(q)))
-    st = StateVector(build_pair_basis(n), eig.vectors[:, 2].astype(complex))
+    st = StateVector(PairBasis(n), eig.vectors[:, 2].astype(complex))
     cfg = OptimizerConfig(step_time_cap_s=0.3)
     scan = first_local_min_k(st, q, p, cfg, reference_eigensystem(n))
     assert scan.flag == "flat" and scan.t_s == 0.0
@@ -60,7 +62,7 @@ def test_scan_chunking_does_not_change_the_scan(monkeypatch):
     p = PhysicsParams(25.0, n)
     ref = reference_eigensystem(n)
     g = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(0.9))).ground()
-    st = StateVector(build_pair_basis(n), g.astype(complex))
+    st = StateVector(PairBasis(n), g.astype(complex))
     cfg = OptimizerConfig(step_time_cap_s=0.4)
     grid = geometric_grid(1e-2, 10.0, 3)
     runs = {}
@@ -81,11 +83,11 @@ def test_scan_amplitudes_match_dense_expm():
     p = PhysicsParams(25.0, n)
     q = 3.0
     ref = reference_eigensystem(n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     cfg = OptimizerConfig(step_time_cap_s=0.5)
     scan = first_local_min_k(st, q, p, cfg, ref)
     assert scan.t_s > 0
-    h = hamiltonian_sector(p.with_q(q), st.basis).to_dense()
+    h = to_dense(hamiltonian_sector(p.with_q(q), st.basis))
     want = expm(-1j * h * scan.t_s) @ st.amplitudes
     np.testing.assert_allclose(scan.amplitudes, want, rtol=0, atol=1e-10)
     assert occupied_levels(StateVector(st.basis, want), ref, cfg.k_threshold) == scan.k
@@ -95,7 +97,7 @@ def dense_scan(state, q, p, cfg, ref):
     """The hold scan sample by sample on the whole chain, as (q, K, t, flag)
     and the amplitudes: a full eigensolve in the pair basis, every sample
     taken into the reference basis by the dense change of basis."""
-    e, v = np.linalg.eigh(hamiltonian_sector(p.with_q(q), state.basis).to_dense())
+    e, v = np.linalg.eigh(to_dense(hamiltonian_sector(p.with_q(q), state.basis)))
     c0 = v.T @ state.amplitudes
     change = ref.vectors.T @ v
     dt, w = cfg.sample_dt_s, cfg.dwell_window
@@ -132,7 +134,7 @@ def solve_sizes(monkeypatch):
 @pytest.mark.parametrize("n", [20, 21, 60, 200])
 def test_scan_matches_dense_pair_basis_scan(n):
     p = PhysicsParams(25.0, n)
-    basis = build_pair_basis(n)
+    basis = PairBasis(n)
     ref = reference_eigensystem(n)
     ground = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(4.5))).ground()
     cfg = OptimizerConfig(step_time_cap_s=0.4)
@@ -150,7 +152,7 @@ def test_scan_matches_dense_pair_basis_scan(n):
 def test_scan_truncates_the_chain_only_below_its_top(monkeypatch):
     n = 200
     p = PhysicsParams(25.0, n)
-    basis = build_pair_basis(n)
+    basis = PairBasis(n)
     ref = reference_eigensystem(n)
     cfg = OptimizerConfig(step_time_cap_s=0.4)
     q = 0.5
@@ -178,7 +180,7 @@ def test_scan_matches_dense_expm_in_a_magnetized_sector(monkeypatch):
     sizes = solve_sizes(monkeypatch)
     scan = first_local_min_k(st, 0.4, p, cfg, ref)
     assert scan.t_s > 0 and sizes[-1] < basis.size
-    h = hamiltonian_sector(p.with_q(0.4), basis).to_dense()
+    h = to_dense(hamiltonian_sector(p.with_q(0.4), basis))
     want = expm(-1j * h * scan.t_s) @ st.amplitudes
     np.testing.assert_allclose(scan.amplitudes, want, rtol=0, atol=1e-10)
     assert occupied_levels(StateVector(basis, want), ref, cfg.k_threshold) == scan.k
@@ -188,7 +190,7 @@ def test_scan_matches_dense_expm_in_a_magnetized_sector(monkeypatch):
 def test_hold_blocks_climb_the_8_level_ladder(monkeypatch, support):
     n = 200  # a 101-level chain
     p = PhysicsParams(25.0, n)
-    basis = build_pair_basis(n)
+    basis = PairBasis(n)
     ref = reference_eigensystem(n)
     a = np.zeros(basis.size, dtype=complex)
     a[:support] = support**-0.5
@@ -232,7 +234,7 @@ def test_phase_table_by_doubling_matches_exp(width):
 @pytest.mark.parametrize("n", [60, 200])
 def test_dropped_levels_never_reach_the_k_threshold(n):
     p = PhysicsParams(25.0, n)
-    basis = build_pair_basis(n)
+    basis = PairBasis(n)
     ref = reference_eigensystem(n)
     ground = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(4.5))).ground()
     cfg = OptimizerConfig(step_time_cap_s=0.5)
@@ -256,7 +258,7 @@ def test_optimize_step_grid_of_one():
     p = PhysicsParams(25.0, n)
     cfg = OptimizerConfig(step_time_cap_s=0.4)
     ref = reference_eigensystem(n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     step = optimize_step(st, 1.0, p, cfg, ref, grid=np.array([0.7]))
     assert step.q_star_hz == 0.7
     assert len(step.table) == 1
@@ -267,7 +269,7 @@ def test_optimize_step_projects_its_state_once(monkeypatch):
     p = PhysicsParams(25.0, n)
     cfg = OptimizerConfig(step_time_cap_s=0.4, points_per_decade=4)
     ref = reference_eigensystem(n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     grid = geometric_grid(1e-2, 1.0, 4)
     alone = [first_local_min_k(st, float(q), p, cfg, ref) for q in grid]
     windows = []
@@ -289,7 +291,7 @@ def test_zero_time_scans_return_the_start_itself():
     p = PhysicsParams(25.0, n)
     ref = reference_eigensystem(n)
     g = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(0.9188))).ground()
-    st = StateVector(build_pair_basis(n), g.astype(complex))
+    st = StateVector(PairBasis(n), g.astype(complex))
     cfg = OptimizerConfig(points_per_decade=10, step_time_cap_s=0.5)
     step = optimize_step(st, 0.9188, p, cfg, ref)
     at_zero = [scan for scan in step.table if scan.t_s == 0.0]
@@ -302,7 +304,7 @@ def test_zero_time_scans_return_the_start_itself():
 def _search_start(n, q_hz):
     p = PhysicsParams(25.0, n)
     g = eigensolve_tridiagonal(hamiltonian_pair(p.with_q(q_hz))).ground()
-    st = StateVector(build_pair_basis(n), g.astype(complex))
+    st = StateVector(PairBasis(n), g.astype(complex))
     return st, p, OptimizerConfig(q_max_hz=q_hz, points_per_decade=10, max_steps=2, step_time_cap_s=0.5)
 
 
@@ -360,7 +362,7 @@ def test_run_amo_small_system_reaches_target():
         q_max_hz=None, points_per_decade=20, dwell_window=300,
         step_time_cap_s=1.2, max_steps=5,
     )
-    res = run_protocol(polar_state(build_pair_basis(n)), p, cfg)
+    res = run_protocol(polar_state(PairBasis(n)), p, cfg)
     ks = res.amo.k_history
     assert all(b <= a for a, b in zip(ks, ks[1:]))
     assert record_for(res.final_state, 0.0, 0.0).F_singlet > 0.8
@@ -380,7 +382,7 @@ def test_protocol_records_are_one_run_of_its_schedule(mirrored, sample_dt):
     p = PhysicsParams(25.0, n)
     cfg = OptimizerConfig(points_per_decade=10, max_steps=2, step_time_cap_s=0.5)
     ramp = Schedule((ParabolicRamp(30.0, 0.08, 0.0, 0.05),))
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     res = run_protocol(st, p, cfg, ramp=ramp, mirrored=mirrored, sample_dt=sample_dt)
     holds = res.amo.schedule.segments
     assert holds and res.schedule.segments[: 1 + len(holds)] == ramp.segments + holds
@@ -395,7 +397,7 @@ def test_optimizer_determinism_bytes():
     n = 16
     p = PhysicsParams(25.0, n)
     cfg = OptimizerConfig(q_max_hz=2.0, points_per_decade=10, step_time_cap_s=0.8, max_steps=2)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     a = run_amo(st, p, cfg)
     b = run_amo(st, p, cfg)
     assert a.k_history == b.k_history
@@ -421,7 +423,7 @@ def test_monotonicity_hard_guarantee():
     p = PhysicsParams(25.0, n)
     cfg = OptimizerConfig(step_time_cap_s=0.4)
     ref = reference_eigensystem(n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     pops = ref.populations(st.amplitudes)
     k0 = max(int((pops > cfg.k_threshold).sum()), 1)
     for q in (0.01, 0.1, 1.0):

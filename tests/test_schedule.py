@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from spinmo import propagate
-from spinmo.basis import SectorBasis, StateVector, build_pair_basis, polar_state
+from spinmo.basis import PairBasis, SectorBasis, StateVector, polar_state
 from spinmo.observables import reference_eigensystem, singlet_amplitudes
 from spinmo.opensystem import LossConfig, gillespie_trajectory
 from spinmo.operators import PhysicsParams, hamiltonian_sector
@@ -20,6 +20,8 @@ from spinmo.schedule import (
     run_schedule,
 )
 from spinmo.spectra import eigensolve_tridiagonal
+
+from full_basis import to_dense
 
 
 def test_reference_ramp_values():
@@ -95,15 +97,15 @@ def test_schedule_q_evaluation_boundaries():
 def test_empty_schedule_single_record():
     n = 6
     p = PhysicsParams(25.0, n)
-    records, final = run_schedule(polar_state(build_pair_basis(n)), Schedule(()), p)
+    records, final = run_schedule(polar_state(PairBasis(n)), Schedule(()), p)
     assert len(records) == 1 and records[0].t == 0.0
-    assert final.fidelity_to(polar_state(build_pair_basis(n))) == 1.0
+    assert abs(np.vdot(final.amplitudes, polar_state(PairBasis(n)).amplitudes)) ** 2 == 1.0
 
 
 def test_hold_from_singlet_keeps_fidelity_one():
     n = 8
     p = PhysicsParams(25.0, n)
-    st = StateVector(build_pair_basis(n), singlet_amplitudes(n).astype(complex))
+    st = StateVector(PairBasis(n), singlet_amplitudes(n).astype(complex))
     records, _ = run_schedule(st, Schedule((Hold(0.0, 0.05),)), p, sample_dt=0.01)
     assert all(abs(r.F_singlet - 1) < 1e-10 for r in records)
 
@@ -111,7 +113,7 @@ def test_hold_from_singlet_keeps_fidelity_one():
 def test_sample_refinement_is_bitwise_superset():
     n = 14
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((ParabolicRamp(40.0, 0.1, 0.0, 0.06), Hold(1.3, 0.034)))
     coarse, _ = run_schedule(st, sched, p, sample_dt=8e-3)
     fine, _ = run_schedule(st, sched, p, sample_dt=4e-3)
@@ -125,7 +127,7 @@ def test_sample_refinement_is_bitwise_superset():
 def test_records_cover_boundaries_and_grid():
     n = 10
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((Hold(5.0, 0.02), Hold(2.0, 0.02)))
     records, _ = run_schedule(st, sched, p, sample_dt=0.005)
     ts = [r.t for r in records]
@@ -137,7 +139,7 @@ def test_records_cover_boundaries_and_grid():
 def test_q_offset_shifts_control_curve():
     n = 8
     p = PhysicsParams(25.0, n)
-    st = polar_state(build_pair_basis(n))
+    st = polar_state(PairBasis(n))
     sched = Schedule((Hold(1.0, 0.02),))
     recs, _ = run_schedule(st, sched, p, sample_dt=None, q_offset_hz=0.25)
     assert recs[-1].q == pytest.approx(1.25)
@@ -180,7 +182,7 @@ def test_holds_match_dense_expm(monkeypatch, n, m, truncated):
     for amplitudes, block_below_top in starts:
         st = StateVector(basis, amplitudes.astype(complex))
         for q in (-1.0, 1.8e-4, 0.3):
-            h = hamiltonian_sector(p.with_q(q), basis).to_dense()
+            h = to_dense(hamiltonian_sector(p.with_q(q), basis))
             for duration in (0.05, 1.0, 3.0):
                 sizes.clear()
                 sched = Schedule((Hold(q, duration),))
@@ -204,5 +206,5 @@ def test_loss_trajectory_hold_pieces_match_dense_expm_in_a_magnetized_sector():
     cfg = LossConfig(gamma_per_s=0.0, n_traj=1)
     traj = gillespie_trajectory(st, Schedule((Hold(q, 1.0),)), p, cfg, sample_dt=0.3)
     assert [r.t for r in traj.records] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
-    want = expm(-1j * hamiltonian_sector(p.with_q(q), basis).to_dense()) @ st.amplitudes
+    want = expm(-1j * to_dense(hamiltonian_sector(p.with_q(q), basis))) @ st.amplitudes
     np.testing.assert_allclose(traj.final_state.amplitudes, want, rtol=0, atol=1e-11)

@@ -15,8 +15,18 @@ from spinmo.spectra import (
     eigensolve_tridiagonal,
     find_critical_q,
     gap,
-    perturbative_gap,
 )
+
+from full_basis import to_dense
+
+
+def perturbative_gap(n_atoms: int, q_over_c2p: float) -> float:
+    """Small-q expansion of the gap in units of c2p, the quadratic form
+    whose vertex :func:`~spinmo.spectra.critical_q_estimate` returns;
+    valid near the critical region |q| << c2p."""
+    n = float(n_atoms)
+    x = q_over_c2p
+    return 6.0 / n - 0.1907 * n * x + 0.0253 * n**3 * x * x
 
 
 def test_eigensolve_1x1():
@@ -33,7 +43,7 @@ def test_eigensolve_invariants(d, seed):
     assert np.all(np.diff(eig.values) >= -1e-12)
     gram = eig.vectors.T @ eig.vectors
     assert np.max(np.abs(gram - np.eye(d))) < 1e-9
-    dense = m.to_dense()
+    dense = to_dense(m)
     resid = dense @ eig.vectors - eig.vectors * eig.values
     assert np.max(np.abs(resid)) <= 1e-8 * max(1.0, np.max(np.abs(dense)))
     lead = np.argmax(np.abs(eig.vectors), axis=0)
@@ -63,8 +73,8 @@ def test_n4_unscaled_l2_trace_det_spectrum():
     m = l2_sector(4, 0)
     eig = eigensolve_tridiagonal(m)
     assert np.allclose(np.sort(eig.values), [0.0, 6.0, 20.0], atol=1e-9)
-    assert abs(np.trace(m.to_dense()) - 26.0) < 1e-12
-    assert abs(np.linalg.det(m.to_dense())) < 1e-9
+    assert abs(np.trace(to_dense(m)) - 26.0) < 1e-12
+    assert abs(np.linalg.det(to_dense(m))) < 1e-9
 
 
 def test_n4_scaled_eigenvalues():
