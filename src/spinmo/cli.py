@@ -22,7 +22,7 @@ from . import __version__
 from .basis import PairBasis, polar_state, twin_fock_state, StateVector
 from .config import load as load_config
 from .errors import ConfigError, ConvergenceError, SpinmoError, StepSizeError
-from .noise import NoiseConfig, run_dephasing_ensemble, run_relaxation_ensemble
+from .noise import NoiseConfig, check_rotating_wave, run_dephasing_ensemble, run_relaxation_ensemble
 from .observables import singlet_amplitudes
 from .opensystem import LossConfig, postselect, run_loss_study
 from .operators import PhysicsParams, hamiltonian_pair
@@ -296,8 +296,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed, convention=args.convention)
+        # a schedule or rotating-wave error leaves no output directory
         if args.command in _SCHEDULED:
-            _schedule(cfg)  # a schedule error leaves no output directory
+            _schedule(cfg)
+        if args.command == "noise" and cfg["noise"]["mode"] == "relaxation":
+            check_rotating_wave(_physics(cfg), _noise_config(cfg))
         run = RunDir(args.out, args.command, cfg)
         _COMMANDS[args.command](cfg, run)
         run.finalize()

@@ -1,18 +1,19 @@
-"""JSON run configuration: schema, validation, default resolution.
+"""JSON run configuration: its rules, their check, default resolution.
 
-One JSON document fully determines one run.  Validation errors carry the
-JSON path of the offending value.
+One JSON document fully determines one run.  :data:`RULES` gives the rule
+of every key; :func:`resolve` walks a document against it and stops at the
+first value that breaks its rule, with a :class:`ConfigError` that names
+the value's JSON path.  It then fills in :data:`DEFAULTS` and checks the
+settings that span several keys.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, dataclass, fields
+from inspect import signature
 from pathlib import Path
-
-import jsonschema
 
 from .errors import ConfigError
 from .noise import NoiseConfig
@@ -23,125 +24,84 @@ from .propagate import RAMP_DT_S
 from .schedule import PRESETS, SAMPLE_DT_DEFAULT_S, SEGMENT_KINDS, reference_ramp
 from .schedule import REFERENCE_Q0_HZ, REFERENCE_T0_S, REFERENCE_T_END_S
 
-_NUMBER = {"type": "number"}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
-# a segment document is its kind and the fields of that kind's dataclass;
-# the positive ones are those the dataclasses' __post_init__ require positive
-_SEGMENT_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": kind},
-                **{f.name: _POSITIVE if f.name in ("T0_s", "duration_s") else _NUMBER for f in fields(cls)},
-            },
-            "required": ["kind", *(f.name for f in fields(cls))],
-            "additionalProperties": False,
-        }
-        for kind, cls in SEGMENT_KINDS.items()
-    ]
-}
+@dataclass(frozen=True)
+class Num:
+    """A finite JSON number, above ``gt`` or at least ``ge`` when given;
+    ``integer`` takes JSON integers only, ``null`` takes null too."""
 
+    integer: bool = False
+    gt: float | None = None
+    ge: float | None = None
+    null: bool = False
+
+
+@dataclass(frozen=True)
+class Required:
+    """The rule of a key its object must hold."""
+
+    rule: object
+
+
+@dataclass(frozen=True)
+class Pick:
+    """An object whose rule the value of its ``key`` picks from ``rules``:
+    ``rules[ANY]`` for any value, ``rules[None]`` when the key is absent
+    (with no such entry the key is required)."""
+
+    key: str
+    rules: dict
+
+
+ANY = ...  # the Pick entry for any value of its key
+NUMBER, POSITIVE, NON_NEGATIVE, COUNT = Num(), Num(gt=0), Num(ge=0), Num(integer=True, ge=1)
 # the keys of the reference ramp, as a preset and as the optimizer's entry ramp
-_RAMP_PROPERTIES = {"q0_hz": _NUMBER, "T0_s": _POSITIVE, "t_end_s": _POSITIVE}
+_RAMP = {"q0_hz": NUMBER, "T0_s": POSITIVE, "t_end_s": POSITIVE}
+# a segment reads its kind and every field of that kind's dataclass; the
+# positive ones are those its __post_init__ requires positive
+_SEGMENT = Pick("kind", {
+    kind: {"kind": (kind,), **{
+        f.name: Required(POSITIVE if f.name in ("T0_s", "duration_s") else NUMBER) for f in fields(cls)
+    }}
+    for kind, cls in SEGMENT_KINDS.items()
+})
+# a preset reads its name and its builder's arguments
+_PRESET_ARGS = {**_RAMP, "duration_s": POSITIVE}
+_PRESET = Pick("preset", {None: {}, **{
+    name: {"preset": (name,), **{a: _PRESET_ARGS[a] for a in signature(build).parameters}}
+    for name, build in PRESETS.items()
+}})
 
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "physics": {
-            "type": "object",
-            "properties": {
-                "c2p_hz": {"type": "number", "exclusiveMinimum": 0},
-                "n_atoms": {"type": "integer", "minimum": 1},
-                "q_hz": {"type": "number"},
-                "convention": {"enum": ["angular", "plain"]},
-            },
-            "required": ["c2p_hz", "n_atoms"],
-            "additionalProperties": False,
-        },
-        "initial_state": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["polar", "singlet", "twin_fock", "ground"]},
-                "q_hz": {"type": "number"},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        "schedule": {
-            "type": "object",
-            "properties": {
-                "segments": {"type": "array", "items": _SEGMENT_SCHEMA},
-                "preset": {"enum": list(PRESETS)},
-                **_RAMP_PROPERTIES,
-                "duration_s": _POSITIVE,
-            },
-            "additionalProperties": False,
-        },
-        "optimizer": {
-            "type": "object",
-            "properties": {
-                "mode": {"enum": ["amo", "amoa"]},
-                "q_min_hz": {"type": "number", "exclusiveMinimum": 0},
-                "q_max_hz": {"type": ["number", "null"]},
-                "points_per_decade": {"type": "integer", "minimum": 1},
-                "dwell_window": {"type": "integer", "minimum": 1},
-                "sample_dt_s": {"type": "number", "exclusiveMinimum": 0},
-                "step_time_cap_s": {"type": "number", "exclusiveMinimum": 0},
-                "max_steps": {"type": "integer", "minimum": 1},
-                "k_threshold": {"type": "number", "exclusiveMinimum": 0},
-                "refine_factor": {"type": "integer", "minimum": 1},
-                "plateau_s": {"type": "number", "exclusiveMinimum": 0},
-                "ramp": {"type": "object", "properties": _RAMP_PROPERTIES, "additionalProperties": False},
-            },
-            "additionalProperties": False,
-        },
-        "noise": {
-            "type": "object",
-            "properties": {
-                "mode": {"enum": ["dephasing", "relaxation"]},
-                "delta_bz_gauss": {"type": "number", "minimum": 0},
-                "delta_bx_gauss": {"type": "number", "minimum": 0},
-                "bz_bias_gauss": {"type": "number", "minimum": 0},
-                "q_coeff_hz_per_g2": {"type": "number"},
-                "atom_number_spread": {"type": "boolean"},
-                "n_traj": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "loss": {
-            "type": "object",
-            "properties": {
-                "gamma_per_s": {"type": "number", "minimum": 0},
-                "n_traj": {"type": "integer", "minimum": 1},
-                "dephasing": {"type": "boolean"},
-            },
-            "additionalProperties": False,
-        },
-        "phase_diagram": {
-            "type": "object",
-            "properties": {
-                "n_list": {"type": "array", "items": {"type": "integer", "minimum": 4}},
-                "points_per_decade": {"type": "integer", "minimum": 2},
-                "q_min_factor": {"type": "number", "exclusiveMinimum": 0},
-                "q_max_factor": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "output": {
-            "type": "object",
-            "properties": {
-                "sample_dt_s": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "ramp_dt_s": {"type": ["number", "null"], "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
+RULES = {
+    "seed": Num(integer=True, ge=0),
+    "physics": Required({
+        "c2p_hz": Required(POSITIVE), "n_atoms": Required(COUNT),
+        "q_hz": NUMBER, "convention": ("angular", "plain"),
+    }),
+    # only a ground state reads a start q
+    "initial_state": Pick("kind", {
+        **{kind: {"kind": (kind,)} for kind in ("polar", "singlet", "twin_fock")},
+        "ground": {"kind": ("ground",), "q_hz": NUMBER},
+    }),
+    # a schedule reads its segments, or else a preset
+    "schedule": Pick("segments", {ANY: {"segments": [_SEGMENT]}, None: _PRESET}),
+    "optimizer": {
+        "mode": ("amo", "amoa"), "q_min_hz": POSITIVE, "q_max_hz": Num(null=True),
+        "points_per_decade": COUNT, "dwell_window": COUNT, "max_steps": COUNT, "refine_factor": COUNT,
+        "sample_dt_s": POSITIVE, "step_time_cap_s": POSITIVE,
+        "k_threshold": POSITIVE, "plateau_s": POSITIVE, "ramp": _RAMP,
     },
-    "required": ["physics"],
-    "additionalProperties": False,
+    "noise": {
+        "mode": ("dephasing", "relaxation"), "q_coeff_hz_per_g2": NUMBER, "atom_number_spread": bool,
+        "delta_bz_gauss": NON_NEGATIVE, "delta_bx_gauss": NON_NEGATIVE, "bz_bias_gauss": NON_NEGATIVE,
+        "n_traj": COUNT,
+    },
+    "loss": {"gamma_per_s": NON_NEGATIVE, "n_traj": COUNT, "dephasing": bool},
+    "phase_diagram": {
+        "n_list": [Num(integer=True, ge=4)], "points_per_decade": Num(integer=True, ge=2),
+        "q_min_factor": POSITIVE, "q_max_factor": POSITIVE,
+    },
+    "output": {"sample_dt_s": Num(gt=0, null=True), "ramp_dt_s": Num(gt=0, null=True)},
 }
 
 
@@ -171,11 +131,6 @@ DEFAULTS = {
     "output": {"sample_dt_s": SAMPLE_DT_DEFAULT_S, "ramp_dt_s": None},
 }
 
-# the schedule keys each form reads: its segments, or its preset's arguments
-_SCHEDULE_KEYS = {
-    name: {"preset", *inspect.signature(build).parameters} for name, build in PRESETS.items()
-}
-
 
 def _merge_defaults(doc: dict, defaults: dict) -> dict:
     out = dict(doc)
@@ -187,34 +142,56 @@ def _merge_defaults(doc: dict, defaults: dict) -> dict:
     return out
 
 
-def _json_path(where: list) -> str:
-    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in where)
-
-
-def validate(doc: dict) -> None:
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        where = list(e.absolute_path)
-        if e.validator == "additionalProperties":
-            # an unknown key is reported at its own path, the first in sorted order
-            where.append(min(set(e.instance) - set(e.schema.get("properties", {}))))
-        raise ConfigError(f"config invalid at {_json_path(where)}: {e.message}")
-
-
-def _check_finite(node, where: list) -> None:
-    """Every number must be finite: ``json.loads`` reads NaN and Infinity,
-    and the schema's bounds let them through."""
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"config invalid at {_json_path(where)}: {node} is not a finite number")
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, val in items:
-        _check_finite(val, [*where, key])
+def _check(node, rule, where: str = "$") -> None:
+    """Raise a :class:`ConfigError` at the first value under ``node``, whose
+    JSON path is ``where``, that breaks ``rule``.  Keys are walked in sorted
+    order, so the error named does not hang on the order of the file."""
+    why = None
+    if isinstance(rule, Num):
+        if isinstance(node, bool) or not isinstance(node, int if rule.integer else (int, float)):
+            why = None if node is None and rule.null else "an integer" if rule.integer else "a number"
+        elif isinstance(node, float) and not math.isfinite(node):
+            why = "a finite number"
+        elif rule.gt is not None and not node > rule.gt:
+            why = f"> {rule.gt}"
+        elif rule.ge is not None and not node >= rule.ge:
+            why = f">= {rule.ge}"
+    elif rule is bool:
+        why = None if isinstance(node, bool) else "true or false"
+    elif isinstance(rule, tuple):
+        why = None if node in rule else f"one of {json.dumps(rule)}"
+    elif isinstance(rule, list):
+        why = None if isinstance(node, list) else "an array"
+        for i, item in enumerate(node if why is None else ()):
+            _check(item, rule[0], f"{where}[{i}]")
+    elif not isinstance(node, dict):
+        why = "an object"
+    elif isinstance(rule, Pick):
+        if rule.key not in node:
+            choice = None
+        elif ANY in rule.rules:
+            choice = ANY
+        else:
+            choice = node[rule.key]
+            _check(choice, tuple(c for c in rule.rules if c is not None), f"{where}.{rule.key}")
+        if choice not in rule.rules:
+            raise ConfigError(f"config invalid at {where}: {rule.key!r} is required")
+        _check(node, rule.rules[choice], where)
+    else:
+        missing = [key for key, r in rule.items() if isinstance(r, Required) and key not in node]
+        if missing:
+            raise ConfigError(f"config invalid at {where}: {missing[0]!r} is required")
+        unknown = sorted(set(node) - set(rule))
+        if unknown:
+            raise ConfigError(f"config invalid at {where}.{unknown[0]}: nothing reads this key here")
+        for key in sorted(node):
+            _check(node[key], r.rule if isinstance(r := rule[key], Required) else r, f"{where}.{key}")
+    if why:
+        raise ConfigError(f"config invalid at {where}: {json.dumps(node, default=str)} is not {why}")
 
 
 def _check_atom_parity(cfg: dict) -> None:
-    """Settings that need an even atom number, which the schema cannot express."""
+    """Settings that need an even atom number."""
     n = cfg["physics"]["n_atoms"]
     if n % 2 == 0:
         return
@@ -232,34 +209,13 @@ def _check_atom_parity(cfg: dict) -> None:
 
 
 def _check_segments(cfg: dict) -> None:
-    """Segment constraints the schema cannot express."""
+    """Segment constraints that span two of its keys."""
     for i, seg in enumerate(cfg.get("schedule", {}).get("segments", [])):
         if seg["kind"] == "parabolic_ramp" and seg["t_begin_s"] == seg["t_end_s"]:
             raise ConfigError(
                 f"config invalid at $.schedule.segments[{i}]: a parabolic ramp "
                 "needs t_begin_s != t_end_s"
             )
-
-
-def _check_unread_keys(cfg: dict) -> None:
-    """Keys that the rest of the config makes unread: a schedule key its
-    form does not read, a start q for a state other than a ground state."""
-    sc = cfg.get("schedule", {})
-    if "segments" in sc:
-        form, reads = "a schedule of 'segments'", {"segments"}
-    elif "preset" in sc:
-        form, reads = f"the {sc['preset']} preset", _SCHEDULE_KEYS[sc["preset"]]
-    else:
-        form, reads = "a schedule without 'segments' or 'preset'", set()
-    unread = sorted(set(sc) - reads)
-    if unread:
-        raise ConfigError(f"config invalid at $.schedule.{unread[0]}: {form} does not read it")
-    start = cfg["initial_state"]
-    if "q_hz" in start and start["kind"] != "ground":
-        raise ConfigError(
-            "config invalid at $.initial_state.q_hz: only a ground state reads q_hz, "
-            f"not {start['kind']!r}"
-        )
 
 
 def _check_hold_grid(cfg: dict) -> None:
@@ -292,12 +248,10 @@ def resolve(doc: dict) -> dict:
     """Validate a raw config document and fill in every default."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    validate(doc)
-    _check_finite(doc, [])
+    _check(doc, RULES)
     cfg = _merge_defaults(doc, DEFAULTS)
     _check_atom_parity(cfg)
     _check_segments(cfg)
-    _check_unread_keys(cfg)
     _check_hold_grid(cfg)
     _check_ramp_dt(cfg)
     return cfg

@@ -202,6 +202,20 @@ def run_dephasing_ensemble(
     return EnsembleResult(times=times, classes=_parity_classes(curves, draws), draws=draws)
 
 
+def check_rotating_wave(params: PhysicsParams, cfg: NoiseConfig) -> None:
+    """Raise a :class:`ConfigError` unless every draw of ``cfg`` has
+    |h/p| <= 1e-2, the limit :func:`run_relaxation_ensemble` rests on."""
+    for i in range(cfg.n_traj):
+        draw = sample_trajectory_config(cfg, params.n_atoms, i)
+        p_hz = -GYROMAGNETIC_RATIO_HZ_PER_G * (cfg.bz_bias_gauss + draw.delta_bz_gauss)
+        h_hz = -GYROMAGNETIC_RATIO_HZ_PER_G * draw.delta_bx_gauss
+        if p_hz != 0 and abs(h_hz / p_hz) > 1e-2:
+            raise ConfigError(
+                f"rotating-wave limit invalid for trajectory {i}: h/p = "
+                f"{abs(h_hz / p_hz):.2e} > 1e-2"
+            )
+
+
 def run_relaxation_ensemble(
     schedule: Schedule,
     params: PhysicsParams,
@@ -218,19 +232,11 @@ def run_relaxation_ensemble(
     zero-magnetization sector.  Each trajectory therefore reduces to the
     pair-sector run with its quasi-static q offset: this is
     :func:`run_dephasing_ensemble` over the same draws (atom numbers
-    included), once every draw is checked to have |h/p| <= 1e-2.  A dense
+    included), once :func:`check_rotating_wave` has passed.  A dense
     lab-frame evolution on the full basis agrees with it to
     O((h/p)^2) (``tests/test_noise.py``).
     """
-    for i in range(cfg.n_traj):
-        draw = sample_trajectory_config(cfg, params.n_atoms, i)
-        p_hz = -GYROMAGNETIC_RATIO_HZ_PER_G * (cfg.bz_bias_gauss + draw.delta_bz_gauss)
-        h_hz = -GYROMAGNETIC_RATIO_HZ_PER_G * draw.delta_bx_gauss
-        if p_hz != 0 and abs(h_hz / p_hz) > 1e-2:
-            raise ConfigError(
-                f"rotating-wave limit invalid for trajectory {i}: h/p = "
-                f"{abs(h_hz / p_hz):.2e} > 1e-2"
-            )
+    check_rotating_wave(params, cfg)
     return run_dephasing_ensemble(
         schedule, params, cfg, sample_dt=sample_dt, ramp_dt=ramp_dt, info=info
     )

@@ -15,7 +15,7 @@ import pytest
 import spinmo
 from spinmo import optimizer, propagate, schedule
 from spinmo.cli import _COMMANDS, _schedule, main
-from spinmo.config import SCHEMA, load as load_config, resolve
+from spinmo.config import RULES, load as load_config, resolve
 from spinmo.errors import ConfigError, StepSizeError
 from spinmo.noise import NoiseConfig
 from spinmo.observables import reference_eigensystem, singlet_amplitudes
@@ -109,7 +109,7 @@ def test_resolved_defaults_are_pinned():
 )
 def test_schema_section_keys_are_the_dataclass_fields(section, cls):
     # the CLI builds each dataclass from its section by key name
-    keys = set(SCHEMA["properties"][section]["properties"]) - {"mode", "ramp", "dephasing"}
+    keys = set(RULES[section]) - {"mode", "ramp", "dephasing"}
     assert keys == {f.name for f in dataclasses.fields(cls)} - {"seed"}
 
 
@@ -231,6 +231,47 @@ def test_a_non_finite_number_exits_2_at_its_path(tmp_path, capsys, command, path
     err = json.loads(capsys.readouterr().err.strip())
     where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
     assert err["exit_code"] == 2 and f"config invalid at {where}:" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("evolve", ("physics", "n_atoms"), 12.0),
+        ("noise", ("seed",), 3.0),
+        ("noise", ("noise", "n_traj"), 2.0),
+        ("loss", ("loss", "n_traj"), 2.0),
+        ("optimize", ("optimizer", "dwell_window"), 10.0),
+        ("phase-diagram", ("phase_diagram", "n_list", 0), 20.0),
+        ("evolve", ("physics", "c2p_hz"), True),
+    ],
+    ids=["n_atoms", "seed", "noise-n_traj", "loss-n_traj", "dwell_window", "n_list", "bool-c2p"],
+)
+def test_an_integral_float_or_a_bool_exits_2_at_its_path(tmp_path, capsys, command, path, value):
+    # integer keys take JSON integers only, and a boolean is not a number
+    doc = json.loads(json.dumps(BASE))
+    doc["phase_diagram"] = {"n_list": [20]}
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    out = tmp_path / "x"
+    rc = main([command, "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    assert err["exit_code"] == 2 and f"config invalid at {where}:" in err["message"]
+
+
+def test_a_relaxation_run_outside_the_rotating_wave_limit_exits_2_before_its_output_directory(
+    tmp_path, capsys
+):
+    # the default bz_bias_gauss of 0 leaves p no larger than the drawn field offsets
+    doc = dict(BASE, noise={"mode": "relaxation", "n_traj": 2})
+    out = tmp_path / "x"
+    rc = main(["noise", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "rotating-wave limit invalid" in err["message"]
 
 
 @pytest.mark.parametrize("command", ["noise", "loss"])
@@ -722,7 +763,7 @@ def test_cli_import_leaves_out_heavy_modules():
     src = str(Path(spinmo.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     unwanted = (
-        "numba", "mpmath", "scipy.integrate", "scipy.interpolate", "scipy.ndimage",
+        "jsonschema", "numba", "mpmath", "scipy.integrate", "scipy.interpolate", "scipy.ndimage",
         "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.special",
     )
     code = f"import sys, spinmo.cli; print(sorted(m for m in {unwanted!r} if m in sys.modules))"
