@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .basis import PairBasis, polar_state, twin_fock_state, StateVector
 from .config import load as load_config
-from .errors import ConfigError, ConvergenceError, SpinmoError, StepSizeError
+from .errors import ConfigError, SpinmoError
 from .noise import NoiseConfig, check_rotating_wave, run_dephasing_ensemble, run_relaxation_ensemble
 from .observables import singlet_amplitudes
 from .opensystem import LossConfig, postselect, run_loss_study
@@ -54,11 +54,10 @@ def _initial_state(cfg: dict, params: PhysicsParams) -> StateVector:
         return twin_fock_state(basis)
     if kind == "singlet":
         return StateVector(basis, singlet_amplitudes(params.n_atoms).astype(np.complex128))
-    if kind == "ground":
-        q = cfg["initial_state"].get("q_hz", params.q_hz)
-        eig = eigensolve_tridiagonal(hamiltonian_pair(params.with_q(q)))
-        return StateVector(basis, eig.ground().astype(np.complex128))
-    raise ConfigError(f"unknown initial state {kind!r}")
+    # "ground", the last kind config.RULES admits
+    q = cfg["initial_state"].get("q_hz", params.q_hz)
+    eig = eigensolve_tridiagonal(hamiltonian_pair(params.with_q(q)))
+    return StateVector(basis, eig.ground().astype(np.complex128))
 
 
 def _schedule(cfg: dict) -> Schedule:
@@ -285,17 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="run configuration JSON")
     ap.add_argument("--out", required=True, help="output directory")
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
-    ap.add_argument(
-        "--convention", choices=["angular", "plain"], default=None,
-        help="override unit convention",
-    )
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, seed=args.seed, convention=args.convention)
+        cfg = load_config(args.config, seed=args.seed)
         # a schedule or rotating-wave error leaves no output directory
         if args.command in _SCHEDULED:
             _schedule(cfg)
@@ -308,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(error_json(exc, 2), file=sys.stderr)
         return 2
-    except (ConvergenceError, StepSizeError, ArithmeticError, ValueError, SpinmoError) as exc:
+    except (ArithmeticError, ValueError, SpinmoError) as exc:
         print(error_json(exc, 3), file=sys.stderr)
         return 3
 

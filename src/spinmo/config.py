@@ -92,7 +92,7 @@ RULES = {
         "k_threshold": POSITIVE, "plateau_s": POSITIVE, "ramp": _RAMP,
     },
     "noise": {
-        "mode": ("dephasing", "relaxation"), "q_coeff_hz_per_g2": NUMBER, "atom_number_spread": bool,
+        "mode": ("dephasing", "relaxation"), "atom_number_spread": bool,
         "delta_bz_gauss": NON_NEGATIVE, "delta_bx_gauss": NON_NEGATIVE, "bz_bias_gauss": NON_NEGATIVE,
         "n_traj": COUNT,
     },
@@ -257,9 +257,9 @@ def resolve(doc: dict) -> dict:
     return cfg
 
 
-def load(path: str | Path, seed: int | None = None, convention: str | None = None) -> dict:
-    """Read and resolve a config file; a ``seed`` or ``convention`` given
-    here replaces the file's before validation, so it is checked alike."""
+def load(path: str | Path, seed: int | None = None) -> dict:
+    """Read and resolve a config file; a ``seed`` given here replaces the
+    file's before validation, so it is checked alike."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -268,9 +268,6 @@ def load(path: str | Path, seed: int | None = None, convention: str | None = Non
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if isinstance(doc, dict):
-        if seed is not None:
-            doc["seed"] = seed
-        if convention is not None and isinstance(doc.get("physics"), dict):
-            doc["physics"]["convention"] = convention
+    if isinstance(doc, dict) and seed is not None:
+        doc["seed"] = seed
     return resolve(doc)

@@ -15,7 +15,3 @@ class ConfigError(SpinmoError):
 
 class ConvergenceError(SpinmoError):
     """An iterative numerical routine failed to converge."""
-
-
-class StepSizeError(SpinmoError):
-    """A user-supplied integrator step violates the stability/accuracy bound."""

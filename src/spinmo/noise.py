@@ -26,7 +26,7 @@ from .observables import ObservableRecord
 from .operators import GYROMAGNETIC_RATIO_HZ_PER_G, PhysicsParams
 from .schedule import Schedule, run_schedule
 
-Q_COEFF_HZ_PER_G2_DEFAULT = 277.0
+Q_COEFF_HZ_PER_G2 = 277.0  # 23Na, F = 1
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class NoiseConfig:
     delta_bz_gauss: float = 1e-4       # uniform on [-range, +range]; 1e-4 G = 0.1 mG
     delta_bx_gauss: float = 1e-4
     bz_bias_gauss: float = 0.0         # 0 for dephasing-only runs, 0.85 for relaxation
-    q_coeff_hz_per_g2: float = Q_COEFF_HZ_PER_G2_DEFAULT
     atom_number_spread: bool = True    # uniform integers on [N - sqrt(N), N + sqrt(N)]
     n_traj: int = 100
     seed: int = 0
@@ -72,15 +71,12 @@ def sample_trajectory_config(
     return TrajectoryDraw(float(dbz), float(dbx), n)
 
 
-def effective_q(nominal_q_hz: float, delta_bz_gauss: float, cfg: NoiseConfig) -> float:
-    """Realized q when the microwave shift assumes the nominal bias field."""
-    bz = cfg.bz_bias_gauss
-    shift = ((bz + delta_bz_gauss) ** 2 - bz**2) * cfg.q_coeff_hz_per_g2
-    return nominal_q_hz + shift
-
-
 def q_offset(delta_bz_gauss: float, cfg: NoiseConfig) -> float:
-    return effective_q(0.0, delta_bz_gauss, cfg)
+    """The shift of every realized q from its nominal value, in Hz, when
+    the microwave shift assumes the nominal bias field ``cfg.bz_bias_gauss``
+    and the field is off by ``delta_bz_gauss``."""
+    bz = cfg.bz_bias_gauss
+    return ((bz + delta_bz_gauss) ** 2 - bz**2) * Q_COEFF_HZ_PER_G2
 
 
 @dataclass

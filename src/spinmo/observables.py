@@ -75,10 +75,7 @@ def reference_n0(n_atoms: int, magnetization: int = 0) -> TriMatrix:
     """
     r = reference_eigensystem(n_atoms, magnetization).vectors
     n0 = SectorBasis(n_atoms, magnetization).n_zero.astype(np.float64)
-    n0_ref = TriMatrix(n0 @ r**2, n0 @ (r[:, :-1] * r[:, 1:]))
-    n0_ref.diag.setflags(write=False)
-    n0_ref.offdiag.setflags(write=False)
-    return n0_ref
+    return TriMatrix(n0 @ r**2, n0 @ (r[:, :-1] * r[:, 1:]))
 
 
 @lru_cache(maxsize=64)

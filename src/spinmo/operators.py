@@ -71,14 +71,20 @@ class PhysicsParams:
 
 @dataclass(frozen=True)
 class TriMatrix:
-    """Real symmetric tridiagonal matrix stored as two arrays."""
+    """Real symmetric tridiagonal matrix stored as two arrays.
+
+    The arrays are read-only float64 views of the ones given, so nothing
+    writes through them once their entries are checked finite.
+    """
 
     diag: np.ndarray
     offdiag: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=np.float64))
-        object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=np.float64))
+        for name in ("diag", "offdiag"):
+            view = np.asarray(getattr(self, name), dtype=np.float64).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
         if self.offdiag.shape != (max(self.size - 1, 0),):
             raise ValueError("offdiag must have length len(diag) - 1")
         if not (np.isfinite(self.diag).all() and np.isfinite(self.offdiag).all()):

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import _kernels
 from .basis import SectorBasis, StateVector
-from .errors import StepSizeError
 from .observables import reference_eigensystem, reference_n0
 from .operators import PhysicsParams, TriMatrix, l2_sector
 from .spectra import EigenSystem, eigensolve_tridiagonal, real_map
@@ -166,7 +165,8 @@ def evolve_ramp(
     """Integrate chain-sector states through one time-dependent segment
     (parabolic ramp or linear sweep), and return each state's amplitude
     columns at the local times ``taus``, as :func:`evolve_hold` does.
-    ``taus`` must be sorted and lie within the segment, else ``ValueError``.
+    ``taus`` must be sorted and lie within the segment, and ``dt`` may be
+    no coarser than ``RAMP_DT_S``, else ``ValueError``.
 
     State b reads its chain off ``sectors[b]`` (:attr:`Sector.chain`),
     whose basis sets its atom number, and sees the control curve shifted
@@ -197,7 +197,7 @@ def evolve_ramp(
     if dt is None:
         dt = RAMP_DT_S
     elif dt > RAMP_DT_S:
-        raise StepSizeError(f"dt={dt:.3e} s is coarser than the ramp step {RAMP_DT_S:.3e} s")
+        raise ValueError(f"dt={dt:.3e} s is coarser than the ramp step {RAMP_DT_S:.3e} s")
     taus = np.asarray(taus, dtype=float)
     if np.any(np.diff(taus) < 0):
         raise ValueError("taus must be sorted")

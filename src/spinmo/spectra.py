@@ -78,12 +78,10 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 def eigensolve_tridiagonal(m: TriMatrix) -> EigenSystem:
     """Full spectrum and eigenvectors of a symmetric tridiagonal matrix,
-    bit for bit those of ``scipy.linalg.eigh_tridiagonal``.  Non-finite
-    entries raise ``ValueError``, as they do there."""
+    bit for bit those of ``scipy.linalg.eigh_tridiagonal``.  The entries
+    are finite: :class:`TriMatrix` checks them and keeps them read-only."""
     if m.size == 1:
         return EigenSystem(m.diag.copy(), np.ones((1, 1)))
-    if not (np.isfinite(m.diag).all() and np.isfinite(m.offdiag).all()):
-        raise ValueError("array must not contain infs or NaNs")
     values, vectors, info = dstevd(m.diag, m.offdiag)
     if info != 0:
         raise ConvergenceError(f"tridiagonal eigensolver failed (LAPACK info={info})")
@@ -106,35 +104,26 @@ def critical_q_estimate(n_atoms: int, c2p_hz: float) -> float:
     return 3.7688 / float(n_atoms) ** 2 * c2p_hz
 
 
-def find_critical_q(
-    n_atoms: int,
-    c2p_hz: float,
-    rel_tol: float = 1e-4,
-    bracket: tuple[float, float] | None = None,
-    convention: str = "angular",
-) -> float:
-    """Locate the minimum-gap q by golden-section search.
+def find_critical_q(n_atoms: int, c2p_hz: float, convention: str = "angular") -> float:
+    """Locate the minimum-gap q, in Hz, by golden-section search to a
+    relative width of 1e-4.
 
-    The default bracket spans two decades around the perturbative
-    estimate, wide enough that the interior minimum is always enclosed.
+    The bracket spans two decades around the perturbative estimate
+    (:func:`critical_q_estimate` / 10 to x 10), wide enough that the
+    interior minimum is always enclosed.
     """
     if n_atoms < 4:
         raise ValueError("critical-point search requires N >= 4")
-    if bracket is None:
-        q_est = critical_q_estimate(n_atoms, c2p_hz)
-        bracket = (q_est / 10.0, q_est * 10.0)
-    lo, hi = bracket
-    if not 0 <= lo < hi:
-        raise ValueError(f"invalid bracket {bracket}")
+    q_est = critical_q_estimate(n_atoms, c2p_hz)
 
     def f(q):
         return gap(PhysicsParams(c2p_hz, n_atoms, q, convention))
 
-    a, b = lo, hi
+    a, b = q_est / 10.0, q_est * 10.0
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b)):
+    while (b - a) > 1e-4 * b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)

@@ -16,7 +16,7 @@ import spinmo
 from spinmo import optimizer, propagate, schedule
 from spinmo.cli import _COMMANDS, _schedule, main
 from spinmo.config import RULES, load as load_config, resolve
-from spinmo.errors import ConfigError, StepSizeError
+from spinmo.errors import ConfigError, ConvergenceError
 from spinmo.noise import NoiseConfig
 from spinmo.observables import reference_eigensystem, singlet_amplitudes
 from spinmo.opensystem import LossConfig
@@ -81,7 +81,6 @@ RESOLVED_DEFAULTS = {
         "delta_bz_gauss": 1e-4,
         "delta_bx_gauss": 1e-4,
         "bz_bias_gauss": 0.0,
-        "q_coeff_hz_per_g2": 277.0,
         "atom_number_spread": True,
         "n_traj": 100,
     },
@@ -321,8 +320,9 @@ def test_exit_code_config_error(tmp_path, capsys):
         ["bogus", "--config", "c.json", "--out", "x"],
         ["evolve", "--config", "c.json"],
         ["oscillator-demo", "--config", "c.json", "--out", "x"],
+        ["evolve", "--config", "c.json", "--out", "x", "--convention", "plain"],
     ],
-    ids=["unknown-command", "missing-out", "removed-command"],
+    ids=["unknown-command", "missing-out", "removed-command", "removed-convention-flag"],
 )
 def test_bad_command_line_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -340,7 +340,7 @@ def test_version_flag(capsys):
 
 def test_exit_code_numeric_error(tmp_path, capsys, monkeypatch):
     def failing_ramp(*args, **kwargs):
-        raise StepSizeError("the ramp step failed")
+        raise ConvergenceError("the ramp step failed")
 
     # a numeric failure once the run has started
     monkeypatch.setattr(schedule, "evolve_ramp", failing_ramp)
@@ -372,12 +372,11 @@ def test_help_keeps_the_command_list(capsys):
 
 
 def test_seed_and_convention_overrides(tmp_path):
-    cfg = write_cfg(tmp_path, BASE)
+    # --seed overrides the file; the convention is set by the file only
+    doc = json.loads(json.dumps(BASE))
+    doc["physics"]["convention"] = "plain"
     out = tmp_path / "ovr"
-    assert main([
-        "evolve", "--config", str(cfg), "--out", str(out),
-        "--seed", "7", "--convention", "plain",
-    ]) == 0
+    assert main(["evolve", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out), "--seed", "7"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7 and manifest["convention"] == "plain"
 
@@ -403,8 +402,12 @@ RAMP_PRESET = {"preset": "reference_ramp", "q0_hz": 30.0, "T0_s": 0.08, "t_end_s
         ("schedule", {"preset": "landau_zener", "t_end_s": 0.05}, "$.schedule.t_end_s"),
         ("schedule", dict(RAMP_PRESET, duration_s=0.1), "$.schedule.duration_s"),
         ("initial_state", {"kind": "polar", "q_hz": 0.5}, "$.initial_state.q_hz"),
+        ("initial_state", {"kind": "coherent"}, "$.initial_state.kind"),
     ],
-    ids=["segments-and-preset", "landau-zener-T0", "landau-zener-t_end", "ramp-duration", "polar-q"],
+    ids=[
+        "segments-and-preset", "landau-zener-T0", "landau-zener-t_end", "ramp-duration", "polar-q",
+        "unknown-initial-kind",
+    ],
 )
 def test_keys_nothing_reads_are_config_errors(tmp_path, capsys, section, value, path):
     doc = dict(BASE, **{section: value})
@@ -443,6 +446,15 @@ def test_phase_diagram_small(tmp_path):
     assert "50" in summary and summary["50"]["q_c_hz"] > 0
     rows = (out / "gaps.csv").read_text().splitlines()
     assert rows[0] == "n_atoms,q_hz,gap_hz" and len(rows) > 10
+
+
+def test_phase_diagram_determinism_rerun_identical_bytes(tmp_path):
+    doc = {
+        "physics": {"c2p_hz": 25.0, "n_atoms": 20},
+        "phase_diagram": {"n_list": [20, 30], "points_per_decade": 5},
+    }
+    out = _rerun_identical(tmp_path, "phase-diagram", doc, ["gaps.csv", "summary.json"])
+    assert sorted(json.loads((out / "summary.json").read_text())) == ["20", "30"]
 
 
 def test_noise_command_small(tmp_path):
@@ -555,6 +567,17 @@ def test_removed_relaxation_keys_are_config_errors(tmp_path, capsys, key, value)
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit_code"] == 2 and f"config invalid at $.noise.{key}:" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["noise", "loss"])
+def test_removed_zeeman_coefficient_key_is_a_config_error(tmp_path, capsys, command):
+    # the 23Na coefficient is the constant noise.Q_COEFF_HZ_PER_G2
+    doc = dict(BASE, noise={"q_coeff_hz_per_g2": 277.0})
+    out = tmp_path / "qc"
+    assert main([command, "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "config invalid at $.noise.q_coeff_hz_per_g2:" in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))

@@ -7,7 +7,6 @@ from spinmo.errors import ConfigError
 from spinmo.noise import (
     NoiseConfig,
     TrajectoryDraw,
-    effective_q,
     q_offset,
     run_dephasing_ensemble,
     run_relaxation_ensemble,
@@ -55,7 +54,7 @@ def test_draw_statistics_uniform():
 
 def test_effective_q_examples():
     cfg0 = NoiseConfig(bz_bias_gauss=0.0)
-    assert effective_q(5.0, 0.0, cfg0) == 5.0
+    assert q_offset(0.0, cfg0) == 0.0
     # zero bias: pure quadratic shift 277 * (1e-4)^2
     assert q_offset(1e-4, cfg0) == pytest.approx(2.77e-6, rel=1e-12)
     cfg85 = NoiseConfig(bz_bias_gauss=0.85)

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from spinmo import _kernels, propagate
 from spinmo.basis import PairBasis, StateVector, polar_state
-from spinmo.errors import ConvergenceError, StepSizeError
+from spinmo.errors import ConvergenceError
 from spinmo.observables import reference_eigensystem
 from spinmo.operators import PhysicsParams, hamiltonian_pair, hamiltonian_sector
 from spinmo.propagate import RAMP_DT_S, Sector, evolve_ramp
@@ -99,7 +99,7 @@ def test_ramp_rejects_oversized_dt():
     p = PhysicsParams(25.0, n)
     st = polar_state(PairBasis(n))
     seg = ParabolicRamp(100.0, 0.5, 0.0, 0.3)
-    with pytest.raises(StepSizeError):
+    with pytest.raises(ValueError, match="coarser than the ramp step"):
         _ramp(st, seg, p, dt=0.05)
 
 

@@ -63,10 +63,15 @@ def test_eigensolve_matches_eigh_tridiagonal_bit_for_bit(d):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("part", ["diag", "offdiag"])
 def test_eigensolve_rejects_non_finite_entries(bad, part):
-    m = TriMatrix(np.arange(4.0), np.ones(3))
-    getattr(m, part)[1] = bad  # the arrays stay writable after validation
-    with pytest.raises(ValueError):
-        eigensolve_tridiagonal(m)
+    # no non-finite entry reaches the eigensolve: TriMatrix refuses one at
+    # construction, and its arrays are read-only after that check
+    entries = {"diag": np.arange(4.0), "offdiag": np.ones(3)}
+    m = TriMatrix(**entries)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(m, part)[1] = bad
+    entries[part][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        TriMatrix(**entries)
 
 
 def test_n4_unscaled_l2_trace_det_spectrum():
