@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
+
 import numpy as np
 
 from . import __version__
@@ -27,6 +29,7 @@ from .observables import singlet_amplitudes
 from .opensystem import LossConfig, postselect, run_loss_study
 from .operators import PhysicsParams, hamiltonian_pair
 from .optimizer import OptimizerConfig, run_protocol
+from .propagate import ramp_step_counts
 from .runio import RunDir, error_json, write_records_csv, write_table_csv
 from .schedule import PRESETS, Schedule, reference_ramp, run_schedule
 from .spectra import critical_q_estimate, eigensolve_tridiagonal, find_critical_q, gap
@@ -82,13 +85,16 @@ def _noise_config(cfg: dict) -> NoiseConfig:
 def cmd_evolve(cfg: dict, run: RunDir) -> None:
     params = _physics(cfg)
     state = _initial_state(cfg, params)
+    counts: Counter = Counter()
     records, _ = run_schedule(
         state,
         _schedule(cfg),
         params,
         sample_dt=cfg["output"]["sample_dt_s"],
         ramp_dt=cfg["output"]["ramp_dt_s"],
+        counts=counts,
     )
+    run.info.update(hold_blocks=counts["hold_blocks"], ramp_steps=ramp_step_counts(counts))
     write_records_csv(run.file("records.csv"), records)
 
 
@@ -96,6 +102,7 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
     params = _physics(cfg)
     state = _initial_state(cfg, params)
     o = cfg["optimizer"]
+    counts: Counter = Counter()
     result = run_protocol(
         state,
         params,
@@ -104,6 +111,7 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
         mirrored=o["mode"] == "amoa",
         sample_dt=cfg["output"]["sample_dt_s"],
         ramp_dt=cfg["output"]["ramp_dt_s"],
+        counts=counts,
     )
     run.write_json(
         "schedule.json",
@@ -136,6 +144,7 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
         "by_flag": {flag: flags.count(flag) for flag in ("", "flat", "capped")},
         "eigensolves": result.amo.eigensolves,
     }
+    run.info.update(hold_blocks=counts["hold_blocks"], ramp_steps=ramp_step_counts(counts))
     write_records_csv(run.file("curve.csv"), result.records)
 
 

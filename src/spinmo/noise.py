@@ -24,6 +24,7 @@ from .basis import PairBasis, polar_state
 from .errors import ConfigError
 from .observables import ObservableRecord
 from .operators import GYROMAGNETIC_RATIO_HZ_PER_G, PhysicsParams
+from .propagate import ramp_step_counts
 from .schedule import Schedule, run_schedule
 
 Q_COEFF_HZ_PER_G2 = 277.0  # 23Na, F = 1
@@ -177,8 +178,8 @@ def run_dephasing_ensemble(
     a configured ``initial_state`` is not used (a known defect: mending it
     changes the outputs of existing runs).
 
-    ``info``, when given, receives the run's counters: trajectories and
-    the hold blocks solved.
+    ``info``, when given, receives the run's counters: trajectories, the
+    hold blocks solved and the ramp steps taken.
     """
     draws = [sample_trajectory_config(cfg, params.n_atoms, i) for i in range(cfg.n_traj)]
     counts: Counter = Counter()
@@ -192,7 +193,11 @@ def run_dephasing_ensemble(
         counts=counts,
     )
     if info is not None:
-        info.update(trajectories=cfg.n_traj, hold_blocks=counts["hold_blocks"])
+        info.update(
+            trajectories=cfg.n_traj,
+            hold_blocks=counts["hold_blocks"],
+            ramp_steps=ramp_step_counts(counts),
+        )
     curves = [trajectory_curves(r, np.zeros(len(r))) for r in records]  # pair sectors: M = 0
     times = np.array([r.t for r in records[0]])
     return EnsembleResult(times=times, classes=_parity_classes(curves, draws), draws=draws)

@@ -32,7 +32,7 @@ from .noise import Aggregate, NoiseConfig, aggregate, q_offset, sample_trajector
 from .noise import trajectory_curves
 from .observables import ObservableRecord, batch_records
 from .operators import PhysicsParams
-from .propagate import Sector
+from .propagate import Sector, ramp_step_counts
 from .schedule import Schedule, advance_segment, segment_instants
 
 
@@ -164,7 +164,8 @@ def gillespie_trajectory(
 
     ``sectors`` is the run's sector table for ``params``
     (:func:`run_loss_study`); without one the trajectory keeps its own.
-    The hold blocks solved are added to ``counts["hold_blocks"]``.
+    The hold blocks solved and the ramp steps taken are added to
+    ``counts`` (:func:`~spinmo.schedule.run_schedule`).
     """
     rng = np.random.default_rng([cfg.seed, 7, index])
     sectors = _Sectors(params) if sectors is None else sectors
@@ -258,8 +259,8 @@ def run_loss_study(
     shot noise.  The trajectories share one sector table, which is dropped
     on return, and are aggregated by :func:`~spinmo.noise.aggregate`.
     ``info``, when given, receives the run's counters: trajectories, jumps,
-    the reference eigensystems solved, the hold blocks solved and the wall
-    time of a trajectory (median and max).
+    the reference eigensystems solved, the hold blocks solved, the ramp
+    steps taken and the wall time of a trajectory (median and max).
     """
     curves = []
     summaries = []
@@ -288,6 +289,7 @@ def run_loss_study(
                 {(na, abs(ma)) for (na, ma), sec in sectors.items() if "reference" in vars(sec)}
             ),
             hold_blocks=counts["hold_blocks"],
+            ramp_steps=ramp_step_counts(counts),
             trajectory_wall_s={"p50": float(np.median(traj_s)), "max": float(traj_s.max())},
         )
     # every trajectory records at the same instants

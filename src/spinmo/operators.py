@@ -73,8 +73,9 @@ class PhysicsParams:
 class TriMatrix:
     """Real symmetric tridiagonal matrix stored as two arrays.
 
-    The arrays are read-only float64 views of the ones given, so nothing
-    writes through them once their entries are checked finite.
+    The arrays are read-only float64 copies of the ones given, so nothing
+    writes to them once their entries are checked finite, not even the
+    caller through the arrays it passed in.
     """
 
     diag: np.ndarray
@@ -82,9 +83,9 @@ class TriMatrix:
 
     def __post_init__(self):
         for name in ("diag", "offdiag"):
-            view = np.asarray(getattr(self, name), dtype=np.float64).view()
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
+            copy = np.array(getattr(self, name), dtype=np.float64)
+            copy.setflags(write=False)
+            object.__setattr__(self, name, copy)
         if self.offdiag.shape != (max(self.size - 1, 0),):
             raise ValueError("offdiag must have length len(diag) - 1")
         if not (np.isfinite(self.diag).all() and np.isfinite(self.offdiag).all()):

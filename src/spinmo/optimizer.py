@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -460,6 +461,7 @@ def run_protocol(
     mirrored: bool = False,
     sample_dt: float | None = SAMPLE_DT_DEFAULT_S,
     ramp_dt: float | None = None,
+    counts: Counter | None = None,
 ) -> ProtocolResult:
     """Entry ramp, optimized holds and, if ``mirrored``, a zero-q plateau
     and the mirrored protocol, each run once.
@@ -469,14 +471,16 @@ def run_protocol(
     and the ramp and holds replayed backwards with q -> -q (nothing is
     re-optimized there).  Both pieces go through :func:`run_schedule` on
     one clock, so ``records`` are bit for bit those of one run of
-    ``schedule`` from ``state0``.
+    ``schedule`` from ``state0``.  Both runs add their hold blocks and
+    ramp steps to ``counts``.
     """
     if mirrored and state0.basis.n_atoms % 2:
         raise ValueError("the mirrored protocol requires an even atom number")
     if ramp is None:
         ramp = reference_ramp()
     records, entry = run_schedule(
-        state0, ramp, params, sample_dt=sample_dt, ramp_dt=ramp_dt, k_threshold=cfg.k_threshold
+        state0, ramp, params, sample_dt=sample_dt, ramp_dt=ramp_dt, k_threshold=cfg.k_threshold,
+        counts=counts,
     )
     if cfg.q_max_hz is None:
         last = ramp.segments[-1]
@@ -489,6 +493,6 @@ def run_protocol(
     # the second run's first record repeats the ramp's last one
     more, final = run_schedule(
         entry, Schedule(rest), params, sample_dt=sample_dt, ramp_dt=ramp_dt,
-        k_threshold=cfg.k_threshold, t0=ramp.duration,
+        k_threshold=cfg.k_threshold, t0=ramp.duration, counts=counts,
     )
     return ProtocolResult(Schedule(ramp.segments + rest), final, records + more[1:], amo)

@@ -6,12 +6,14 @@ the optimizer's inner loop carries no integrator error.  Every hold, in
 the scan, a schedule or a loss trajectory, runs in the total-spin frame
 on the block that :func:`hold_levels` certifies.  Ramps and sweeps take
 fourth-order commutator-free Magnus steps with Chebyshev exponentials
-(:mod:`spinmo._kernels`) on a leading window of the chain whose
-truncation is certified step by step.  States carry their exact phase.
+(:mod:`spinmo._kernels`), 1, 2 or 4 fine steps long as the control curve
+allows, on a leading window of the chain whose truncation is certified
+step by step.  States carry their exact phase.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from functools import cached_property
@@ -24,10 +26,32 @@ from .observables import reference_eigensystem, reference_n0
 from .operators import PhysicsParams, TriMatrix, l2_sector
 from .spectra import EigenSystem, eigensolve_tridiagonal, real_map
 
-# ramp step of the CF4:2 integrator.  On the first 5 ms of the reference ramp
-# at N = 200 the final xi2 is within 5.0e-8 of a run at a 2e-6 s step; a
-# 5e-4 s step gives 8.8e-7, and 1e-3 s gives 2.3e-5.
+# fine ramp step of the CF4:2 integrator, sized for the fastest stretch of the
+# reference ramp, its start (q = 277 Hz, |dq/dt| = 580 Hz/s at c2p = 25 Hz):
+# there the first 5 ms at N = 200 give a final xi2 within 5.0e-8 of a run at a
+# 2e-6 s step; a 5e-4 s step gives 8.8e-7, and 1e-3 s gives 2.3e-5.  Where the
+# control curve is slower a ramp merges 2 or 4 of these steps into one
+# (:func:`merged_grid`).
 RAMP_DT_S = 2.5e-4
+# The CF4:2 error per unit time of a step of length h on H(q(t)), as the
+# largest amplitude error against a 16x finer step, stays below
+#     ERR_COEF w (w h)^4 (|q'| / (f c2p^2) + |q''| / (f^2 c2p^3)) (1 + |q| / c2p)
+# with w = f c2p, f the unit factor, |q| and |q'| their maxima over the step
+# and |q| <= Q_MAX_C2P c2p.  Measured at c2p = 25 Hz at steps of 2 and 4
+# RAMP_DT_S, from the polar, ground and top-of-chain states, for N from 2 to
+# 1000: on 5 ms linear sweeps with |q| up to 280 Hz and |q'| from 1 to
+# 600 Hz/s the largest error is 0.88 of the bound, and on 5 ms across
+# parabola vertices shifted to q from -277 to 277 Hz, with q'' from 30 to
+# 3e4 Hz/s^2, 0.67.  Rescaling time maps (c2p, q, q', q'', h) to
+# (s c2p, s q, s^2 q', s^3 q'', h / s) and the step with it, so the bound
+# holds at any c2p.
+ERR_COEF = 0.0116
+Q_MAX_C2P = 11.2
+# The error per unit time that a merged step may reach, in units of w: that
+# of one RAMP_DT_S step at the reference-ramp start, 1.6e-8 per 5 ms at
+# w = 2 pi 25 Hz.
+ERR_BUDGET = 1.6e-8 / 5e-3 / (2.0 * math.pi * 25.0)
+MERGES = (2, 4)  # fine steps one ramp step may merge
 WINDOW_TOL = 1e-12  # leakage budget of a ramp's windows per segment
 # bound on the truncation error of every reference amplitude in a hold
 _TRUNCATION_TOL = 1e-12
@@ -159,8 +183,57 @@ def evolve_hold(
     return np.stack([real_map(r, col) for col in eig.evolve_projected(c, taus)], axis=1)
 
 
+def merged_grid(q: np.ndarray, dt0: float, params: PhysicsParams) -> list[int]:
+    """The fine-grid points that a ramp's steps end on, from 0 to n.
+
+    ``q`` holds the control curve of every batch member (columns) on the
+    half-step grid of n fine steps of length ``dt0`` (rows).  From each
+    point the walk merges the next 4 fine steps into one step where the
+    bound on the CF4:2 error per unit time (``ERR_COEF``), taken with the
+    largest |q| and |q'| at the two ends of the merged step and over the
+    batch, is at most ``ERR_BUDGET``, else the next 2, else takes 1.  For
+    every segment kind q is quadratic in time, so |q| and |q'| are convex
+    and their maxima over a step sit at its ends, and q'' is constant.
+    """
+    n = (q.shape[0] - 1) // 2
+    f, c2p = params.factor, params.c2p_hz
+    x = np.abs(q[::2]).max(axis=1) / c2p
+    # the offsets shift q only: q' and q'' of every column follow from the
+    # quadratic through the first fine step of the first one
+    q0, qm, q1 = q[:3, 0].tolist()
+    curvature = 4.0 * (q0 - 2.0 * qm + q1) / dt0**2
+    slope = (4.0 * qm - 3.0 * q0 - q1) / dt0
+    y = np.abs(slope + curvature * dt0 * np.arange(n + 1)) / (f * c2p**2)
+    z = abs(curvature) / (f**2 * c2p**3)
+    size = np.ones(n + 1, dtype=np.int64)  # fine steps merged from each point
+    for r in MERGES:
+        xm, ym = np.maximum(x[:-r], x[r:]), np.maximum(y[:-r], y[r:])
+        fits = ERR_COEF * (r * dt0 * f * c2p) ** 4 * (ym + z) * (1.0 + xm) <= ERR_BUDGET
+        fits &= xm <= Q_MAX_C2P
+        if not fits.any():
+            break  # the bound grows with r, so a longer merge fits nowhere either
+        size[:-r][fits] = r
+    size = size.tolist()
+    ends = [0]
+    while ends[-1] < n:
+        ends.append(ends[-1] + size[ends[-1]])
+    return ends
+
+
+def ramp_step_counts(counts: Counter) -> dict:
+    """The ramp steps that ``counts`` holds, by the fine steps each merges
+    (:func:`evolve_ramp`), and the partial steps of sample branches."""
+    return {key: counts[f"ramp_steps.{key}"] for key in ("1", "2", "4", "branch")}
+
+
 def evolve_ramp(
-    states: list[StateVector], segment, sectors: list[Sector], q_offsets, taus, dt: float | None = None
+    states: list[StateVector],
+    segment,
+    sectors: list[Sector],
+    q_offsets,
+    taus,
+    dt: float | None = None,
+    counts: Counter | None = None,
 ) -> list[np.ndarray]:
     """Integrate chain-sector states through one time-dependent segment
     (parabolic ramp or linear sweep), and return each state's amplitude
@@ -170,23 +243,34 @@ def evolve_ramp(
 
     State b reads its chain off ``sectors[b]`` (:attr:`Sector.chain`),
     whose basis sets its atom number, and sees the control curve shifted
-    by ``q_offsets[b]``.  The batch advances together.  The main line over
-    the segment's fixed step grid is one kernel call, which keeps copies of
-    the states at the last step before each tau; a tau off the grid is a
-    side branch from that copy.  So the main trajectory (and therefore
+    by ``q_offsets[b]``; the sectors share one params.  The batch advances
+    together.
+
+    The segment's fine grid has n = ceil(d / RAMP_DT_S) steps of d / n.
+    The main line walks it from the start in steps of 4, 2 or 1 fine steps
+    (:func:`merged_grid`): a step merges fine steps only where the bound on
+    its error per unit time is no larger than the error of one fine step
+    at the reference-ramp start, so wherever nothing merges the steps are
+    those of the fine grid.  An explicit ``dt`` (which may only be finer)
+    gives n = ceil(d / dt) fine steps and takes them all.  The main line
+    is one kernel call, which keeps copies of the states at the last step
+    end at or before each tau; a tau past it is a side branch of one
+    partial step from that copy.  So the main trajectory (and therefore
     every shared column) is bit-identical no matter how densely it is
-    sampled.
+    sampled.  The steps taken are added to ``counts`` by size
+    (:func:`ramp_step_counts`).
 
     Each step is the fourth-order commutator-free Magnus step of
-    :func:`spinmo._kernels.cf4_chain`, ``RAMP_DT_S`` long (or ``dt``, which
-    may only be finer), with Chebyshev exponentials on the leading m levels
-    of every chain, all chains in one block-diagonal series.  Each m starts
-    on the first rung of the hold ladder (:func:`_first_block`): the whole
-    chain when twice its state's support fills it, else the first multiple
-    of 8 levels at least 8 beyond the support (levels beyond the support
-    hold a norm of at most 1e-12 and are dropped).  m doubles whenever a
-    step's bound on the amplitude leaving that window exceeds its share of
-    a ``WINDOW_TOL`` budget for the segment; sample branches never grow the
+    :func:`spinmo._kernels.cf4_chain`, with Chebyshev exponentials on the
+    leading m levels of every chain, all chains in one block-diagonal
+    series.  Each m starts on the first rung of the hold ladder
+    (:func:`_first_block`): the whole chain when twice its state's support
+    fills it, else the first multiple of 8 levels at least 8 beyond the
+    support (levels beyond the support hold a norm of at most 1e-12 and
+    are dropped).  m doubles whenever a step's bound on the amplitude
+    leaving that window exceeds the step's share of a ``WINDOW_TOL``
+    budget for the segment, WINDOW_TOL times its length over d; a branch
+    takes the share of the step it branches within, and never grows the
     main windows.  The main line and the branches share one dict of
     Chebyshev coefficients, which lives for this call only.  States carry
     their exact phase.
@@ -194,9 +278,7 @@ def evolve_ramp(
     duration = segment.duration
     if duration <= 0:
         raise ValueError("segment duration must be positive")
-    if dt is None:
-        dt = RAMP_DT_S
-    elif dt > RAMP_DT_S:
+    if dt is not None and dt > RAMP_DT_S:
         raise ValueError(f"dt={dt:.3e} s is coarser than the ramp step {RAMP_DT_S:.3e} s")
     taus = np.asarray(taus, dtype=float)
     if np.any(np.diff(taus) < 0):
@@ -205,9 +287,8 @@ def evolve_ramp(
         raise ValueError("taus must lie within the segment")
     diag0, qdiag, off = map(list, zip(*(sec.chain for sec in sectors)))
     offsets = np.asarray(q_offsets, dtype=np.float64)
-    n_steps = max(1, math.ceil(duration / dt - 1e-9))
+    n_steps = max(1, math.ceil(duration / (RAMP_DT_S if dt is None else dt) - 1e-9))
     dt0 = duration / n_steps
-    leak_tol = WINDOW_TOL / n_steps
 
     psis = [st.amplitudes.copy() for st in states]
     ms = []
@@ -221,23 +302,38 @@ def evolve_ramp(
         q = np.asarray(segment.q_hz_at(np.clip(local_t, 0.0, duration)), dtype=np.float64)
         return q[:, None] + offsets
 
-    # the main line, one call; a tau branches off at the last step before it
-    at_step = [min(int(math.floor(t_s / dt0 + 1e-9)), n_steps) for t_s in taus]
+    q_fine = q_grid(0.5 * np.arange(2 * n_steps + 1) * dt0)
+    ends = merged_grid(q_fine, dt0, sectors[0].params) if dt is None else list(range(n_steps + 1))
+    sizes = np.diff(ends).tolist()
+    # the main line, one call; a tau branches off at the last step end at or before it
+    at_end = [
+        bisect.bisect_right(ends, min(int(math.floor(t_s / dt0 + 1e-9)), n_steps)) - 1
+        for t_s in taus
+    ]
     coefs: dict = {}  # Chebyshev coefficients of this segment, by series argument
-    ts = 0.5 * np.arange(2 * n_steps + 1) * dt0
+    half = np.array([0] + [i for a, b in zip(ends, ends[1:]) for i in (a + b, 2 * b)])
+    leak_tols = [WINDOW_TOL * r / n_steps for r in sizes]
     kept = _kernels.cf4_chain(
-        psis, diag0, qdiag, off, q_grid(ts), dt0, ms, leak_tol, coefs, at_step
+        psis, diag0, qdiag, off, q_fine[half], [r * dt0 for r in sizes], ms, leak_tols, coefs,
+        at_end,
     )
     branches = []
-    for i, (t_s, k) in enumerate(zip(taus, at_step)):
-        start, ms_k = kept[k]
-        # the last tau at step k takes the kept copy; earlier ones copy it
-        last_at_k = i + 1 == len(at_step) or at_step[i + 1] != k
-        branch = start if last_at_k else [psi.copy() for psi in start]
-        delta = t_s - k * dt0
+    for i, (t_s, s) in enumerate(zip(taus, at_end)):
+        start, ms_s = kept[s]
+        # the last tau at end s takes the kept copy; earlier ones copy it
+        last_at_s = i + 1 == len(at_end) or at_end[i + 1] != s
+        branch = start if last_at_s else [psi.copy() for psi in start]
+        t_here = ends[s] * dt0
+        delta = t_s - t_here
         if delta > 1e-12 * max(1.0, duration):
-            t_here = k * dt0
             grid = q_grid(np.array([t_here, t_here + 0.5 * delta, t_here + delta]))
-            _kernels.cf4_chain(branch, diag0, qdiag, off, grid, delta, ms_k, leak_tol, coefs)
+            _kernels.cf4_chain(
+                branch, diag0, qdiag, off, grid, [delta], ms_s,
+                [leak_tols[min(s, len(sizes) - 1)]], coefs,
+            )
+            if counts is not None:
+                counts["ramp_steps.branch"] += 1
         branches.append(branch)
+    if counts is not None:
+        counts.update(f"ramp_steps.{r}" for r in sizes)
     return [np.stack([branch[b] for branch in branches], axis=1) for b in range(len(states))]

@@ -226,9 +226,9 @@ def advance_segment(
     :func:`~spinmo.propagate.evolve_hold` on the block certified for the
     whole segment, in its sector's reference frame, and adds the blocks it
     solves to ``counts``; a ramp or sweep advances the batch in one
-    :func:`~spinmo.propagate.evolve_ramp` call on its sectors' chains,
-    ``ramp_dt`` long steps and the taus on side branches, and reads no
-    reference.
+    :func:`~spinmo.propagate.evolve_ramp` call on its sectors' chains, on
+    merged steps or on uniform ``ramp_dt`` long ones, with the taus on side
+    branches, reads no reference and adds its steps to ``counts``.
     """
     taus = np.append(taus, seg.duration)
     if isinstance(seg, Hold):
@@ -237,7 +237,7 @@ def advance_segment(
             for st, sec, dq in zip(states, sectors, q_offsets)
         ]
     else:
-        cols = evolve_ramp(states, seg, sectors, q_offsets, taus, ramp_dt)
+        cols = evolve_ramp(states, seg, sectors, q_offsets, taus, ramp_dt, counts)
     return cols, [StateVector(st.basis, c[:, -1].copy()) for st, c in zip(states, cols)]
 
 
@@ -272,7 +272,8 @@ def run_schedule(
     :func:`evolve_ramp` call, and each hold evolves every state on its own
     block.  The result is then a list of record lists and a list of
     final states.  A single state is a batch of one.  The hold blocks
-    solved are added to ``counts["hold_blocks"]``.
+    solved are added to ``counts["hold_blocks"]`` and the ramp steps taken
+    to its ramp-step keys (:func:`~spinmo.propagate.ramp_step_counts`).
     """
     single = isinstance(state0, StateVector)
     states = [st.copy() for st in ([state0] if single else state0)]

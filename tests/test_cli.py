@@ -298,6 +298,51 @@ def test_ensemble_run_info_reports_its_counters(tmp_path, command):
         assert 0 < wall["p50"] <= wall["max"] <= info["wall_clock_s"]
 
 
+# the last 5 ms of the reference ramp and a hold, sampled off the step ends
+TAIL_DOC = {
+    "physics": {"c2p_hz": 25.0, "n_atoms": 12},
+    "schedule": {
+        "segments": [
+            {"kind": "parabolic_ramp", "q0_hz": 277.0, "T0_s": 0.955, "t_begin_s": 0.895, "t_end_s": 0.9},
+            {"kind": "hold", "q_hz": 0.2936, "duration_s": 0.003},
+        ]
+    },
+    "output": {"sample_dt_s": 0.0012},
+}
+
+
+@pytest.mark.parametrize("command, runs", [("evolve", 1), ("noise", 1), ("loss", 2)])
+def test_run_info_counts_ramp_steps_by_size(tmp_path, command, runs):
+    # the ramp takes 10 steps of 2 fine steps; the samples at 1.2, 2.4, 3.6
+    # and 4.8 ms fall inside steps and branch off with one partial step each.
+    # A noise ensemble advances as one batch; loss runs each trajectory
+    doc = json.loads(json.dumps(TAIL_DOC))
+    if command == "noise":
+        doc["noise"] = {"n_traj": 3}
+    if command == "loss":
+        doc["loss"] = {"gamma_per_s": 1e-6, "n_traj": runs}
+    out = tmp_path / command
+    assert main([command, "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    info = json.loads((out / "run_info.json").read_text())
+    assert info["ramp_steps"] == {"1": 0, "2": 10 * runs, "4": 0, "branch": 4 * runs}
+    doc["output"]["ramp_dt_s"] = propagate.RAMP_DT_S
+    out = tmp_path / f"{command}-fine"
+    assert main([command, "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    info = json.loads((out / "run_info.json").read_text())
+    assert info["ramp_steps"] == {"1": 20 * runs, "2": 0, "4": 0, "branch": 4 * runs}
+
+
+@pytest.mark.parametrize("mode, ramps", [("amo", 1), ("amoa", 2)])
+def test_optimize_run_info_counts_ramp_steps(tmp_path, mode, ramps):
+    doc = json.loads(json.dumps(OPTIMIZE))
+    doc["optimizer"]["mode"] = mode
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    steps = json.loads((out / "run_info.json").read_text())["ramp_steps"]
+    # every ramp walks its 200 fine steps once
+    assert steps["1"] + 2 * steps["2"] + 4 * steps["4"] == 200 * ramps
+
+
 def test_threads_is_not_a_config_key(tmp_path, capsys):
     doc = dict(BASE, threads=2)
     rc = main(["evolve", "--config", str(write_cfg(tmp_path, doc)), "--out", str(tmp_path / "x")])

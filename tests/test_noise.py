@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from spinmo.noise import (
 )
 from spinmo.observables import singlet_amplitudes
 from spinmo.operators import GYROMAGNETIC_RATIO_HZ_PER_G, PhysicsParams
+from spinmo.propagate import RAMP_DT_S
 from spinmo.schedule import (
     Hold,
     LinearSweep,
@@ -109,32 +112,38 @@ def test_batched_trajectories_match_each_draw_run_alone(monkeypatch):
     draws = [sample_trajectory_config(cfg, n, i) for i in range(cfg.n_traj)]
     assert {d.n_atoms % 2 for d in draws} == {0, 1}
     offsets = [q_offset(d.delta_bz_gauss, cfg) for d in draws]
-    # the batch shares the nominal params: N comes from each state's basis
-    batched, _ = run_schedule(
-        [polar_state(PairBasis(d.n_atoms)) for d in draws], sched, p,
-        sample_dt=5e-3, q_offset_hz=offsets,
-    )
-
-    # blocks grow their windows at different steps, and one reaches its chain
-    sizes = np.array([d.n_atoms // 2 + 1 for d in draws])
-    ms = np.array(windows)
-    assert np.all(ms <= sizes)
-    assert any(
-        np.any(cur > prev) and np.any((cur == prev) & (prev < sizes))
-        for prev, cur in zip(ms[:-1], ms[1:])
-    )
-    assert np.any(ms.max(axis=0) == sizes)
-
-    for d, dq, recs in zip(draws, offsets, batched):
-        alone, _ = run_schedule(
-            polar_state(PairBasis(d.n_atoms)), sched, PhysicsParams(25.0, d.n_atoms),
-            sample_dt=5e-3, q_offset_hz=dq,
+    # the batch shares the nominal params: N comes from each state's basis;
+    # on the fine grid, then on the merged one, which merges 2 steps here
+    for ramp_dt in (RAMP_DT_S, None):
+        del windows[:]
+        counts = Counter()
+        batched, _ = run_schedule(
+            [polar_state(PairBasis(d.n_atoms)) for d in draws], sched, p,
+            sample_dt=5e-3, q_offset_hz=offsets, ramp_dt=ramp_dt, counts=counts,
         )
-        assert [(r.t, r.q) for r in recs] == [(r.t, r.q) for r in alone]
-        for r, a in zip(recs, alone):
-            assert r.K == a.K
-            for field in ("F_singlet", "xi2", "pc"):
-                assert abs(getattr(r, field) - getattr(a, field)) <= 1e-12
+        assert counts["ramp_steps.1" if ramp_dt else "ramp_steps.2"] > 0
+
+        sizes = np.array([d.n_atoms // 2 + 1 for d in draws])
+        ms = np.array(windows)
+        assert np.all(ms <= sizes)
+        assert np.any(ms.max(axis=0) == sizes)
+        if ramp_dt:
+            # blocks grow their windows at different steps, and one reaches its chain
+            assert any(
+                np.any(cur > prev) and np.any((cur == prev) & (prev < sizes))
+                for prev, cur in zip(ms[:-1], ms[1:])
+            )
+
+        for d, dq, recs in zip(draws, offsets, batched):
+            alone, _ = run_schedule(
+                polar_state(PairBasis(d.n_atoms)), sched, PhysicsParams(25.0, d.n_atoms),
+                sample_dt=5e-3, q_offset_hz=dq, ramp_dt=ramp_dt,
+            )
+            assert [(r.t, r.q) for r in recs] == [(r.t, r.q) for r in alone]
+            for r, a in zip(recs, alone):
+                assert r.K == a.K
+                for field in ("F_singlet", "xi2", "pc"):
+                    assert abs(getattr(r, field) - getattr(a, field)) <= 1e-12
 
     ens = run_dephasing_ensemble(sched, p, cfg, sample_dt=5e-3)
     f_singlet = np.mean([[r.F_singlet for r in recs] for recs in batched], axis=0)

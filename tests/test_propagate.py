@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from spinmo.errors import ConvergenceError
 from spinmo.observables import reference_eigensystem
 from spinmo.operators import PhysicsParams, hamiltonian_pair, hamiltonian_sector
 from spinmo.propagate import RAMP_DT_S, Sector, evolve_ramp
-from spinmo.schedule import Hold, LinearSweep, ParabolicRamp
+from spinmo.schedule import Hold, LinearSweep, ParabolicRamp, landau_zener
 from spinmo.spectra import eigensolve_tridiagonal
 
 from full_basis import expectation, to_dense
@@ -268,9 +269,9 @@ def _count_kernel_calls(monkeypatch):
     calls = []
     original = _kernels.cf4_chain
 
-    def counting(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=()):
+    def counting(psis, diag0, qdiag, off, qgrid, dts, ms, leak_tols, coefs, keep=()):
         calls.append((qgrid.shape[0] // 2, coefs))
-        return original(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep)
+        return original(psis, diag0, qdiag, off, qgrid, dts, ms, leak_tols, coefs, keep)
 
     monkeypatch.setattr(_kernels, "cf4_chain", counting)
     return calls
@@ -278,7 +279,7 @@ def _count_kernel_calls(monkeypatch):
 
 def test_ramp_evaluates_few_chebyshev_coefficients(monkeypatch):
     # the last 5 ms of the reference ramp at N = 100 from its ground state:
-    # one kernel call of 20 steps, 40 exponentials
+    # one kernel call of 10 steps, each 2 fine steps long, 20 exponentials
     n = 100
     seg = ParabolicRamp(277.0, 0.955, 0.895, 0.9)
     p = PhysicsParams(25.0, n)
@@ -287,7 +288,7 @@ def test_ramp_evaluates_few_chebyshev_coefficients(monkeypatch):
     kernel_calls = _count_kernel_calls(monkeypatch)
     calls = _count_bessel(monkeypatch)
     first, _ = _ramp(st, seg, p)
-    assert [steps for steps, _ in kernel_calls] == [20]
+    assert [steps for steps, _ in kernel_calls] == [10]
     assert 1 <= len(calls) <= 2
     # nothing outlives a call: the same call computes them again, in a new dict
     del calls[:]
@@ -365,3 +366,120 @@ def test_renormalized_checks_the_step_norm():
     nan[5] = complex(np.nan, 0.0)
     with pytest.raises(ConvergenceError, match="norm"):
         _kernels.renormalized(nan)
+
+
+def _counted_ramp(st, seg, p, dt=None, taus=()):
+    """``_ramp`` that also returns the ramp steps taken, by size."""
+    counts = Counter()
+    taus = np.append(np.asarray(taus, dtype=float), seg.duration)
+    (cols,) = evolve_ramp([st], seg, [Sector(st.basis, p)], [0.0], taus, dt, counts)
+    return cols[:, -1], cols[:, :-1], propagate.ramp_step_counts(counts)
+
+
+REF_RAMP = ParabolicRamp(277.0, 0.955, 0.0, 0.9)
+TAIL = REF_RAMP.between(0.895, 0.9)
+
+
+def test_ramp_start_takes_the_fine_grid():
+    # the first 5 ms of the reference ramp at N = 200, its fastest stretch:
+    # nothing merges, so the steps and the outputs are those of dt = RAMP_DT_S
+    p = PhysicsParams(25.0, 200)
+    st = polar_state(PairBasis(200))
+    seg = REF_RAMP.between(0.0, 0.005)
+    taus = np.linspace(0.0, 0.005, 6)[:-1]
+    final, samples, steps = _counted_ramp(st, seg, p, taus=taus)
+    fine, fine_samples, fine_steps = _counted_ramp(st, seg, p, dt=RAMP_DT_S, taus=taus)
+    assert steps == fine_steps == {"1": 20, "2": 0, "4": 0, "branch": 0}
+    assert np.array_equal(final, fine)
+    assert np.array_equal(samples, fine_samples)
+
+
+def _ground(n, q):
+    ground = eigensolve_tridiagonal(hamiltonian_pair(PhysicsParams(25.0, n, q))).ground()
+    return StateVector(PairBasis(n), ground.astype(complex))
+
+
+def test_ramp_tail_merges_two_fine_steps():
+    # the last 5 ms of the reference ramp: 10 steps of 2 fine steps; 4 fine
+    # steps would exceed the error budget (from the polar state at N = 20
+    # they err by 2.3e-8 per 5 ms)
+    n = 100
+    p = PhysicsParams(25.0, n)
+    _, _, steps = _counted_ramp(_ground(n, float(TAIL.q_hz_at(0.0))), TAIL, p)
+    assert steps == {"1": 0, "2": 10, "4": 0, "branch": 0}
+
+
+def test_slow_sweep_merges_four_fine_steps_and_ends_on_the_segment():
+    # 10 Hz/s near q = 1 Hz: steps of 4 fine steps, then what is left of the
+    # 21-step fine grid as 1 step
+    p = PhysicsParams(25.0, 40)
+    seg = LinearSweep(1.0, 0.9475, 0.00525)
+    assert math.ceil(seg.duration / RAMP_DT_S - 1e-9) == 21
+    assert propagate.merged_grid(
+        np.array([[float(seg.q_hz_at(0.5 * k * seg.duration / 21))] for k in range(43)]),
+        seg.duration / 21, p,
+    ) == [0, 4, 8, 12, 16, 20, 21]
+    _, _, steps = _counted_ramp(polar_state(PairBasis(40)), seg, p)
+    assert steps == {"1": 1, "2": 0, "4": 5, "branch": 0}
+
+
+def test_explicit_dt_takes_the_uniform_grid():
+    n = 40
+    p = PhysicsParams(25.0, n)
+    st = polar_state(PairBasis(n))
+    for dt, n_steps in ((RAMP_DT_S, 20), (RAMP_DT_S / 2, 40)):
+        _, _, steps = _counted_ramp(st, TAIL, p, dt=dt)
+        assert steps == {"1": n_steps, "2": 0, "4": 0, "branch": 0}
+
+
+def test_merged_main_line_is_bit_identical_with_and_without_taus(monkeypatch):
+    n = 40
+    p = PhysicsParams(25.0, n)
+    st = polar_state(PairBasis(n))
+    seg = LinearSweep(1.0, 0.95, 0.005)  # 5 steps of 4 fine steps
+    unsampled, _, steps = _counted_ramp(st, seg, p)
+    assert steps == {"1": 0, "2": 0, "4": 5, "branch": 0}
+    kernel_calls = _count_kernel_calls(monkeypatch)
+    # on a step end, on a fine point inside a merged step, and between fine points
+    taus = np.array([1e-3, 1.25e-3, 1.5e-3, 2.6e-3, 5e-3])
+    final, samples, steps = _counted_ramp(st, seg, p, taus=taus)
+    assert np.array_equal(final, unsampled)
+    assert steps == {"1": 0, "2": 0, "4": 5, "branch": 3}
+    # the main line, then one partial step per tau off the step ends
+    assert [k for k, _ in kernel_calls] == [5, 1, 1, 1]
+    for t, sample in zip(taus, samples.T, strict=True):
+        _, alone, _ = _counted_ramp(st, seg, p, taus=[t])
+        assert np.array_equal(sample, alone[:, 0])
+    fine, _, _ = _counted_ramp(st, seg, p, dt=RAMP_DT_S)
+    assert 0 < np.max(np.abs(final - fine)) <= 1.6e-8
+
+
+ACCURACY_PIECES = {
+    "forward-2x": REF_RAMP.between(0.76, 0.765),
+    "forward-tail": TAIL,
+    "mirrored-tail": REF_RAMP.mirrored().between(0.0, 0.005),
+    "landau-zener-crossing": landau_zener().segments[0].between(4.3125, 4.3175),
+    "slow-landau-zener-crossing": landau_zener(duration_s=60.0).segments[0].between(29.9975, 30.0025),
+}
+
+
+@pytest.mark.parametrize("n", [20, 100, 200])
+@pytest.mark.parametrize("piece", list(ACCURACY_PIECES))
+def test_merged_steps_keep_the_error_budget(piece, n):
+    # every piece merges; the error against a 16x finer uniform step stays
+    # within that of one fine step at the reference-ramp start, 1.6e-8 per 5 ms
+    seg = ACCURACY_PIECES[piece]
+    p = PhysicsParams(25.0, n)
+    top = np.zeros(n // 2 + 1, dtype=complex)
+    top[-1] = 1.0
+    starts = {
+        "polar": polar_state(PairBasis(n)),
+        "ground": _ground(n, float(seg.q_hz_at(0.0))),
+        "top": StateVector(PairBasis(n), top),
+    }
+    for start, st in starts.items():
+        got, _, steps = _counted_ramp(st, seg, p)
+        assert steps["2"] + steps["4"] > 0
+        ref, _, _ = _counted_ramp(st, seg, p, dt=RAMP_DT_S / 16)
+        err = np.max(np.abs(got - ref))
+        assert err <= 1.6e-8 * seg.duration / 5e-3, (start, err, steps)

@@ -74,6 +74,18 @@ def test_eigensolve_rejects_non_finite_entries(bad, part):
         TriMatrix(**entries)
 
 
+@pytest.mark.parametrize("part", ["diag", "offdiag"])
+def test_trimatrix_keeps_its_entries_when_the_caller_writes_its_arrays(part):
+    entries = {"diag": np.arange(4.0), "offdiag": np.ones(3)}
+    m = TriMatrix(**entries)
+    want = eigensolve_tridiagonal(m)
+    entries[part][1] = np.nan
+    assert np.array_equal(m.diag, np.arange(4.0)) and np.array_equal(m.offdiag, np.ones(3))
+    got = eigensolve_tridiagonal(m)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.vectors, want.vectors)
+
+
 def test_n4_unscaled_l2_trace_det_spectrum():
     m = l2_sector(4, 0)
     eig = eigensolve_tridiagonal(m)
