@@ -3,9 +3,9 @@ Magnus step whose exponentials are Chebyshev series.
 
 During a ramp the chain Hamiltonian is ``H(q) = D0 + q Dq + Off``, with D0
 and Dq diagonal and Off a fixed symmetric off-diagonal, and q supplied at
-half-step resolution.  One step of length dt (each step has its own) is
-the CF4:2 scheme (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006);
-Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)):
+half-step resolution.  One step of length dt is the CF4:2 scheme (Blanes &
+Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske,
+J. Comput. Phys. 230, 5930 (2011)):
 
     U = exp(-i dt/2 H(q2)) exp(-i dt/2 H(q1)),
     q1 = 2 (a1 qA + a2 qB),   q2 = 2 (a2 qA + a1 qB),   a1,2 = 1/4 +- sqrt(3)/6,
@@ -25,13 +25,12 @@ octave: the interval grows by at most 2^(1/16) - 1 = 4.4%, which costs
 at most about one extra term.  The coefficients are kept in a dict by
 series argument that the caller owns: one segment of a ramp
 (:func:`spinmo.propagate.evolve_ramp`) is one :func:`cf4_chain` call for
-its main line, whose steps are 1, 2 or 4 fine steps long, plus one
-partial step per off-grid sample branch, all sharing one dict, so each
-argument's coefficients are computed once per segment and dropped with
-it.  A batch of chains (an ensemble's trajectories, or a single state)
-is one block-diagonal operator, so a series costs one band product and
-one vector update per term for the whole batch; what stays fixed between
-window changes is built once per window change.
+its main line plus one per off-grid sample branch, all sharing one dict,
+so each argument's coefficients are computed once per segment and
+dropped with it.  A batch of chains (an ensemble's trajectories, or a
+single state) is one block-diagonal operator, so a series costs one band
+product and one vector update per term for the whole batch; what stays
+fixed between window changes is built once per window change.
 """
 
 from __future__ import annotations
@@ -191,7 +190,7 @@ class _Band:
         return np.multiply(phase, acc, out=acc)
 
 
-def cf4_chain(psis, diag0, qdiag, off, qgrid, dts, ms, leak_tols, coefs, keep=()):
+def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=()):
     """Advance B chains in place through a half-step q grid, each on its
     leading window, and return copies of them after each step count in
     ``keep``.
@@ -199,14 +198,13 @@ def cf4_chain(psis, diag0, qdiag, off, qgrid, dts, ms, leak_tols, coefs, keep=()
     ``psis``, ``diag0``, ``qdiag`` and ``off`` hold one array per chain;
     chain b has the Hamiltonian ``diag0[b] + q qdiag[b] + off[b]``, its
     state ``psis[b]`` must vanish beyond level ``ms[b]``, and column b of
-    ``qgrid`` (shape ``(2 steps + 1, B)``) is its q at the start, middle
-    and end of every step.  Step s is ``dts[s]`` long.  Every exponential
-    acts on all windows at once (:class:`_Band`).  After step s the
+    ``qgrid`` (shape ``(2 steps + 1, B)``) is its q.  Every exponential
+    acts on all windows at once (:class:`_Band`).  After each step the
     amplitude that can have left window b is bounded by
-    ``dts[s] |off[b][m-1]| max|psi_b[m-1]|``, the maximum taken over the
-    start, middle and end of the step; every block whose bound exceeds
-    ``leak_tols[s]`` doubles its window (at most to its whole chain), and
-    the step is redone for the whole batch.  Each step ends with
+    ``dt |off[b][m-1]| max|psi_b[m-1]|``, the maximum taken over the start,
+    middle and end of the step; every block whose bound exceeds
+    ``leak_tol`` doubles its window (at most to its whole chain), and the
+    step is redone for the whole batch.  Each step ends with
     :func:`renormalized` on every block.
 
     ``coefs`` maps a series argument to its :func:`chebyshev_coefficients`
@@ -217,6 +215,7 @@ def cf4_chain(psis, diag0, qdiag, off, qgrid, dts, ms, leak_tols, coefs, keep=()
     """
     ms = list(ms)
     band = _Band(diag0, qdiag, off, ms)
+    reach = dt * band.edge_off
     v = np.concatenate([p[:m] for p, m in zip(psis, ms)])
     keep = set(keep)
     kept = {0: ([p.copy() for p in psis], list(ms))} if 0 in keep else {}
@@ -226,10 +225,7 @@ def cf4_chain(psis, diag0, qdiag, off, qgrid, dts, ms, leak_tols, coefs, keep=()
     qb = _WB[0] * q0 + _WB[1] * qm + _WB[2] * q1
     q_first = 2.0 * (A1 * qa + A2 * qb)
     q_second = 2.0 * (A2 * qa + A1 * qb)
-    reach_dt = None
-    for s, (dt, leak_tol) in enumerate(zip(dts, leak_tols)):
-        if dt != reach_dt:
-            reach, reach_dt = dt * band.edge_off, dt
+    for s in range(q_first.shape[0]):
         while True:
             mid = band.expv(v, q_first[s], 0.5 * dt, coefs)
             end = band.expv(mid, q_second[s], 0.5 * dt, coefs)

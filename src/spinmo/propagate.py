@@ -6,14 +6,13 @@ the optimizer's inner loop carries no integrator error.  Every hold, in
 the scan, a schedule or a loss trajectory, runs in the total-spin frame
 on the block that :func:`hold_levels` certifies.  Ramps and sweeps take
 fourth-order commutator-free Magnus steps with Chebyshev exponentials
-(:mod:`spinmo._kernels`), 1, 2 or 4 fine steps long as the control curve
+(:mod:`spinmo._kernels`), one or two fine steps long as the control curve
 allows, on a leading window of the chain whose truncation is certified
 step by step.  States carry their exact phase.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from functools import cached_property
@@ -29,9 +28,9 @@ from .spectra import EigenSystem, eigensolve_tridiagonal, real_map
 # fine ramp step of the CF4:2 integrator, sized for the fastest stretch of the
 # reference ramp, its start (q = 277 Hz, |dq/dt| = 580 Hz/s at c2p = 25 Hz):
 # there the first 5 ms at N = 200 give a final xi2 within 5.0e-8 of a run at a
-# 2e-6 s step; a 5e-4 s step gives 8.8e-7, and 1e-3 s gives 2.3e-5.  Where the
-# control curve is slower a ramp merges 2 or 4 of these steps into one
-# (:func:`merged_grid`).
+# 2e-6 s step; a 5e-4 s step gives 8.8e-7, and 1e-3 s gives 2.3e-5.  A segment
+# whose control curve is slow enough throughout takes steps of two of these
+# (:func:`merges`).
 RAMP_DT_S = 2.5e-4
 # The CF4:2 error per unit time of a step of length h on H(q(t)), as the
 # largest amplitude error against a 16x finer step, stays below
@@ -39,7 +38,7 @@ RAMP_DT_S = 2.5e-4
 # with w = f c2p, f the unit factor, |q| and |q'| their maxima over the step
 # and |q| <= Q_MAX_C2P c2p.  Measured at c2p = 25 Hz at steps of 2 and 4
 # RAMP_DT_S, from the polar, ground and top-of-chain states, for N from 2 to
-# 1000: on 5 ms linear sweeps with |q| up to 280 Hz and |q'| from 1 to
+# N_MAX_MERGE: on 5 ms linear sweeps with |q| up to 280 Hz and |q'| from 1 to
 # 600 Hz/s the largest error is 0.88 of the bound, and on 5 ms across
 # parabola vertices shifted to q from -277 to 277 Hz, with q'' from 30 to
 # 3e4 Hz/s^2, 0.67.  Rescaling time maps (c2p, q, q', q'', h) to
@@ -51,7 +50,7 @@ Q_MAX_C2P = 11.2
 # of one RAMP_DT_S step at the reference-ramp start, 1.6e-8 per 5 ms at
 # w = 2 pi 25 Hz.
 ERR_BUDGET = 1.6e-8 / 5e-3 / (2.0 * math.pi * 25.0)
-MERGES = (2, 4)  # fine steps one ramp step may merge
+N_MAX_MERGE = 1000  # the largest atom number the bound is measured at
 WINDOW_TOL = 1e-12  # leakage budget of a ramp's windows per segment
 # bound on the truncation error of every reference amplitude in a hold
 _TRUNCATION_TOL = 1e-12
@@ -183,47 +182,38 @@ def evolve_hold(
     return np.stack([real_map(r, col) for col in eig.evolve_projected(c, taus)], axis=1)
 
 
-def merged_grid(q: np.ndarray, dt0: float, params: PhysicsParams) -> list[int]:
-    """The fine-grid points that a ramp's steps end on, from 0 to n.
+def merges(segment, q_offsets: np.ndarray, sectors: list[Sector], h: float) -> bool:
+    """Whether steps of length ``h`` keep a ramp's error per unit time
+    within ``ERR_BUDGET`` over the whole segment, for every batch member.
 
-    ``q`` holds the control curve of every batch member (columns) on the
-    half-step grid of n fine steps of length ``dt0`` (rows).  From each
-    point the walk merges the next 4 fine steps into one step where the
-    bound on the CF4:2 error per unit time (``ERR_COEF``), taken with the
-    largest |q| and |q'| at the two ends of the merged step and over the
-    batch, is at most ``ERR_BUDGET``, else the next 2, else takes 1.  For
-    every segment kind q is quadratic in time, so |q| and |q'| are convex
-    and their maxima over a step sit at its ends, and q'' is constant.
+    The bound (``ERR_COEF``) takes the largest |q| and |q'| over the
+    segment and the offsets ``q_offsets``, and holds for atom numbers up
+    to ``N_MAX_MERGE``.  For every segment kind q is quadratic in time, so
+    q'' is constant, |q'| is largest at an end, and |q| at an end or at
+    the vertex.
     """
-    n = (q.shape[0] - 1) // 2
-    f, c2p = params.factor, params.c2p_hz
-    x = np.abs(q[::2]).max(axis=1) / c2p
-    # the offsets shift q only: q' and q'' of every column follow from the
-    # quadratic through the first fine step of the first one
-    q0, qm, q1 = q[:3, 0].tolist()
-    curvature = 4.0 * (q0 - 2.0 * qm + q1) / dt0**2
-    slope = (4.0 * qm - 3.0 * q0 - q1) / dt0
-    y = np.abs(slope + curvature * dt0 * np.arange(n + 1)) / (f * c2p**2)
+    if max(sec.basis.n_atoms for sec in sectors) > N_MAX_MERGE:
+        return False
+    d = segment.duration
+    q0, qm, q1 = np.asarray(segment.q_hz_at(np.array([0.0, 0.5 * d, d])), dtype=float).tolist()
+    curvature = 4.0 * (q0 - 2.0 * qm + q1) / d**2
+    slope = (4.0 * qm - 3.0 * q0 - q1) / d
+    qs = [q0, q1]
+    if curvature and 0.0 < -slope / curvature < d:
+        qs.append(q0 - 0.5 * slope**2 / curvature)  # the vertex
+    lo, hi = float(q_offsets.min()), float(q_offsets.max())
+    f, c2p = sectors[0].params.factor, sectors[0].params.c2p_hz
+    x = max(abs(q + dq) for q in qs for dq in (lo, hi)) / c2p
+    y = max(abs(slope), abs(slope + curvature * d)) / (f * c2p**2)
     z = abs(curvature) / (f**2 * c2p**3)
-    size = np.ones(n + 1, dtype=np.int64)  # fine steps merged from each point
-    for r in MERGES:
-        xm, ym = np.maximum(x[:-r], x[r:]), np.maximum(y[:-r], y[r:])
-        fits = ERR_COEF * (r * dt0 * f * c2p) ** 4 * (ym + z) * (1.0 + xm) <= ERR_BUDGET
-        fits &= xm <= Q_MAX_C2P
-        if not fits.any():
-            break  # the bound grows with r, so a longer merge fits nowhere either
-        size[:-r][fits] = r
-    size = size.tolist()
-    ends = [0]
-    while ends[-1] < n:
-        ends.append(ends[-1] + size[ends[-1]])
-    return ends
+    return x <= Q_MAX_C2P and ERR_COEF * (h * f * c2p) ** 4 * (y + z) * (1.0 + x) <= ERR_BUDGET
 
 
 def ramp_step_counts(counts: Counter) -> dict:
-    """The ramp steps that ``counts`` holds, by the fine steps each merges
-    (:func:`evolve_ramp`), and the partial steps of sample branches."""
-    return {key: counts[f"ramp_steps.{key}"] for key in ("1", "2", "4", "branch")}
+    """The ramp steps that ``counts`` holds: fine steps (``"1"``), merged
+    ones of up to two fine steps (``"2"``, :func:`evolve_ramp`) and the
+    partial steps of sample branches."""
+    return {key: counts[f"ramp_steps.{key}"] for key in ("1", "2", "branch")}
 
 
 def evolve_ramp(
@@ -247,33 +237,31 @@ def evolve_ramp(
     together.
 
     The segment's fine grid has n = ceil(d / RAMP_DT_S) steps of d / n.
-    The main line walks it from the start in steps of 4, 2 or 1 fine steps
-    (:func:`merged_grid`): a step merges fine steps only where the bound on
-    its error per unit time is no larger than the error of one fine step
-    at the reference-ramp start, so wherever nothing merges the steps are
-    those of the fine grid.  An explicit ``dt`` (which may only be finer)
-    gives n = ceil(d / dt) fine steps and takes them all.  The main line
-    is one kernel call, which keeps copies of the states at the last step
-    end at or before each tau; a tau past it is a side branch of one
-    partial step from that copy.  So the main trajectory (and therefore
-    every shared column) is bit-identical no matter how densely it is
-    sampled.  The steps taken are added to ``counts`` by size
-    (:func:`ramp_step_counts`).
+    Where steps of twice that length keep the error per unit time within
+    that of one fine step at the reference-ramp start over the whole
+    segment (:func:`merges`), the segment takes ceil(n / 2) equal steps
+    instead; elsewhere, as on the reference ramp's fast stretches, it
+    takes the fine grid.  An explicit ``dt`` (which may only be finer)
+    takes the uniform grid of ceil(d / dt) steps.  The main line over the
+    grid is one kernel call, which keeps copies of the states at the last
+    step before each tau; a tau off the grid is a side branch from that
+    copy.  So the main trajectory (and therefore every shared column) is
+    bit-identical no matter how densely it is sampled.  The steps taken
+    are added to ``counts`` (:func:`ramp_step_counts`).
 
     Each step is the fourth-order commutator-free Magnus step of
-    :func:`spinmo._kernels.cf4_chain`, with Chebyshev exponentials on the
-    leading m levels of every chain, all chains in one block-diagonal
-    series.  Each m starts on the first rung of the hold ladder
-    (:func:`_first_block`): the whole chain when twice its state's support
-    fills it, else the first multiple of 8 levels at least 8 beyond the
-    support (levels beyond the support hold a norm of at most 1e-12 and
-    are dropped).  m doubles whenever a step's bound on the amplitude
-    leaving that window exceeds the step's share of a ``WINDOW_TOL``
-    budget for the segment, WINDOW_TOL times its length over d; a branch
-    takes the share of the step it branches within, and never grows the
-    main windows.  The main line and the branches share one dict of
-    Chebyshev coefficients, which lives for this call only.  States carry
-    their exact phase.
+    :func:`spinmo._kernels.cf4_chain`, one grid step long, with Chebyshev
+    exponentials on the leading m levels of every chain, all chains in one
+    block-diagonal series.  Each m starts on the first rung of the hold
+    ladder (:func:`_first_block`): the whole chain when twice its state's
+    support fills it, else the first multiple of 8 levels at least 8
+    beyond the support (levels beyond the support hold a norm of at most
+    1e-12 and are dropped).  m doubles whenever a step's bound on the
+    amplitude leaving that window exceeds its share of a ``WINDOW_TOL``
+    budget for the segment; sample branches never grow the main windows.
+    The main line and the branches share one dict of Chebyshev
+    coefficients, which lives for this call only.  States carry their
+    exact phase.
     """
     duration = segment.duration
     if duration <= 0:
@@ -288,7 +276,11 @@ def evolve_ramp(
     diag0, qdiag, off = map(list, zip(*(sec.chain for sec in sectors)))
     offsets = np.asarray(q_offsets, dtype=np.float64)
     n_steps = max(1, math.ceil(duration / (RAMP_DT_S if dt is None else dt) - 1e-9))
+    size = 1  # fine steps per step
+    if dt is None and n_steps > 1 and merges(segment, offsets, sectors, 2.0 * duration / n_steps):
+        n_steps, size = math.ceil(n_steps / 2), 2
     dt0 = duration / n_steps
+    leak_tol = WINDOW_TOL / n_steps
 
     psis = [st.amplitudes.copy() for st in states]
     ms = []
@@ -302,38 +294,27 @@ def evolve_ramp(
         q = np.asarray(segment.q_hz_at(np.clip(local_t, 0.0, duration)), dtype=np.float64)
         return q[:, None] + offsets
 
-    q_fine = q_grid(0.5 * np.arange(2 * n_steps + 1) * dt0)
-    ends = merged_grid(q_fine, dt0, sectors[0].params) if dt is None else list(range(n_steps + 1))
-    sizes = np.diff(ends).tolist()
-    # the main line, one call; a tau branches off at the last step end at or before it
-    at_end = [
-        bisect.bisect_right(ends, min(int(math.floor(t_s / dt0 + 1e-9)), n_steps)) - 1
-        for t_s in taus
-    ]
+    # the main line, one call; a tau branches off at the last step before it
+    at_step = [min(int(math.floor(t_s / dt0 + 1e-9)), n_steps) for t_s in taus]
     coefs: dict = {}  # Chebyshev coefficients of this segment, by series argument
-    half = np.array([0] + [i for a, b in zip(ends, ends[1:]) for i in (a + b, 2 * b)])
-    leak_tols = [WINDOW_TOL * r / n_steps for r in sizes]
+    ts = 0.5 * np.arange(2 * n_steps + 1) * dt0
     kept = _kernels.cf4_chain(
-        psis, diag0, qdiag, off, q_fine[half], [r * dt0 for r in sizes], ms, leak_tols, coefs,
-        at_end,
+        psis, diag0, qdiag, off, q_grid(ts), dt0, ms, leak_tol, coefs, at_step
     )
     branches = []
-    for i, (t_s, s) in enumerate(zip(taus, at_end)):
-        start, ms_s = kept[s]
-        # the last tau at end s takes the kept copy; earlier ones copy it
-        last_at_s = i + 1 == len(at_end) or at_end[i + 1] != s
-        branch = start if last_at_s else [psi.copy() for psi in start]
-        t_here = ends[s] * dt0
-        delta = t_s - t_here
+    for i, (t_s, k) in enumerate(zip(taus, at_step)):
+        start, ms_k = kept[k]
+        # the last tau at step k takes the kept copy; earlier ones copy it
+        last_at_k = i + 1 == len(at_step) or at_step[i + 1] != k
+        branch = start if last_at_k else [psi.copy() for psi in start]
+        delta = t_s - k * dt0
         if delta > 1e-12 * max(1.0, duration):
+            t_here = k * dt0
             grid = q_grid(np.array([t_here, t_here + 0.5 * delta, t_here + delta]))
-            _kernels.cf4_chain(
-                branch, diag0, qdiag, off, grid, [delta], ms_s,
-                [leak_tols[min(s, len(sizes) - 1)]], coefs,
-            )
+            _kernels.cf4_chain(branch, diag0, qdiag, off, grid, delta, ms_k, leak_tol, coefs)
             if counts is not None:
                 counts["ramp_steps.branch"] += 1
         branches.append(branch)
     if counts is not None:
-        counts.update(f"ramp_steps.{r}" for r in sizes)
+        counts[f"ramp_steps.{size}"] += n_steps
     return [np.stack([branch[b] for branch in branches], axis=1) for b in range(len(states))]

@@ -269,9 +269,9 @@ def _count_kernel_calls(monkeypatch):
     calls = []
     original = _kernels.cf4_chain
 
-    def counting(psis, diag0, qdiag, off, qgrid, dts, ms, leak_tols, coefs, keep=()):
+    def counting(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=()):
         calls.append((qgrid.shape[0] // 2, coefs))
-        return original(psis, diag0, qdiag, off, qgrid, dts, ms, leak_tols, coefs, keep)
+        return original(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep)
 
     monkeypatch.setattr(_kernels, "cf4_chain", counting)
     return calls
@@ -389,7 +389,7 @@ def test_ramp_start_takes_the_fine_grid():
     taus = np.linspace(0.0, 0.005, 6)[:-1]
     final, samples, steps = _counted_ramp(st, seg, p, taus=taus)
     fine, fine_samples, fine_steps = _counted_ramp(st, seg, p, dt=RAMP_DT_S, taus=taus)
-    assert steps == fine_steps == {"1": 20, "2": 0, "4": 0, "branch": 0}
+    assert steps == fine_steps == {"1": 20, "2": 0, "branch": 0}
     assert np.array_equal(final, fine)
     assert np.array_equal(samples, fine_samples)
 
@@ -400,27 +400,49 @@ def _ground(n, q):
 
 
 def test_ramp_tail_merges_two_fine_steps():
-    # the last 5 ms of the reference ramp: 10 steps of 2 fine steps; 4 fine
-    # steps would exceed the error budget (from the polar state at N = 20
-    # they err by 2.3e-8 per 5 ms)
+    # the last 5 ms of the reference ramp: 10 steps of 2 fine steps
     n = 100
     p = PhysicsParams(25.0, n)
     _, _, steps = _counted_ramp(_ground(n, float(TAIL.q_hz_at(0.0))), TAIL, p)
-    assert steps == {"1": 0, "2": 10, "4": 0, "branch": 0}
+    assert steps == {"1": 0, "2": 10, "branch": 0}
 
 
-def test_slow_sweep_merges_four_fine_steps_and_ends_on_the_segment():
-    # 10 Hz/s near q = 1 Hz: steps of 4 fine steps, then what is left of the
-    # 21-step fine grid as 1 step
+def test_merging_is_decided_for_the_whole_segment():
     p = PhysicsParams(25.0, 40)
+    st = polar_state(PairBasis(40))
+    # 21 fine steps of a slow sweep merge into 11 equal steps
     seg = LinearSweep(1.0, 0.9475, 0.00525)
     assert math.ceil(seg.duration / RAMP_DT_S - 1e-9) == 21
-    assert propagate.merged_grid(
-        np.array([[float(seg.q_hz_at(0.5 * k * seg.duration / 21))] for k in range(43)]),
-        seg.duration / 21, p,
-    ) == [0, 4, 8, 12, 16, 20, 21]
-    _, _, steps = _counted_ramp(polar_state(PairBasis(40)), seg, p)
-    assert steps == {"1": 1, "2": 0, "4": 5, "branch": 0}
+    _, _, steps = _counted_ramp(st, seg, p)
+    assert steps == {"1": 0, "2": 11, "branch": 0}
+    # the reference ramp from 0.7 s is slow enough at its end but not at its
+    # start, so none of its 400 fine steps merge
+    seg = REF_RAMP.between(0.7, 0.8)
+    sectors = [propagate.Sector(PairBasis(40), p)]
+    assert propagate.merges(REF_RAMP.between(0.795, 0.8), np.zeros(1), sectors, 2 * RAMP_DT_S)
+    _, _, steps = _counted_ramp(st, seg, p)
+    assert steps == {"1": 400, "2": 0, "branch": 0}
+
+
+def test_merging_reads_the_batch_offsets_and_atom_numbers():
+    p = PhysicsParams(25.0, 40)
+    sectors = [propagate.Sector(PairBasis(40), p)]
+    assert propagate.merges(TAIL, np.zeros(1), sectors, 2 * RAMP_DT_S)
+    # |q| beyond Q_MAX_C2P c2p for one member of the batch
+    assert not propagate.merges(TAIL, np.array([0.0, -300.0]), sectors * 2, 2 * RAMP_DT_S)
+    # 40 s of a parabola across its vertex, at |q'| <= 27 Hz/s: shifted by
+    # -135 Hz, |q| is at most 135 Hz and the steps merge; shifted by -270 Hz,
+    # |q| is 0 at both ends but 270 Hz at the vertex, and they do not
+    vertex = ParabolicRamp(270.0, 20.0, 0.0, 40.0)
+    assert propagate.merges(vertex, np.array([-135.0]), sectors, 2 * RAMP_DT_S)
+    assert not propagate.merges(vertex, np.array([-270.0]), sectors, 2 * RAMP_DT_S)
+    # the bound is measured up to N_MAX_MERGE atoms: an N = 1001 tail takes
+    # the fine grid, also in a batch with a smaller chain
+    big = propagate.Sector(PairBasis(propagate.N_MAX_MERGE + 1), p)
+    assert not propagate.merges(TAIL, np.zeros(2), sectors + [big], 2 * RAMP_DT_S)
+    st = polar_state(PairBasis(propagate.N_MAX_MERGE + 1))
+    _, _, steps = _counted_ramp(st, TAIL, PhysicsParams(25.0, propagate.N_MAX_MERGE + 1))
+    assert steps == {"1": 20, "2": 0, "branch": 0}
 
 
 def test_explicit_dt_takes_the_uniform_grid():
@@ -429,24 +451,24 @@ def test_explicit_dt_takes_the_uniform_grid():
     st = polar_state(PairBasis(n))
     for dt, n_steps in ((RAMP_DT_S, 20), (RAMP_DT_S / 2, 40)):
         _, _, steps = _counted_ramp(st, TAIL, p, dt=dt)
-        assert steps == {"1": n_steps, "2": 0, "4": 0, "branch": 0}
+        assert steps == {"1": n_steps, "2": 0, "branch": 0}
 
 
 def test_merged_main_line_is_bit_identical_with_and_without_taus(monkeypatch):
     n = 40
     p = PhysicsParams(25.0, n)
     st = polar_state(PairBasis(n))
-    seg = LinearSweep(1.0, 0.95, 0.005)  # 5 steps of 4 fine steps
+    seg = LinearSweep(1.0, 0.95, 0.005)  # 10 steps of 2 fine steps
     unsampled, _, steps = _counted_ramp(st, seg, p)
-    assert steps == {"1": 0, "2": 0, "4": 5, "branch": 0}
+    assert steps == {"1": 0, "2": 10, "branch": 0}
     kernel_calls = _count_kernel_calls(monkeypatch)
     # on a step end, on a fine point inside a merged step, and between fine points
     taus = np.array([1e-3, 1.25e-3, 1.5e-3, 2.6e-3, 5e-3])
     final, samples, steps = _counted_ramp(st, seg, p, taus=taus)
     assert np.array_equal(final, unsampled)
-    assert steps == {"1": 0, "2": 0, "4": 5, "branch": 3}
+    assert steps == {"1": 0, "2": 10, "branch": 2}
     # the main line, then one partial step per tau off the step ends
-    assert [k for k, _ in kernel_calls] == [5, 1, 1, 1]
+    assert [k for k, _ in kernel_calls] == [10, 1, 1]
     for t, sample in zip(taus, samples.T, strict=True):
         _, alone, _ = _counted_ramp(st, seg, p, taus=[t])
         assert np.array_equal(sample, alone[:, 0])
@@ -459,7 +481,6 @@ ACCURACY_PIECES = {
     "forward-tail": TAIL,
     "mirrored-tail": REF_RAMP.mirrored().between(0.0, 0.005),
     "landau-zener-crossing": landau_zener().segments[0].between(4.3125, 4.3175),
-    "slow-landau-zener-crossing": landau_zener(duration_s=60.0).segments[0].between(29.9975, 30.0025),
 }
 
 
@@ -479,7 +500,7 @@ def test_merged_steps_keep_the_error_budget(piece, n):
     }
     for start, st in starts.items():
         got, _, steps = _counted_ramp(st, seg, p)
-        assert steps["2"] + steps["4"] > 0
+        assert steps["2"] > 0
         ref, _, _ = _counted_ramp(st, seg, p, dt=RAMP_DT_S / 16)
         err = np.max(np.abs(got - ref))
         assert err <= 1.6e-8 * seg.duration / 5e-3, (start, err, steps)
