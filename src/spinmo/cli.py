@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -24,12 +23,11 @@ from . import __version__
 from .basis import PairBasis, polar_state, twin_fock_state, StateVector
 from .config import load as load_config
 from .errors import ConfigError, SpinmoError
-from .noise import NoiseConfig, check_rotating_wave, run_dephasing_ensemble, run_relaxation_ensemble
+from .noise import NoiseConfig, check_rotating_wave, run_dephasing_ensemble
 from .observables import singlet_amplitudes
 from .opensystem import LossConfig, postselect, run_loss_study
 from .operators import PhysicsParams, hamiltonian_pair
 from .optimizer import OptimizerConfig, run_protocol
-from .propagate import ramp_step_counts
 from .runio import RunDir, error_json, write_records_csv, write_table_csv
 from .schedule import PRESETS, Schedule, reference_ramp, run_schedule
 from .spectra import critical_q_estimate, eigensolve_tridiagonal, find_critical_q, gap
@@ -85,16 +83,14 @@ def _noise_config(cfg: dict) -> NoiseConfig:
 def cmd_evolve(cfg: dict, run: RunDir) -> None:
     params = _physics(cfg)
     state = _initial_state(cfg, params)
-    counts: Counter = Counter()
     records, _ = run_schedule(
         state,
         _schedule(cfg),
         params,
         sample_dt=cfg["output"]["sample_dt_s"],
         ramp_dt=cfg["output"]["ramp_dt_s"],
-        counts=counts,
+        counts=run.counts,
     )
-    run.info.update(hold_blocks=counts["hold_blocks"], ramp_steps=ramp_step_counts(counts))
     write_records_csv(run.file("records.csv"), records)
 
 
@@ -102,7 +98,6 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
     params = _physics(cfg)
     state = _initial_state(cfg, params)
     o = cfg["optimizer"]
-    counts: Counter = Counter()
     result = run_protocol(
         state,
         params,
@@ -111,7 +106,7 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
         mirrored=o["mode"] == "amoa",
         sample_dt=cfg["output"]["sample_dt_s"],
         ramp_dt=cfg["output"]["ramp_dt_s"],
-        counts=counts,
+        counts=run.counts,
     )
     run.write_json(
         "schedule.json",
@@ -144,11 +139,25 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
         "by_flag": {flag: flags.count(flag) for flag in ("", "flat", "capped")},
         "eigensolves": result.amo.eigensolves,
     }
-    run.info.update(hold_blocks=counts["hold_blocks"], ramp_steps=ramp_step_counts(counts))
     write_records_csv(run.file("curve.csv"), result.records)
 
 
-def _write_ensemble(run: RunDir, result) -> None:
+def cmd_noise(cfg: dict, run: RunDir) -> None:
+    """Dephasing or relaxation ensemble over the schedule (:func:`main`
+    checks a relaxation run's rotating-wave limit first).
+
+    Known defect: ``initial_state`` is ignored; every trajectory starts
+    from the polar state of its drawn atom number
+    (:func:`~spinmo.noise.run_dephasing_ensemble`).
+    """
+    result = run_dephasing_ensemble(
+        _schedule(cfg),
+        _physics(cfg),
+        _noise_config(cfg),
+        sample_dt=cfg["output"]["sample_dt_s"],
+        ramp_dt=cfg["output"]["ramp_dt_s"],
+        counts=run.counts,
+    )
     for cls, agg in result.classes.items():
         header = ["t", "xi2", "xi2_stderr"]
         cols = [result.times, agg.xi2, agg.xi2_stderr]
@@ -173,25 +182,6 @@ def _write_ensemble(run: RunDir, result) -> None:
     )
 
 
-def cmd_noise(cfg: dict, run: RunDir) -> None:
-    """Dephasing or relaxation ensemble over the schedule.
-
-    Known defect: ``initial_state`` is ignored; every trajectory starts
-    from the polar state of its drawn atom number
-    (:func:`~spinmo.noise.run_dephasing_ensemble`).
-    """
-    ensemble = {"dephasing": run_dephasing_ensemble, "relaxation": run_relaxation_ensemble}
-    result = ensemble[cfg["noise"]["mode"]](
-        _schedule(cfg),
-        _physics(cfg),
-        _noise_config(cfg),
-        sample_dt=cfg["output"]["sample_dt_s"],
-        ramp_dt=cfg["output"]["ramp_dt_s"],
-        info=run.info,
-    )
-    _write_ensemble(run, result)
-
-
 def cmd_loss(cfg: dict, run: RunDir) -> None:
     params = _physics(cfg)
     state = _initial_state(cfg, params)
@@ -206,8 +196,10 @@ def cmd_loss(cfg: dict, run: RunDir) -> None:
         sample_dt=cfg["output"]["sample_dt_s"],
         dephasing=dephasing,
         ramp_dt=cfg["output"]["ramp_dt_s"],
-        info=run.info,
+        counts=run.counts,
     )
+    wall = result.trajectory_wall_s
+    run.info["trajectory_wall_s"] = {"p50": float(np.median(wall)), "max": float(wall.max())}
     agg = result.aggregate
     write_table_csv(
         run.file("aggregate.csv"),

@@ -24,7 +24,6 @@ from .basis import PairBasis, polar_state
 from .errors import ConfigError
 from .observables import ObservableRecord
 from .operators import GYROMAGNETIC_RATIO_HZ_PER_G, PhysicsParams
-from .propagate import ramp_step_counts
 from .schedule import Schedule, run_schedule
 
 Q_COEFF_HZ_PER_G2 = 277.0  # 23Na, F = 1
@@ -37,7 +36,7 @@ class NoiseConfig:
     delta_bz_gauss: float = 1e-4       # uniform on [-range, +range]; 1e-4 G = 0.1 mG
     delta_bx_gauss: float = 1e-4
     bz_bias_gauss: float = 0.0         # 0 for dephasing-only runs, 0.85 for relaxation
-    atom_number_spread: bool = True    # uniform integers on [N - sqrt(N), N + sqrt(N)]
+    atom_number_spread: bool = True    # uniform integers on [max(1, N - sqrt(N)), N + sqrt(N)]
     n_traj: int = 100
     seed: int = 0
 
@@ -64,7 +63,7 @@ def sample_trajectory_config(
     dbx = rng.uniform(-cfg.delta_bx_gauss, cfg.delta_bx_gauss) if cfg.delta_bx_gauss else 0.0
     if cfg.atom_number_spread:
         root = math.sqrt(n_atoms_nominal)
-        lo = math.ceil(n_atoms_nominal - root)
+        lo = max(1, math.ceil(n_atoms_nominal - root))  # no draw is empty
         hi = math.floor(n_atoms_nominal + root)
         n = int(rng.integers(lo, hi + 1))
     else:
@@ -162,7 +161,7 @@ def run_dephasing_ensemble(
     cfg: NoiseConfig,
     sample_dt: float | None = 1e-2,
     ramp_dt: float | None = None,
-    info: dict | None = None,
+    counts: Counter | None = None,
 ) -> EnsembleResult:
     """Replay one schedule over an ensemble of (delta_Bz, N) draws.
 
@@ -178,11 +177,11 @@ def run_dephasing_ensemble(
     a configured ``initial_state`` is not used (a known defect: mending it
     changes the outputs of existing runs).
 
-    ``info``, when given, receives the run's counters: trajectories, the
-    hold blocks solved and the ramp steps taken.
+    The trajectories, the hold blocks solved and the ramp steps taken are
+    added to ``counts``.  A relaxation run is this ensemble once
+    :func:`check_rotating_wave` has passed.
     """
     draws = [sample_trajectory_config(cfg, params.n_atoms, i) for i in range(cfg.n_traj)]
-    counts: Counter = Counter()
     records, _ = run_schedule(
         [polar_state(PairBasis(d.n_atoms)) for d in draws],
         schedule,
@@ -192,12 +191,8 @@ def run_dephasing_ensemble(
         ramp_dt=ramp_dt,
         counts=counts,
     )
-    if info is not None:
-        info.update(
-            trajectories=cfg.n_traj,
-            hold_blocks=counts["hold_blocks"],
-            ramp_steps=ramp_step_counts(counts),
-        )
+    if counts is not None:
+        counts["trajectories"] += cfg.n_traj
     curves = [trajectory_curves(r, np.zeros(len(r))) for r in records]  # pair sectors: M = 0
     times = np.array([r.t for r in records[0]])
     return EnsembleResult(times=times, classes=_parity_classes(curves, draws), draws=draws)
@@ -205,39 +200,22 @@ def run_dephasing_ensemble(
 
 def check_rotating_wave(params: PhysicsParams, cfg: NoiseConfig) -> None:
     """Raise a :class:`ConfigError` unless every draw of ``cfg`` has
-    |h/p| <= 1e-2, the limit :func:`run_relaxation_ensemble` rests on."""
+    |h| <= 1e-2 |p|: a draw at p = 0 passes only at h = 0.
+
+    In the frame rotating at the linear Zeeman rate p = -gamma (B_z +
+    delta_Bz), the transverse coupling h = -gamma delta_Bx then averages to
+    the secular correction ``(h^2/2p) Lz``, which vanishes on the
+    zero-magnetization sector.  A relaxation run is therefore
+    :func:`run_dephasing_ensemble` over the same draws (atom numbers
+    included).  A dense lab-frame evolution on the full basis agrees with
+    it to O((h/p)^2) (``tests/test_noise.py``).
+    """
     for i in range(cfg.n_traj):
         draw = sample_trajectory_config(cfg, params.n_atoms, i)
         p_hz = -GYROMAGNETIC_RATIO_HZ_PER_G * (cfg.bz_bias_gauss + draw.delta_bz_gauss)
         h_hz = -GYROMAGNETIC_RATIO_HZ_PER_G * draw.delta_bx_gauss
-        if p_hz != 0 and abs(h_hz / p_hz) > 1e-2:
+        if abs(h_hz) > 1e-2 * abs(p_hz):
+            ratio = abs(h_hz / p_hz) if p_hz else math.inf
             raise ConfigError(
-                f"rotating-wave limit invalid for trajectory {i}: h/p = "
-                f"{abs(h_hz / p_hz):.2e} > 1e-2"
+                f"rotating-wave limit invalid for trajectory {i}: h/p = {ratio:.2e} > 1e-2"
             )
-
-
-def run_relaxation_ensemble(
-    schedule: Schedule,
-    params: PhysicsParams,
-    cfg: NoiseConfig,
-    sample_dt: float | None = 1e-2,
-    ramp_dt: float | None = None,
-    info: dict | None = None,
-) -> EnsembleResult:
-    """Transverse-field robustness in the rotating-wave (averaged) limit.
-
-    In the frame rotating at the linear Zeeman rate p = -gamma (B_z +
-    delta_Bz), the transverse coupling h = -gamma delta_Bx averages to the
-    secular correction ``(h^2/2p) Lz``, which vanishes on the
-    zero-magnetization sector.  Each trajectory therefore reduces to the
-    pair-sector run with its quasi-static q offset: this is
-    :func:`run_dephasing_ensemble` over the same draws (atom numbers
-    included), once :func:`check_rotating_wave` has passed.  A dense
-    lab-frame evolution on the full basis agrees with it to
-    O((h/p)^2) (``tests/test_noise.py``).
-    """
-    check_rotating_wave(params, cfg)
-    return run_dephasing_ensemble(
-        schedule, params, cfg, sample_dt=sample_dt, ramp_dt=ramp_dt, info=info
-    )

@@ -32,7 +32,7 @@ from .noise import Aggregate, NoiseConfig, aggregate, q_offset, sample_trajector
 from .noise import trajectory_curves
 from .observables import ObservableRecord, batch_records
 from .operators import PhysicsParams
-from .propagate import Sector, ramp_step_counts
+from .propagate import Sector
 from .schedule import Schedule, advance_segment, segment_instants
 
 
@@ -234,6 +234,7 @@ class LossStudyResult:
     times: np.ndarray
     aggregate: Aggregate  # over every trajectory, by :func:`~spinmo.noise.aggregate`
     summaries: list[TrajectorySummary]
+    trajectory_wall_s: np.ndarray  # the wall time of each trajectory
 
     @property
     def unselected_final_f_singlet(self) -> float:
@@ -248,7 +249,7 @@ def run_loss_study(
     sample_dt: float | None = 1e-2,
     dephasing: NoiseConfig | None = None,
     ramp_dt: float | None = None,
-    info: dict | None = None,
+    counts: Counter | None = None,
 ) -> LossStudyResult:
     """Trajectory ensemble of the loss process, optionally with dephasing draws.
 
@@ -258,14 +259,12 @@ def run_loss_study(
     number: the drawn N is never used, so a loss run has no atom-number
     shot noise.  The trajectories share one sector table, which is dropped
     on return, and are aggregated by :func:`~spinmo.noise.aggregate`.
-    ``info``, when given, receives the run's counters: trajectories, jumps,
-    the reference eigensystems solved, the hold blocks solved, the ramp
-    steps taken and the wall time of a trajectory (median and max).
+    The trajectories, their jumps, the reference eigensystems solved, the
+    hold blocks solved and the ramp steps taken are added to ``counts``.
     """
     curves = []
     summaries = []
     sectors = _Sectors(params)
-    counts: Counter = Counter()
     clock = [time.perf_counter()]
     for i in range(cfg.n_traj):
         dq = 0.0
@@ -279,22 +278,18 @@ def run_loss_study(
         curves.append(trajectory_curves(traj.records, traj.magnetizations))
         summaries.append(traj.summary)
         clock.append(time.perf_counter())
-    if info is not None:
-        traj_s = np.diff(clock)
-        info.update(
+    if counts is not None:
+        counts.update(
             trajectories=cfg.n_traj,
             jumps=sum(s.n_jumps for s in summaries),
             # the chains of M and -M share one reference solve
             reference_eigensystems=len(
                 {(na, abs(ma)) for (na, ma), sec in sectors.items() if "reference" in vars(sec)}
             ),
-            hold_blocks=counts["hold_blocks"],
-            ramp_steps=ramp_step_counts(counts),
-            trajectory_wall_s={"p50": float(np.median(traj_s)), "max": float(traj_s.max())},
         )
     # every trajectory records at the same instants
     times = np.array([r.t for r in traj.records])
-    return LossStudyResult(times=times, aggregate=aggregate(curves), summaries=summaries)
+    return LossStudyResult(times, aggregate(curves), summaries, np.diff(clock))
 
 
 def postselect(summaries: list[TrajectorySummary], predicate) -> dict:

@@ -209,13 +209,6 @@ def merges(segment, q_offsets: np.ndarray, sectors: list[Sector], h: float) -> b
     return x <= Q_MAX_C2P and ERR_COEF * (h * f * c2p) ** 4 * (y + z) * (1.0 + x) <= ERR_BUDGET
 
 
-def ramp_step_counts(counts: Counter) -> dict:
-    """The ramp steps that ``counts`` holds: fine steps (``"1"``), merged
-    ones of up to two fine steps (``"2"``, :func:`evolve_ramp`) and the
-    partial steps of sample branches."""
-    return {key: counts[f"ramp_steps.{key}"] for key in ("1", "2", "branch")}
-
-
 def evolve_ramp(
     states: list[StateVector],
     segment,
@@ -247,7 +240,9 @@ def evolve_ramp(
     step before each tau; a tau off the grid is a side branch from that
     copy.  So the main trajectory (and therefore every shared column) is
     bit-identical no matter how densely it is sampled.  The steps taken
-    are added to ``counts`` (:func:`ramp_step_counts`).
+    are added to ``counts``: ``"ramp_steps.1"`` counts fine steps,
+    ``"ramp_steps.2"`` merged ones of two fine steps and
+    ``"ramp_steps.branch"`` the partial steps of the side branches.
 
     Each step is the fourth-order commutator-free Magnus step of
     :func:`spinmo._kernels.cf4_chain`, one grid step long, with Chebyshev

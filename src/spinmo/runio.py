@@ -4,8 +4,8 @@ Floats serialize with 17 significant digits (round-trip exact for
 float64).  Every run directory gets `manifest.json` -- resolved config,
 seed, unit convention, code version and the SHA-256 of every data file,
 all byte-stable across reruns -- plus `run_info.json` holding the wall
-clock and the command's counters (``RunDir.info``), which is the one file
-excluded from the determinism contract.
+clock and what the run did (``RunDir.counts`` and ``RunDir.info``), which
+is the one file excluded from the determinism contract.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -60,7 +61,8 @@ class RunDir:
         self.t_start = time.monotonic()
         self.wall_start = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         self.files: list[str] = []
-        # counters a command reports in run_info.json
+        # run_info.json: what the library calls did, and what else the command reports
+        self.counts: Counter = Counter()
         self.info: dict = {}
 
     def file(self, name: str) -> Path:
@@ -85,9 +87,13 @@ class RunDir:
         (self.path / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
+        counts = self.counts
         run_info = {
             "wall_clock_s": time.monotonic() - self.t_start,
             "started_utc": self.wall_start,
+            "hold_blocks": counts["hold_blocks"],
+            "ramp_steps": {key: counts[f"ramp_steps.{key}"] for key in ("1", "2", "branch")},
+            **{k: counts[k] for k in ("trajectories", "jumps", "reference_eigensystems") if k in counts},
             **self.info,
         }
         (self.path / "run_info.json").write_text(

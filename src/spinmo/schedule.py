@@ -273,7 +273,7 @@ def run_schedule(
     block.  The result is then a list of record lists and a list of
     final states.  A single state is a batch of one.  The hold blocks
     solved are added to ``counts["hold_blocks"]`` and the ramp steps taken
-    to its ramp-step keys (:func:`~spinmo.propagate.ramp_step_counts`).
+    to its ``"ramp_steps.*"`` keys (:func:`~spinmo.propagate.evolve_ramp`).
     """
     single = isinstance(state0, StateVector)
     states = [st.copy() for st in ([state0] if single else state0)]

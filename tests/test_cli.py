@@ -1,9 +1,12 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -271,6 +274,68 @@ def test_a_relaxation_run_outside_the_rotating_wave_limit_exits_2_before_its_out
     assert rc == 2 and not out.exists()
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit_code"] == 2 and "rotating-wave limit invalid" in err["message"]
+
+
+def test_a_zero_field_relaxation_run_with_a_transverse_field_exits_2(tmp_path, capsys):
+    # p = 0 while h is not: |h/p| is infinite, however small h is
+    noise = {"mode": "relaxation", "bz_bias_gauss": 0.0, "delta_bz_gauss": 0.0,
+             "delta_bx_gauss": 1e-4, "n_traj": 2}
+    out = tmp_path / "x"
+    rc = main(["noise", "--config", str(write_cfg(tmp_path, dict(BASE, noise=noise))), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "h/p = inf" in err["message"]
+
+
+def test_noise_runs_at_one_atom(tmp_path):
+    # the atom-number spread of N = 1 reaches down to 0; draws keep one atom
+    doc = json.loads(json.dumps(BASE))
+    doc["physics"]["n_atoms"] = 1
+    doc["noise"] = {"n_traj": 8}
+    out = tmp_path / "one"
+    assert main(["noise", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    n_traj = json.loads((out / "ensemble.json").read_text())["n_traj"]
+    assert n_traj["all"] == 8 and set(n_traj) == {"all", "even", "odd"}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_run_info_of_every_command_reports_hold_blocks_and_ramp_steps(tmp_path, command):
+    doc = dict(
+        BASE, optimizer=OPTIMIZE["optimizer"], phase_diagram={"n_list": [12]},
+        noise={"n_traj": 2}, loss={"gamma_per_s": 2.0, "n_traj": 2},
+    )
+    out = tmp_path / "run"
+    assert main([command, "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    info = json.loads((out / "run_info.json").read_text())
+    steps = info["ramp_steps"]
+    assert set(steps) == {"1", "2", "branch"} and all(isinstance(v, int) for v in steps.values())
+    assert isinstance(info["hold_blocks"], int)
+    # the phase diagram solves no hold and takes no ramp step; the others do both
+    assert (info["hold_blocks"] > 0 and steps["1"] + steps["2"] > 0) == (command != "phase-diagram")
+    ensemble = ("trajectories" in info, "jumps" in info, "reference_eigensystems" in info)
+    assert ensemble == {"noise": (True, False, False), "loss": (True, True, True)}.get(
+        command, (False, False, False)
+    )
+
+
+def test_no_library_function_takes_an_info_dict():
+    # the library adds what it did to a caller's Counter; only the CLI's
+    # RunDir knows the shape of run_info.json
+    takes_info = []
+    for mod in pkgutil.iter_modules(spinmo.__path__):
+        module = importlib.import_module(f"spinmo.{mod.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            funcs = [obj] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                funcs = [f for f in vars(obj).values() if inspect.isfunction(f)]
+            takes_info += [
+                f"{module.__name__}.{f.__qualname__}"
+                for f in funcs
+                if "info" in inspect.signature(f).parameters
+            ]
+    assert takes_info == []
 
 
 @pytest.mark.parametrize("command", ["noise", "loss"])

@@ -9,9 +9,9 @@ from spinmo.errors import ConfigError
 from spinmo.noise import (
     NoiseConfig,
     TrajectoryDraw,
+    check_rotating_wave,
     q_offset,
     run_dephasing_ensemble,
-    run_relaxation_ensemble,
     sample_trajectory_config,
 )
 from spinmo.observables import singlet_amplitudes
@@ -53,6 +53,18 @@ def test_draw_statistics_uniform():
     assert abs(dbz.mean()) < 3 * r / np.sqrt(3 * n)
     ns = np.array([d.n_atoms for d in draws])
     assert ns.min() >= 1000 - 31 and ns.max() <= 1000 + 31
+
+
+def test_atom_number_draws_keep_at_least_one_atom():
+    # the spread [N - sqrt(N), N + sqrt(N)] reaches 0 at N = 1 only
+    assert {sample_trajectory_config(NoiseConfig(), 1, i).n_atoms for i in range(40)} == {1, 2}
+    # the clamp leaves every larger N's draws as they were
+    cfg = NoiseConfig(seed=3)
+    ns = [sample_trajectory_config(cfg, 100, i).n_atoms for i in range(12)]
+    assert ns == [93, 106, 95, 103, 95, 107, 93, 94, 103, 94, 92, 103]
+    assert sample_trajectory_config(cfg, 100, 0) == TrajectoryDraw(
+        -8.287016657127514e-05, -5.2637898680780066e-05, 93
+    )
 
 
 def test_effective_q_examples():
@@ -174,7 +186,8 @@ def test_relaxation_averaged_equals_dephasing_when_bx_zero():
             atom_number_spread=spread,
         )
         deph = run_dephasing_ensemble(sched, p, cfg, sample_dt=0.01)
-        relax = run_relaxation_ensemble(sched, p, cfg, sample_dt=0.01)
+        check_rotating_wave(p, cfg)
+        relax = run_dephasing_ensemble(sched, p, cfg, sample_dt=0.01)
         # the relaxation ensemble simulates the drawn atom numbers too
         assert relax.draws == deph.draws
         assert (len({d.n_atoms for d in relax.draws}) > 1) == spread
@@ -195,7 +208,32 @@ def test_relaxation_averaged_rejects_large_transverse():
         atom_number_spread=False, seed=1,
     )
     with pytest.raises(ConfigError):
-        run_relaxation_ensemble(_tiny_schedule(), p, cfg)
+        check_rotating_wave(p, cfg)
+
+
+def test_rotating_wave_check_needs_a_longitudinal_field_for_a_transverse_one():
+    p = PhysicsParams(25.0, 6)
+    zero = dict(delta_bz_gauss=0.0, bz_bias_gauss=0.0, n_traj=2, seed=1)
+    # p = 0 and h != 0: |h/p| is infinite
+    with pytest.raises(ConfigError, match="h/p = inf"):
+        check_rotating_wave(p, NoiseConfig(delta_bx_gauss=1e-4, **zero))
+    # no transverse field: nothing to average away, at any p
+    check_rotating_wave(p, NoiseConfig(delta_bx_gauss=0.0, **zero))
+    check_rotating_wave(p, NoiseConfig(delta_bx_gauss=1e-4, bz_bias_gauss=0.85, n_traj=2))
+
+
+def test_dephasing_ensemble_adds_to_the_callers_counter():
+    p = PhysicsParams(25.0, 10)
+    cfg = NoiseConfig(n_traj=3, seed=2)
+    counts = Counter(unrelated=1)
+    run_dephasing_ensemble(_tiny_schedule(), p, cfg, sample_dt=0.01, counts=counts)
+    once = Counter(counts)
+    assert once["trajectories"] == 3 and once["unrelated"] == 1
+    # a ramp and a hold: ramp steps and at least one block per trajectory
+    assert once["hold_blocks"] >= 3
+    assert once["ramp_steps.1"] + once["ramp_steps.2"] > 0
+    run_dephasing_ensemble(_tiny_schedule(), p, cfg, sample_dt=0.01, counts=counts)
+    assert counts == Counter({k: 2 * v for k, v in once.items() if k != "unrelated"}, unrelated=1)
 
 
 def test_ensemble_aggregation_order_independent_of_grouping():
@@ -221,7 +259,8 @@ def test_relaxation_averaged_matches_the_lab_frame_oracle(n):
         atom_number_spread=False, n_traj=3, seed=4,
     )
     hold = Hold(0.6, 0.02)
-    ens = run_relaxation_ensemble(Schedule((hold,)), p, cfg, sample_dt=None)
+    check_rotating_wave(p, cfg)
+    ens = run_dephasing_ensemble(Schedule((hold,)), p, cfg, sample_dt=None)
     basis = build_full_basis(n)
     psi0 = embed(polar_state(PairBasis(n)), basis)
     singlet = singlet_amplitudes(n)

@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -263,6 +264,25 @@ def test_mean_atom_number_decay():
     for t, mean, se in zip(res.times, agg.mean["n_current"], agg.stderr["n_current"]):
         expect = n * math.exp(-2 * gamma * t)
         assert abs(mean - expect) <= max(3 * se, 1e-9)
+
+
+def test_loss_study_adds_to_the_callers_counter():
+    n = 10
+    p = PhysicsParams(25.0, n)
+    st = polar_state(PairBasis(n))
+    sched = Schedule((LinearSweep(0.5, 0.2, 0.01), Hold(0.2, 0.3)))
+    cfg = LossConfig(gamma_per_s=1.0, n_traj=4, seed=3)
+    counts = Counter(unrelated=1)
+    res = run_loss_study(st, sched, p, cfg, sample_dt=0.1, counts=counts)
+    once = Counter(counts)
+    assert once["trajectories"] == 4 and once["unrelated"] == 1
+    assert once["jumps"] == sum(s.n_jumps for s in res.summaries) > 0
+    assert 1 <= once["reference_eigensystems"] <= 1 + once["jumps"]
+    assert once["hold_blocks"] >= 4 and once["ramp_steps.1"] + once["ramp_steps.2"] >= 4
+    assert res.trajectory_wall_s.shape == (4,) and np.all(res.trajectory_wall_s > 0)
+    # a second study adds the same counts again: each keeps its own sector table
+    run_loss_study(st, sched, p, cfg, sample_dt=0.1, counts=counts)
+    assert counts == Counter({k: 2 * v for k, v in once.items() if k != "unrelated"}, unrelated=1)
 
 
 def test_postselect_always_true_matches_full():

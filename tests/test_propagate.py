@@ -373,7 +373,7 @@ def _counted_ramp(st, seg, p, dt=None, taus=()):
     counts = Counter()
     taus = np.append(np.asarray(taus, dtype=float), seg.duration)
     (cols,) = evolve_ramp([st], seg, [Sector(st.basis, p)], [0.0], taus, dt, counts)
-    return cols[:, -1], cols[:, :-1], propagate.ramp_step_counts(counts)
+    return cols[:, -1], cols[:, :-1], {k: counts[f"ramp_steps.{k}"] for k in ("1", "2", "branch")}
 
 
 REF_RAMP = ParabolicRamp(277.0, 0.955, 0.0, 0.9)
