@@ -23,11 +23,11 @@ from . import __version__
 from .basis import PairBasis, polar_state, twin_fock_state, StateVector
 from .config import load as load_config
 from .errors import ConfigError, SpinmoError
-from .noise import NoiseConfig, check_rotating_wave, run_dephasing_ensemble
+from .noise import Aggregate, NoiseConfig, check_rotating_wave, run_dephasing_ensemble
 from .observables import singlet_amplitudes
 from .opensystem import LossConfig, postselect, run_loss_study
 from .operators import PhysicsParams, hamiltonian_pair
-from .optimizer import OptimizerConfig, run_protocol
+from .optimizer import OptimizerConfig, geometric_grid, run_protocol
 from .runio import RunDir, error_json, write_records_csv, write_table_csv
 from .schedule import PRESETS, Schedule, reference_ramp, run_schedule
 from .spectra import critical_q_estimate, eigensolve_tridiagonal, find_critical_q, gap
@@ -142,6 +142,17 @@ def cmd_optimize(cfg: dict, run: RunDir) -> None:
     write_records_csv(run.file("curve.csv"), result.records)
 
 
+def _write_aggregate(path, times: np.ndarray, agg: Aggregate, names: dict[str, str]) -> None:
+    """An aggregate table: ``t``, the squeezing and its standard error, then the
+    mean and standard error of each curve of ``names``, under its name there."""
+    header = ["t", "xi2", "xi2_stderr"]
+    cols = [times, agg.xi2, agg.xi2_stderr]
+    for curve, name in names.items():
+        header += [name + "_mean", name + "_stderr"]
+        cols += [agg.mean[curve], agg.stderr[curve]]
+    write_table_csv(path, header, list(zip(*cols)))
+
+
 def cmd_noise(cfg: dict, run: RunDir) -> None:
     """Dephasing or relaxation ensemble over the schedule (:func:`main`
     checks a relaxation run's rotating-wave limit first).
@@ -159,13 +170,7 @@ def cmd_noise(cfg: dict, run: RunDir) -> None:
         counts=run.counts,
     )
     for cls, agg in result.classes.items():
-        header = ["t", "xi2", "xi2_stderr"]
-        cols = [result.times, agg.xi2, agg.xi2_stderr]
-        for f in ("K", "F_singlet", "F_twinfock", "pc", "n_current"):
-            header += [f + "_mean", f + "_stderr"]
-            cols += [agg.mean[f], agg.stderr[f]]
-        rows = list(zip(*cols))
-        write_table_csv(run.file(f"aggregate_{cls}.csv"), header, rows)
+        _write_aggregate(run.file(f"aggregate_{cls}.csv"), result.times, agg, {f: f for f in agg.mean})
     run.write_json(
         "ensemble.json",
         {
@@ -200,22 +205,8 @@ def cmd_loss(cfg: dict, run: RunDir) -> None:
     )
     wall = result.trajectory_wall_s
     run.info["trajectory_wall_s"] = {"p50": float(np.median(wall)), "max": float(wall.max())}
-    agg = result.aggregate
-    write_table_csv(
-        run.file("aggregate.csv"),
-        ["t", "xi2", "xi2_stderr", "n_mean", "n_stderr", "f_singlet_mean", "f_singlet_stderr"],
-        list(
-            zip(
-                result.times,
-                agg.xi2,
-                agg.xi2_stderr,
-                agg.mean["n_current"],
-                agg.stderr["n_current"],
-                agg.mean["F_singlet"],
-                agg.stderr["F_singlet"],
-            )
-        ),
-    )
+    names = {"n_current": "n", "F_singlet": "f_singlet"}
+    _write_aggregate(run.file("aggregate.csv"), result.times, result.aggregate, names)
     run.write_json(
         "jumps.json",
         [
@@ -230,14 +221,13 @@ def cmd_loss(cfg: dict, run: RunDir) -> None:
             for s in result.summaries
         ],
     )
+    everyone = postselect(result.summaries, lambda s: True)
     run.write_json(
         "postselect.json",
         {
-            "all": postselect(result.summaries, lambda s: True),
-            "no_loss": postselect(
-                result.summaries, lambda s: s.final_n == params.n_atoms
-            ),
-            "unselected_final_f_singlet": result.unselected_final_f_singlet,
+            "all": everyone,
+            "no_loss": postselect(result.summaries, lambda s: s.final_n == params.n_atoms),
+            "unselected_final_f_singlet": everyone["final_f_singlet_mean"],
         },
     )
 
@@ -249,9 +239,7 @@ def cmd_phase_diagram(cfg: dict, run: RunDir) -> None:
     summary = {}
     for n in pd["n_list"]:
         q_est = critical_q_estimate(n, params.c2p_hz)
-        lo, hi = q_est * pd["q_min_factor"], q_est * pd["q_max_factor"]
-        n_pts = max(2, int(round(np.log10(hi / lo) * pd["points_per_decade"])) + 1)
-        qs = np.geomspace(lo, hi, n_pts)
+        qs = geometric_grid(q_est * pd["q_min_factor"], q_est * pd["q_max_factor"], pd["points_per_decade"])
         gaps = [gap(PhysicsParams(params.c2p_hz, n, float(q), params.convention)) for q in qs]
         rows += [(n, float(q), g) for q, g in zip(qs, gaps)]
         q_c = find_critical_q(n, params.c2p_hz, convention=params.convention)

@@ -22,7 +22,6 @@ from .operators import PhysicsParams
 from .optimizer import OptimizerConfig
 from .propagate import RAMP_DT_S
 from .schedule import PRESETS, SAMPLE_DT_DEFAULT_S, SEGMENT_KINDS, reference_ramp
-from .schedule import REFERENCE_Q0_HZ, REFERENCE_T0_S, REFERENCE_T_END_S
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ DEFAULTS = {
     "optimizer": {
         "mode": "amo",
         **_field_defaults(OptimizerConfig),
-        "ramp": {"q0_hz": REFERENCE_Q0_HZ, "T0_s": REFERENCE_T0_S, "t_end_s": REFERENCE_T_END_S},
+        "ramp": {a: p.default for a, p in signature(reference_ramp).parameters.items()},
     },
     "noise": {"mode": "dephasing", **_field_defaults(NoiseConfig)},
     "loss": {**_field_defaults(LossConfig), "dephasing": True},
@@ -234,6 +233,15 @@ def _check_hold_grid(cfg: dict) -> None:
         )
 
 
+def _check_phase_grid(cfg: dict) -> None:
+    """The phase-diagram q grid must not start above its end."""
+    lo, hi = cfg["phase_diagram"]["q_min_factor"], cfg["phase_diagram"]["q_max_factor"]
+    if lo > hi:
+        raise ConfigError(
+            f"config invalid at $.phase_diagram.q_min_factor: {lo} is above q_max_factor ({hi})"
+        )
+
+
 def _check_ramp_dt(cfg: dict) -> None:
     """A ramp step may only be finer than the integrator's own."""
     dt = cfg["output"]["ramp_dt_s"]
@@ -253,6 +261,7 @@ def resolve(doc: dict) -> dict:
     _check_atom_parity(cfg)
     _check_segments(cfg)
     _check_hold_grid(cfg)
+    _check_phase_grid(cfg)
     _check_ramp_dt(cfg)
     return cfg
 

@@ -36,7 +36,7 @@ class NoiseConfig:
     delta_bz_gauss: float = 1e-4       # uniform on [-range, +range]; 1e-4 G = 0.1 mG
     delta_bx_gauss: float = 1e-4
     bz_bias_gauss: float = 0.0         # 0 for dephasing-only runs, 0.85 for relaxation
-    atom_number_spread: bool = True    # uniform integers on [max(1, N - sqrt(N)), N + sqrt(N)]
+    atom_number_spread: bool = True    # uniform integers on [N - sqrt(N), N + sqrt(N)]; 1 at N = 1
     n_traj: int = 100
     seed: int = 0
 
@@ -57,15 +57,15 @@ class TrajectoryDraw:
 def sample_trajectory_config(
     cfg: NoiseConfig, n_atoms_nominal: int, index: int
 ) -> TrajectoryDraw:
-    """Reproducible per-trajectory draw keyed by (seed, index)."""
+    """Reproducible per-trajectory draw keyed by (seed, index).  A spread
+    atom number is a uniform integer on [N - sqrt(N), N + sqrt(N)], raised
+    to at least 1 and kept symmetric about N: at N = 1 every draw is 1."""
     rng = np.random.default_rng([cfg.seed, index])
     dbz = rng.uniform(-cfg.delta_bz_gauss, cfg.delta_bz_gauss) if cfg.delta_bz_gauss else 0.0
     dbx = rng.uniform(-cfg.delta_bx_gauss, cfg.delta_bx_gauss) if cfg.delta_bx_gauss else 0.0
     if cfg.atom_number_spread:
-        root = math.sqrt(n_atoms_nominal)
-        lo = max(1, math.ceil(n_atoms_nominal - root))  # no draw is empty
-        hi = math.floor(n_atoms_nominal + root)
-        n = int(rng.integers(lo, hi + 1))
+        lo = max(1, math.ceil(n_atoms_nominal - math.sqrt(n_atoms_nominal)))  # no draw is empty
+        n = int(rng.integers(lo, 2 * n_atoms_nominal - lo + 1))  # symmetric about N
     else:
         n = n_atoms_nominal
     return TrajectoryDraw(float(dbz), float(dbx), n)

@@ -62,7 +62,6 @@ class TrajectorySummary:
     final_n: int
     final_m: int
     n_jumps: int
-    terminated_empty: bool
     final: ObservableRecord  # the record of the final state
     jumps: list[JumpEvent]
 
@@ -88,20 +87,19 @@ class _Sectors(dict):
         return sector
 
 
+def _occupations(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The occupation array of each loss channel, at index channel + 1."""
+    return basis.n_minus, basis.n_zero, basis.n_plus
+
+
 def _apply_loss(state: StateVector, channel: int, sectors: _Sectors | None = None) -> StateVector:
-    """Annihilate one atom in Zeeman component ``channel`` and renormalize;
-    the new sector's basis comes from ``sectors`` when given."""
+    """Annihilate one atom in Zeeman component ``channel`` and renormalize:
+    a level, weighted by the root of its occupation (:func:`_occupations`),
+    moves to level ``min(n_minus - [channel == -1], n_plus - [channel == +1])``
+    of sector (N - 1, M - channel), whose basis comes from ``sectors`` when given."""
     basis: SectorBasis = state.basis
     n, m = basis.n_atoms, basis.magnetization
-    if channel == 0:
-        w = np.sqrt(basis.n_zero.astype(float))
-        src_nm, src_np = basis.n_minus, basis.n_plus
-    elif channel == 1:
-        w = np.sqrt(basis.n_plus.astype(float))
-        src_nm, src_np = basis.n_minus, basis.n_plus - 1
-    else:
-        w = np.sqrt(basis.n_minus.astype(float))
-        src_nm, src_np = basis.n_minus - 1, basis.n_plus
+    w = np.sqrt(_occupations(basis)[channel + 1].astype(float))
     lost = w * state.amplitudes
     if not lost.any():  # an empty channel may have no target sector
         raise ArithmeticError("loss channel annihilated the state")
@@ -110,22 +108,14 @@ def _apply_loss(state: StateVector, channel: int, sectors: _Sectors | None = Non
     out = np.zeros(new_basis.size, dtype=np.complex128)
     # each source level with w != 0 lands on its own target level
     live = w != 0.0
-    out[np.minimum(src_nm, src_np)[live]] = lost[live]
+    out[np.minimum(basis.n_minus - (channel == -1), basis.n_plus - (channel == 1))[live]] = lost[live]
     return StateVector(new_basis, out / np.linalg.norm(out))
 
 
 def _channel_probabilities(state: StateVector) -> np.ndarray:
     """(p_minus, p_zero, p_plus): mean occupation fractions; sums to 1."""
-    basis = state.basis
     dens = np.abs(state.amplitudes) ** 2
-    n = basis.n_atoms
-    return np.array(
-        [
-            float(basis.n_minus @ dens) / n,
-            float(basis.n_zero @ dens) / n,
-            float(basis.n_plus @ dens) / n,
-        ]
-    )
+    return np.array([float(occ @ dens) for occ in _occupations(state.basis)]) / state.basis.n_atoms
 
 
 def _draw_channel(p: np.ndarray, u: float) -> int:
@@ -222,7 +212,6 @@ def gillespie_trajectory(
         final_n=basis.n_atoms,
         final_m=basis.magnetization,
         n_jumps=len(jumps),
-        terminated_empty=basis.n_atoms == 0,
         final=records[-1],  # the last record holds the final state
         jumps=jumps,
     )
@@ -235,10 +224,6 @@ class LossStudyResult:
     aggregate: Aggregate  # over every trajectory, by :func:`~spinmo.noise.aggregate`
     summaries: list[TrajectorySummary]
     trajectory_wall_s: np.ndarray  # the wall time of each trajectory
-
-    @property
-    def unselected_final_f_singlet(self) -> float:
-        return float(np.mean([s.final.F_singlet for s in self.summaries]))
 
 
 def run_loss_study(

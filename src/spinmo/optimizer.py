@@ -311,7 +311,7 @@ def first_local_min_k(
     if found == 0:
         return at_start(int(ks[0]), flag)
     t_star = found * dt
-    b = real_map(eig.vectors, np.exp(-1j * eig.values * t_star) * c0)
+    (b,) = eig.evolve_projected(c0, [t_star])
     return HoldScan(
         q_hz=float(q_hz),
         k=int(ks[found]),
@@ -341,23 +341,9 @@ def optimize_step(
         grid = geometric_grid(cfg.q_min_hz, q_upper_hz, cfg.points_per_decade)
     if grid.size == 0:
         raise ValueError("empty q grid")
-    best: HoldScan | None = None
-    table = []
     start = hold_start(state, reference)
-    for q in grid:
-        scan = first_local_min_k(state, float(q), params, cfg, reference, start, memo=memo)
-        table.append(scan)
-        if (
-            best is None
-            or scan.k < best.k
-            or (scan.k == best.k and scan.pop_two_lowest > best.pop_two_lowest)
-            or (
-                scan.k == best.k
-                and scan.pop_two_lowest == best.pop_two_lowest
-                and scan.t_s < best.t_s
-            )
-        ):
-            best = scan
+    table = [first_local_min_k(state, float(q), params, cfg, reference, start, memo=memo) for q in grid]
+    best = min(table, key=lambda s: (s.k, -s.pop_two_lowest, s.t_s))
     return StepResult(
         q_star_hz=best.q_hz,
         t_star_s=best.t_s,

@@ -186,6 +186,11 @@ def test_noise_determinism_rerun_identical_bytes(tmp_path):
     # the batch mixes atom-number parities, so its chains differ in length
     n_traj = json.loads((out / "ensemble.json").read_text())["n_traj"]
     assert n_traj["even"] > 0 and n_traj["odd"] > 0
+    for name in names[:3]:
+        assert (out / name).read_text().splitlines()[0] == (
+            "t,xi2,xi2_stderr,K_mean,K_stderr,F_singlet_mean,F_singlet_stderr,F_twinfock_mean,"
+            "F_twinfock_stderr,pc_mean,pc_stderr,n_current_mean,n_current_stderr"
+        ), name
 
 
 def test_loss_determinism_rerun_identical_bytes(tmp_path):
@@ -194,6 +199,9 @@ def test_loss_determinism_rerun_identical_bytes(tmp_path):
     names = ["aggregate.csv", "jumps.json", "postselect.json"]
     out = _rerun_identical(tmp_path, "loss", doc, names)
     assert any(s["jumps"] for s in json.loads((out / "jumps.json").read_text()))
+    assert (out / "aggregate.csv").read_text().splitlines()[0] == (
+        "t,xi2,xi2_stderr,n_mean,n_stderr,f_singlet_mean,f_singlet_stderr"
+    )
 
 
 @pytest.mark.parametrize("command", ["evolve", "noise", "loss"])
@@ -288,14 +296,15 @@ def test_a_zero_field_relaxation_run_with_a_transverse_field_exits_2(tmp_path, c
 
 
 def test_noise_runs_at_one_atom(tmp_path):
-    # the atom-number spread of N = 1 reaches down to 0; draws keep one atom
+    # the atom-number spread of N = 1 reaches down to 0; draws keep one atom,
+    # and kept symmetric about N they draw no other number
     doc = json.loads(json.dumps(BASE))
     doc["physics"]["n_atoms"] = 1
     doc["noise"] = {"n_traj": 8}
     out = tmp_path / "one"
     assert main(["noise", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
     n_traj = json.loads((out / "ensemble.json").read_text())["n_traj"]
-    assert n_traj["all"] == 8 and set(n_traj) == {"all", "even", "odd"}
+    assert n_traj == {"all": 8, "odd": 8}
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
@@ -558,6 +567,23 @@ def test_phase_diagram_small(tmp_path):
     assert rows[0] == "n_atoms,q_hz,gap_hz" and len(rows) > 10
 
 
+def test_phase_diagram_inverted_factors_exit_2_before_the_output_directory(tmp_path, capsys):
+    doc = dict(BASE, phase_diagram={"n_list": [20], "q_min_factor": 10.0, "q_max_factor": 0.1})
+    out = tmp_path / "pd"
+    assert main(["phase-diagram", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "config invalid at $.phase_diagram.q_min_factor:" in err["message"]
+
+
+def test_phase_diagram_equal_factors_give_one_row_per_atom_number(tmp_path):
+    doc = dict(BASE, phase_diagram={"n_list": [20, 30], "q_min_factor": 2.0, "q_max_factor": 2.0})
+    out = tmp_path / "pd"
+    assert main(["phase-diagram", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    rows = (out / "gaps.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["20", "30"]
+
+
 def test_phase_diagram_determinism_rerun_identical_bytes(tmp_path):
     doc = {
         "physics": {"c2p_hz": 25.0, "n_atoms": 20},
@@ -595,6 +621,7 @@ def test_loss_command_small(tmp_path):
     ps = json.loads((out / "postselect.json").read_text())
     assert ps["all"]["n_total"] == 20
     assert 0 <= ps["unselected_final_f_singlet"] <= 1
+    assert ps["unselected_final_f_singlet"] == ps["all"]["final_f_singlet_mean"]
     jumps = json.loads((out / "jumps.json").read_text())
     assert len(jumps) == 20
 

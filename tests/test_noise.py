@@ -56,8 +56,9 @@ def test_draw_statistics_uniform():
 
 
 def test_atom_number_draws_keep_at_least_one_atom():
-    # the spread [N - sqrt(N), N + sqrt(N)] reaches 0 at N = 1 only
-    assert {sample_trajectory_config(NoiseConfig(), 1, i).n_atoms for i in range(40)} == {1, 2}
+    # the spread [N - sqrt(N), N + sqrt(N)] reaches 0 at N = 1 only; kept
+    # symmetric about N there, every draw is 1
+    assert {sample_trajectory_config(NoiseConfig(), 1, i).n_atoms for i in range(40)} == {1}
     # the clamp leaves every larger N's draws as they were
     cfg = NoiseConfig(seed=3)
     ns = [sample_trajectory_config(cfg, 100, i).n_atoms for i in range(12)]
@@ -172,34 +173,6 @@ def test_parity_split_is_exhaustive():
     assert n_even + n_odd == cfg.n_traj == ens.classes["all"].n_traj
 
 
-def test_relaxation_averaged_equals_dephasing_when_bx_zero():
-    n = 10
-    p = PhysicsParams(25.0, n)
-    sched = _tiny_schedule()
-    for spread in (False, True):
-        cfg = NoiseConfig(
-            delta_bz_gauss=1e-4,
-            delta_bx_gauss=0.0,
-            bz_bias_gauss=0.85,
-            n_traj=4,
-            seed=21,
-            atom_number_spread=spread,
-        )
-        deph = run_dephasing_ensemble(sched, p, cfg, sample_dt=0.01)
-        check_rotating_wave(p, cfg)
-        relax = run_dephasing_ensemble(sched, p, cfg, sample_dt=0.01)
-        # the relaxation ensemble simulates the drawn atom numbers too
-        assert relax.draws == deph.draws
-        assert (len({d.n_atoms for d in relax.draws}) > 1) == spread
-        assert relax.classes.keys() == deph.classes.keys()
-        for name, a in deph.classes.items():
-            b = relax.classes[name]
-            assert a.n_traj == b.n_traj
-            assert np.array_equal(a.xi2, b.xi2)
-            assert np.array_equal(a.mean["F_singlet"], b.mean["F_singlet"])
-            assert np.array_equal(a.mean["n_current"], b.mean["n_current"])
-
-
 def test_relaxation_averaged_rejects_large_transverse():
     n = 6
     p = PhysicsParams(25.0, n)
@@ -219,6 +192,7 @@ def test_rotating_wave_check_needs_a_longitudinal_field_for_a_transverse_one():
         check_rotating_wave(p, NoiseConfig(delta_bx_gauss=1e-4, **zero))
     # no transverse field: nothing to average away, at any p
     check_rotating_wave(p, NoiseConfig(delta_bx_gauss=0.0, **zero))
+    check_rotating_wave(p, NoiseConfig(delta_bx_gauss=0.0, bz_bias_gauss=0.85, n_traj=4, seed=21))
     check_rotating_wave(p, NoiseConfig(delta_bx_gauss=1e-4, bz_bias_gauss=0.85, n_traj=2))
 
 
@@ -243,8 +217,14 @@ def test_ensemble_aggregation_order_independent_of_grouping():
     cfg = NoiseConfig(n_traj=6, seed=3)
     a = run_dephasing_ensemble(_tiny_schedule(), p, cfg, sample_dt=None)
     b = run_dephasing_ensemble(_tiny_schedule(), p, cfg, sample_dt=None)
-    assert np.array_equal(a.classes["all"].xi2, b.classes["all"].xi2)
-    assert np.array_equal(a.classes["all"].mean["F_singlet"], b.classes["all"].mean["F_singlet"])
+    assert a.draws == b.draws
+    assert a.classes.keys() == b.classes.keys() == {"all", "even", "odd"}
+    for name, x in a.classes.items():
+        y = b.classes[name]
+        assert x.n_traj == y.n_traj
+        assert np.array_equal(x.xi2, y.xi2)
+        for f in ("F_singlet", "n_current"):
+            assert np.array_equal(x.mean[f], y.mean[f])
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])

@@ -47,7 +47,7 @@ def test_emptied_trajectory_records_read_the_empty_sector():
     sched = Schedule((Hold(0.3, 0.05),))
     cfg = LossConfig(gamma_per_s=200.0, n_traj=1)
     traj = gillespie_trajectory(st, sched, PhysicsParams(25.0, n), cfg, index=0, sample_dt=0.01)
-    assert traj.summary.terminated_empty and traj.summary.final.F_singlet == 0.0
+    assert traj.summary.final_n == 0 and traj.summary.final.F_singlet == 0.0
     last = traj.records[-1]
     assert (last.K, last.F_singlet, last.F_twinfock, last.xi2, last.pc, last.n_current) == (
         1, 0.0, 0.0, 0.0, 0.0, 0.0

@@ -264,6 +264,28 @@ def test_optimize_step_grid_of_one():
     assert len(step.table) == 1
 
 
+def test_optimize_step_tie_order(monkeypatch):
+    # lowest K, then the larger pop_two_lowest, then the shorter hold, then grid order
+    n = 12
+    p = PhysicsParams(25.0, n)
+    st = polar_state(PairBasis(n))
+    amps = st.amplitudes
+
+    def step_over(*rows):
+        """The step over stub scans, one (k, pop_two_lowest, t_s) at each q = 0, 1, ..."""
+        scans = [optimizer.HoldScan(float(q), k, t, pop, "", amps) for q, (k, pop, t) in enumerate(rows)]
+        monkeypatch.setattr(optimizer, "first_local_min_k", lambda state, q, *args, **kw: scans[int(q)])
+        grid = np.arange(len(rows), dtype=float)
+        return optimize_step(st, 1.0, p, OptimizerConfig(), reference_eigensystem(n), grid=grid)
+
+    assert step_over((3, 0.9, 0.1), (2, 0.1, 0.5), (4, 1.0, 0.0)).q_star_hz == 1.0
+    assert step_over((2, 0.5, 0.1), (2, 0.7, 0.5), (2, 0.6, 0.0)).q_star_hz == 1.0
+    assert step_over((2, 0.5, 0.3), (2, 0.5, 0.2), (2, 0.5, 0.4)).q_star_hz == 1.0
+    step = step_over((3, 0.1, 0.0), (2, 0.5, 0.2), (2, 0.5, 0.2))
+    assert (step.q_star_hz, step.k_star, step.t_star_s) == (1.0, 2, 0.2)
+    assert [s.q_hz for s in step.table] == [0.0, 1.0, 2.0]
+
+
 def test_optimize_step_projects_its_state_once(monkeypatch):
     n = 40
     p = PhysicsParams(25.0, n)
