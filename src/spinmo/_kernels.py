@@ -30,7 +30,14 @@ so each argument's coefficients are computed once per segment and
 dropped with it.  A batch of chains (an ensemble's trajectories, or a
 single state) is one block-diagonal operator, so a series costs one band
 product and one vector update per term for the whole batch; what stays
-fixed between window changes is built once per window change.
+fixed between window changes is built once per window change, and the
+q-dependent part of the exponentials of up to ``_CHUNK_STEPS`` steps in
+whole-array passes, so that per exponential only the series runs.
+
+Windows, like the blocks of :func:`spinmo.propagate.hold_levels`, sit on
+a ladder of multiples of 8 levels (:func:`ladder`).  A leaking window of
+a single chain grows to the next rung at least 1.5 times its width; in a
+batch it doubles, since there one regrowth redoes every block's step.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ NORM_TOL = 1e-10        # per-step |norm - 1| before renormalizing
 _SERIES_TOL = 1e-17     # Bessel coefficients below this end the series
 RADIUS_STEPS_PER_OCTAVE = 16  # grid the series' radius is rounded up to
 _JOIN = np.zeros(1)     # the coupling between two blocks of a band
+_CHUNK_STEPS = 64       # steps whose exponentials a window prepares at once
+_CHUNK_LEVELS = 1 << 15  # cap on exponentials x levels prepared at once (1 MB of bands)
 
 
 def _lagrange_weights(theta: float) -> tuple[float, float, float]:
@@ -64,8 +73,22 @@ def _lagrange_weights(theta: float) -> tuple[float, float, float]:
 
 
 _POWERS_OF_MINUS_I = np.array([1.0, -1j, -1.0, 1j])
-_WA = _lagrange_weights(GAUSS_NODES[0])
-_WB = _lagrange_weights(GAUSS_NODES[1])
+# _NODE_WEIGHTS[j] weighs q at half-step j of a step into qA and qB; q1 and
+# q2 of the step are 2 (_FROM_QA qA + _FROM_QB qB)
+_NODE_WEIGHTS = np.array([_lagrange_weights(x) for x in GAUSS_NODES]).T.reshape(3, 2, 1, 1)
+_FROM_QA = np.array([A1, A2]).reshape(2, 1, 1)
+_FROM_QB = np.array([A2, A1]).reshape(2, 1, 1)
+
+
+def ladder(m: int, n: int) -> int:
+    """The smallest multiple of 8 that is at least ``m``, at most ``n``: the
+    rungs on which hold blocks and ramp windows grow."""
+    return min(n, -(-m // 8) * 8)
+
+
+def next_rung(m: int, n: int) -> int:
+    """The first rung of the ladder at least 1.5 ``m``, at most ``n``."""
+    return ladder((3 * m + 1) // 2, n)
 
 
 def bessel_j(x: float) -> np.ndarray:
@@ -120,7 +143,8 @@ class _Band:
     with a zero coupling at each join, so that one band product applies all
     B blocks.  Built once per change of the windows, with everything that
     stays fixed until then (Gershgorin radii, block slices, edge levels and
-    couplings); only the q-dependent diagonal is formed per exponential."""
+    couplings); :meth:`prepare` forms the q-dependent part of many
+    exponentials at once."""
 
     def __init__(self, diag0, qdiag, off, ms):
         self.ms = np.array(ms)
@@ -142,55 +166,75 @@ class _Band:
         self.edge_off = np.array(
             [abs(o[m - 1]) if m <= o.size else 0.0 for o, m in zip(off, ms)]
         )
-        self.band = np.zeros((2, self.d0.size), dtype=np.complex128, order="F")
 
-    def expv(self, v: np.ndarray, q: np.ndarray, tau: float, coefs: dict) -> np.ndarray:
-        """``exp(-i tau H) v`` with ``H = D0 + q[b] Dq + Off`` on block b, by
-        one Chebyshev series on the union of the blocks' Gershgorin
-        intervals, its radius rounded up to the grid.  ``coefs`` maps
-        ``tau`` times a grid radius to its :func:`chebyshev_coefficients`
-        and gains the ones computed here."""
-        diag = self.d0 + q.repeat(self.ms) * self.dq
-        lo = float((diag - self.radius).min())
-        hi = float((diag + self.radius).max())
-        if not math.isfinite(hi - lo):
-            raise ValueError("matrix entries must be finite")
-        center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        phase = cmath.exp(-1j * tau * center)
-        if radius == 0.0:
-            return phase * v
-        radius = 2.0 ** (
-            math.ceil(RADIUS_STEPS_PER_OCTAVE * math.log2(radius)) / RADIUS_STEPS_PER_OCTAVE
-        )
-        x = tau * radius
-        coef = coefs.get(x)
-        if coef is None:
-            coef = coefs[x] = chebyshev_coefficients(x)
-        if len(coef) == 1:
-            return phase * v
-        # S = (H - center) / radius; the band holds 2 S in BLAS Hermitian
-        # band storage, the superdiagonal over the diagonal
-        band = self.band
-        scale = 2.0 / radius
-        np.multiply(self.off, scale, out=band[0, 1:])
-        diag -= center
-        np.multiply(diag, scale, out=band[1])
-        # zhbmv positional (k, alpha, a, x, incx, offx, beta, y, incy, offy,
-        # lower, overwrite_y): keyword parsing would cost a third of the call.
-        # T_1 v = S v, then T_k v = 2 S T_(k-1) v - T_(k-2) v, overwriting
-        # T_(k-2) v; acc sums the series in place
-        cur = zhbmv(1, 0.5, band, v)
-        prev = v.copy()
-        acc = coef[0] * v + coef[1] * cur
-        n = v.size
-        for c in coef[2:]:
-            prev, cur = cur, zhbmv(1, 1.0, band, cur, 1, 0, -1.0, prev, 1, 0, 0, 1)
-            zaxpy(cur, acc, n, c)  # acc += c * cur
-        # phase first: numpy's complex product is not symmetric to the bit
-        return np.multiply(phase, acc, out=acc)
+    def prepare(self, qs: np.ndarray, tau: float) -> list[tuple]:
+        """The exponentials ``exp(-i tau H)`` with ``H = D0 + q[b] Dq + Off``
+        on block b, one for each row q of ``qs``, ready for :func:`expv`.
+
+        Each is one Chebyshev series on the union of the blocks' Gershgorin
+        intervals, its radius rounded up to the grid: ``(phase, x, band)``
+        with ``phase = exp(-i tau center)``, the series argument ``x = tau
+        radius`` (None for a pure phase) and ``band`` holding ``2 S``,
+        ``S = (H - center) / radius``, in BLAS Hermitian band storage, the
+        superdiagonal over the diagonal.  The diagonals, the Gershgorin
+        intervals and the band rows are formed in whole-array passes over
+        all rows; centres, radii, their grid rounding and the phases are
+        scalar, once per row."""
+        diag = self.d0 + qs.repeat(self.ms, axis=1) * self.dq
+        lo = (diag - self.radius).min(axis=1)
+        hi = (diag + self.radius).max(axis=1)
+        center, phases, xs, scale = [], [], [], []
+        for lo_e, hi_e in zip(lo.tolist(), hi.tolist()):
+            c, r = 0.5 * (hi_e + lo_e), 0.5 * (hi_e - lo_e)
+            if not math.isfinite(r):
+                raise ValueError("matrix entries must be finite")
+            center.append(c)
+            phases.append(cmath.exp(-1j * tau * c))
+            if r == 0.0:
+                xs.append(None)
+                scale.append(0.0)
+                continue
+            r = 2.0 ** (math.ceil(RADIUS_STEPS_PER_OCTAVE * math.log2(r)) / RADIUS_STEPS_PER_OCTAVE)
+            xs.append(tau * r)
+            scale.append(2.0 / r)
+        scale = np.array(scale)[:, None]
+        # exponential e's band is bands[e].T, Fortran-ordered as zhbmv reads it
+        bands = np.empty((len(xs), self.d0.size, 2), dtype=np.complex128)
+        bands[:, 0, 0] = 0.0
+        np.multiply(self.off, scale, out=bands[:, 1:, 0])
+        diag -= np.array(center)[:, None]
+        np.multiply(diag, scale, out=bands[:, :, 1])
+        return [(phase, x, band.T) for phase, x, band in zip(phases, xs, bands)]
 
 
-def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=()):
+def expv(v: np.ndarray, exponential: tuple, coefs: dict) -> tuple[np.ndarray, int]:
+    """One exponential of :meth:`_Band.prepare` applied to ``v``, and the
+    number of series terms that took.  ``coefs`` maps a series argument to
+    its :func:`chebyshev_coefficients` and gains the ones computed here."""
+    phase, x, band = exponential
+    if x is None:
+        return phase * v, 1
+    coef = coefs.get(x)
+    if coef is None:
+        coef = coefs[x] = chebyshev_coefficients(x)
+    if len(coef) == 1:
+        return phase * v, 1
+    # zhbmv positional (k, alpha, a, x, incx, offx, beta, y, incy, offy,
+    # lower, overwrite_y): keyword parsing would cost a third of the call.
+    # T_1 v = S v, then T_k v = 2 S T_(k-1) v - T_(k-2) v, overwriting
+    # T_(k-2) v; acc sums the series in place
+    cur = zhbmv(1, 0.5, band, v)
+    prev = v.copy()
+    acc = coef[0] * v + coef[1] * cur
+    n = v.size
+    for c in coef[2:]:
+        prev, cur = cur, zhbmv(1, 1.0, band, cur, 1, 0, -1.0, prev, 1, 0, 0, 1)
+        zaxpy(cur, acc, n, c)  # acc += c * cur
+    # phase first: numpy's complex product is not symmetric to the bit
+    return np.multiply(phase, acc, out=acc), len(coef)
+
+
+def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=(), *, counts=None):
     """Advance B chains in place through a half-step q grid, each on its
     leading window, and return copies of them after each step count in
     ``keep``.
@@ -199,19 +243,25 @@ def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=()):
     chain b has the Hamiltonian ``diag0[b] + q qdiag[b] + off[b]``, its
     state ``psis[b]`` must vanish beyond level ``ms[b]``, and column b of
     ``qgrid`` (shape ``(2 steps + 1, B)``) is its q.  Every exponential
-    acts on all windows at once (:class:`_Band`).  After each step the
-    amplitude that can have left window b is bounded by
+    acts on all windows at once (:class:`_Band`), and the exponentials of
+    up to ``_CHUNK_STEPS`` steps are prepared together.  After each step
+    the amplitude that can have left window b is bounded by
     ``dt |off[b][m-1]| max|psi_b[m-1]|``, the maximum taken over the start,
-    middle and end of the step; every block whose bound exceeds
-    ``leak_tol`` doubles its window (at most to its whole chain), and the
-    step is redone for the whole batch.  Each step ends with
-    :func:`renormalized` on every block.
+    middle and end of the step.  Where some block's bound exceeds
+    ``leak_tol``, the step is redone for the whole batch with every such
+    block on a larger window.  A single chain's window grows to the first rung of the
+    8-level ladder at least 1.5 times its width (:func:`next_rung`); in a
+    batch of more than one each such window doubles, since one regrowth
+    there redoes every block's step.  No window grows past its chain.
+    Each step ends with :func:`renormalized` on every block.
 
     ``coefs`` maps a series argument to its :func:`chebyshev_coefficients`
     and gains the ones computed here, so calls that share it (a segment's
     main line and its sample branches) compute each once.  The result maps
     each step count k in ``keep`` to copies of the chains after k steps and
-    their windows then, the start of a branch.
+    their windows then, the start of a branch.  The series terms run and
+    the steps redone are added to ``counts["chebyshev_terms"]`` and
+    ``counts["ramp_regrowths"]``.
     """
     ms = list(ms)
     band = _Band(diag0, qdiag, off, ms)
@@ -219,27 +269,38 @@ def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=()):
     v = np.concatenate([p[:m] for p, m in zip(psis, ms)])
     keep = set(keep)
     kept = {0: ([p.copy() for p in psis], list(ms))} if 0 in keep else {}
-    # q at the nodes of every step, one row per step
-    q0, qm, q1 = qgrid[0:-1:2], qgrid[1::2], qgrid[2::2]
-    qa = _WA[0] * q0 + _WA[1] * qm + _WA[2] * q1
-    qb = _WB[0] * q0 + _WB[1] * qm + _WB[2] * q1
-    q_first = 2.0 * (A1 * qa + A2 * qb)
-    q_second = 2.0 * (A2 * qa + A1 * qb)
-    for s in range(q_first.shape[0]):
+    # q at the Gauss nodes of every step, then of its two exponentials, in
+    # one row each: row 2 s + j is exponential j of step s
+    weights = _NODE_WEIGHTS
+    qa, qb = weights[0] * qgrid[0:-1:2] + weights[1] * qgrid[1::2] + weights[2] * qgrid[2::2]
+    steps = qa.shape[0]
+    qs = np.empty((steps, 2, qa.shape[1]))
+    np.multiply(2.0, _FROM_QA * qa + _FROM_QB * qb, out=qs.transpose(1, 0, 2))
+    qs = qs.reshape(2 * steps, -1)
+    terms = regrowths = 0
+    ready = 0  # exps holds the exponentials of the steps up to this one
+    for s in range(steps):
         while True:
-            mid = band.expv(v, q_first[s], 0.5 * dt, coefs)
-            end = band.expv(mid, q_second[s], 0.5 * dt, coefs)
+            if s == ready:
+                ready = min(steps, s + max(1, min(_CHUNK_STEPS, _CHUNK_LEVELS // v.size)))
+                exps = iter(band.prepare(qs[2 * s : 2 * ready], 0.5 * dt))
+            mid, n1 = expv(v, next(exps), coefs)
+            end, n2 = expv(mid, next(exps), coefs)
+            terms += n1 + n2
             last = band.last
             edge = np.abs(np.array((v[last], mid[last], end[last]))).max(axis=0)
             leaks = reach * edge > leak_tol
             if not leaks.any():
                 break
+            regrowths += 1
             _scatter(v, psis, band.blocks)
             for b in np.flatnonzero(leaks).tolist():
-                ms[b] = min(psis[b].shape[0], 2 * ms[b])
+                n = psis[b].shape[0]
+                ms[b] = next_rung(ms[b], n) if len(ms) == 1 else min(n, 2 * ms[b])
             band = _Band(diag0, qdiag, off, ms)
             reach = dt * band.edge_off
             v = np.concatenate([p[:m] for p, m in zip(psis, ms)])
+            ready = s
         for block in band.blocks:
             renormalized(end[block])
         v = end
@@ -247,6 +308,9 @@ def cf4_chain(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=()):
             _scatter(v, psis, band.blocks)
             kept[s + 1] = ([p.copy() for p in psis], list(ms))
     _scatter(v, psis, band.blocks)
+    if counts is not None:
+        counts["chebyshev_terms"] += terms
+        counts["ramp_regrowths"] += regrowths
     return kept
 
 

@@ -85,11 +85,6 @@ class Sector:
         return reference_eigensystem(self.basis.n_atoms, self.basis.magnetization)
 
 
-def _ladder(m: int, n: int) -> int:
-    """The smallest multiple of 8 that is at least ``m``, at most ``n``."""
-    return min(n, -(-m // 8) * 8)
-
-
 def _first_block(a: np.ndarray) -> tuple[int, np.ndarray]:
     """The first block of :func:`hold_levels` and of a ramp's window for
     amplitudes ``a``, and ``||a[k:]||`` for k = 0, ..., n: the whole chain
@@ -99,7 +94,7 @@ def _first_block(a: np.ndarray) -> tuple[int, np.ndarray]:
     ``_TRUNCATION_TOL``."""
     tail = np.append(np.sqrt(np.cumsum((a.real**2 + a.imag**2)[::-1])[::-1]), 0.0)
     support = int(np.argmax(tail <= _TRUNCATION_TOL))
-    return (a.size if 2 * support >= a.size else _ladder(support + 8, a.size)), tail
+    return (a.size if 2 * support >= a.size else _kernels.ladder(support + 8, a.size)), tail
 
 
 def hold_start(state: StateVector, reference: EigenSystem) -> tuple[np.ndarray, tuple]:
@@ -161,7 +156,7 @@ def hold_levels(
         leak = cap_s * abs(off[m - 1]) * (np.abs(c) @ np.abs(eig.vectors[m - 1]))
         if tail[m] + leak <= _TRUNCATION_TOL:
             return eig, c
-        m = _ladder((3 * m + 1) // 2, n)
+        m = _kernels.next_rung(m, n)
 
 
 def evolve_hold(
@@ -251,9 +246,13 @@ def evolve_ramp(
     ladder (:func:`_first_block`): the whole chain when twice its state's
     support fills it, else the first multiple of 8 levels at least 8
     beyond the support (levels beyond the support hold a norm of at most
-    1e-12 and are dropped).  m doubles whenever a step's bound on the
-    amplitude leaving that window exceeds its share of a ``WINDOW_TOL``
-    budget for the segment; sample branches never grow the main windows.
+    1e-12 and are dropped).  Whenever a step's bound on the amplitude
+    leaving that window exceeds its share of a ``WINDOW_TOL`` budget for
+    the segment, the step is redone on a larger m: the next rung at least
+    1.5 m for a single state, as :func:`hold_levels` grows, and 2 m in a
+    batch; sample branches never grow the main windows.  The series terms
+    run and the steps redone are added to ``counts["chebyshev_terms"]``
+    and ``counts["ramp_regrowths"]``.
     The main line and the branches share one dict of Chebyshev
     coefficients, which lives for this call only.  States carry their
     exact phase.
@@ -294,7 +293,7 @@ def evolve_ramp(
     coefs: dict = {}  # Chebyshev coefficients of this segment, by series argument
     ts = 0.5 * np.arange(2 * n_steps + 1) * dt0
     kept = _kernels.cf4_chain(
-        psis, diag0, qdiag, off, q_grid(ts), dt0, ms, leak_tol, coefs, at_step
+        psis, diag0, qdiag, off, q_grid(ts), dt0, ms, leak_tol, coefs, at_step, counts=counts
     )
     branches = []
     for i, (t_s, k) in enumerate(zip(taus, at_step)):
@@ -306,7 +305,9 @@ def evolve_ramp(
         if delta > 1e-12 * max(1.0, duration):
             t_here = k * dt0
             grid = q_grid(np.array([t_here, t_here + 0.5 * delta, t_here + delta]))
-            _kernels.cf4_chain(branch, diag0, qdiag, off, grid, delta, ms_k, leak_tol, coefs)
+            _kernels.cf4_chain(
+                branch, diag0, qdiag, off, grid, delta, ms_k, leak_tol, coefs, counts=counts
+            )
             if counts is not None:
                 counts["ramp_steps.branch"] += 1
         branches.append(branch)

@@ -92,6 +92,8 @@ class RunDir:
             "wall_clock_s": time.monotonic() - self.t_start,
             "started_utc": self.wall_start,
             "hold_blocks": counts["hold_blocks"],
+            "chebyshev_terms": counts["chebyshev_terms"],
+            "ramp_regrowths": counts["ramp_regrowths"],
             "ramp_steps": {key: counts[f"ramp_steps.{key}"] for key in ("1", "2", "branch")},
             **{k: counts[k] for k in ("trajectories", "jumps", "reference_eigensystems") if k in counts},
             **self.info,

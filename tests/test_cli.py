@@ -319,8 +319,10 @@ def test_run_info_of_every_command_reports_hold_blocks_and_ramp_steps(tmp_path, 
     steps = info["ramp_steps"]
     assert set(steps) == {"1", "2", "branch"} and all(isinstance(v, int) for v in steps.values())
     assert isinstance(info["hold_blocks"], int)
+    assert isinstance(info["chebyshev_terms"], int) and isinstance(info["ramp_regrowths"], int)
     # the phase diagram solves no hold and takes no ramp step; the others do both
     assert (info["hold_blocks"] > 0 and steps["1"] + steps["2"] > 0) == (command != "phase-diagram")
+    assert (info["chebyshev_terms"] > 0) == (command != "phase-diagram")
     ensemble = ("trajectories" in info, "jumps" in info, "reference_eigensystems" in info)
     assert ensemble == {"noise": (True, False, False), "loss": (True, True, True)}.get(
         command, (False, False, False)
@@ -404,6 +406,25 @@ def test_run_info_counts_ramp_steps_by_size(tmp_path, command, runs):
     assert main([command, "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
     info = json.loads((out / "run_info.json").read_text())
     assert info["ramp_steps"] == {"1": 20 * runs, "2": 0, "branch": 4 * runs}
+
+
+def test_run_info_counts_chebyshev_terms_and_regrowths(tmp_path):
+    # the benchmark's ramp: the first 5 ms of the reference ramp at N = 200
+    # from the polar state.  Its 20 steps run on a window of 16 levels until
+    # one is redone on 24, so 42 exponentials take 1,230 series terms
+    doc = {
+        "physics": {"c2p_hz": 25.0, "n_atoms": 200},
+        "initial_state": {"kind": "polar"},
+        "schedule": {"segments": [
+            {"kind": "parabolic_ramp", "q0_hz": 277.0, "T0_s": 0.955, "t_begin_s": 0.0, "t_end_s": 0.005}
+        ]},
+        "output": {"sample_dt_s": 1e-3},
+    }
+    out = tmp_path / "ramp"
+    assert main(["evolve", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    info = json.loads((out / "run_info.json").read_text())
+    assert info["ramp_steps"] == {"1": 20, "2": 0, "branch": 0}
+    assert (info["chebyshev_terms"], info["ramp_regrowths"]) == (1230, 1)
 
 
 @pytest.mark.parametrize("mode, ramps", [("amo", 1), ("amoa", 2)])

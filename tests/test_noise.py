@@ -116,6 +116,14 @@ def test_batched_trajectories_match_each_draw_run_alone(monkeypatch):
             super().__init__(diag0, qdiag, off, ms)
 
     monkeypatch.setattr(_kernels, "_Band", RecordingBand)
+    starts = []  # the index in windows of every kernel call's first band
+    original = _kernels.cf4_chain
+
+    def recording_chain(*args, **kwargs):
+        starts.append(len(windows))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "cf4_chain", recording_chain)
     n = 40
     p = PhysicsParams(25.0, n)
     cfg = NoiseConfig(delta_bz_gauss=5e-2, n_traj=6, seed=2)
@@ -128,7 +136,7 @@ def test_batched_trajectories_match_each_draw_run_alone(monkeypatch):
     # the batch shares the nominal params: N comes from each state's basis;
     # on the fine grid, then on the merged one, which merges 2 steps here
     for ramp_dt in (RAMP_DT_S, None):
-        del windows[:]
+        del windows[:], starts[:]
         counts = Counter()
         batched, _ = run_schedule(
             [polar_state(PairBasis(d.n_atoms)) for d in draws], sched, p,
@@ -140,6 +148,12 @@ def test_batched_trajectories_match_each_draw_run_alone(monkeypatch):
         ms = np.array(windows)
         assert np.all(ms <= sizes)
         assert np.any(ms.max(axis=0) == sizes)
+        # within a kernel call the band changes only by a regrowth, in which
+        # every window that grows doubles or reaches its chain
+        regrowths = [(ms[i], ms[i + 1]) for i in range(len(ms) - 1) if i + 1 not in starts]
+        assert len(regrowths) == counts["ramp_regrowths"] > 0
+        for prev, cur in regrowths:
+            assert np.all((cur == prev) | (cur == np.minimum(2 * prev, sizes)))
         if ramp_dt:
             # blocks grow their windows at different steps, and one reaches its chain
             assert any(

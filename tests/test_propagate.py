@@ -211,7 +211,8 @@ def _band_expv_error(diag0, qdiag, off, q, tau, rng):
               for d, dq, o, qb in zip(diag0, qdiag, off, q)]
     want = scipy.linalg.expm(-1j * tau * scipy.linalg.block_diag(*blocks)) @ v
     coefs = {}
-    got = band.expv(v, np.asarray(q, dtype=float), tau, coefs)
+    (exponential,) = band.prepare(np.asarray(q, dtype=float)[None, :], tau)
+    got, _ = _kernels.expv(v, exponential, coefs)
     return np.max(np.abs(got - want)), coefs
 
 
@@ -269,9 +270,9 @@ def _count_kernel_calls(monkeypatch):
     calls = []
     original = _kernels.cf4_chain
 
-    def counting(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=()):
+    def counting(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep=(), **kwargs):
         calls.append((qgrid.shape[0] // 2, coefs))
-        return original(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep)
+        return original(psis, diag0, qdiag, off, qgrid, dt, ms, leak_tol, coefs, keep, **kwargs)
 
     monkeypatch.setattr(_kernels, "cf4_chain", counting)
     return calls
@@ -322,12 +323,69 @@ def test_ramp_segment_is_one_kernel_call(monkeypatch):
     # each series argument's coefficients are computed once
     assert len(calls) == len(set(calls)) == len(kernel_calls[0][1])
     # the first window is the hold ladder's first rung: the support (1 level) + 8,
-    # rounded up to a multiple of 8, not twice the support
-    assert windows[0] == [16]
+    # rounded up to a multiple of 8, not twice the support; it grows once, to
+    # the first rung at least 1.5 x 16, not to 32
+    assert windows == [[16], [24]]
     assert np.array_equal(final, unsampled)
     assert samples.shape[1] == 6
     assert np.array_equal(samples[:, 0], st.amplitudes)
     assert np.array_equal(samples[:, -1], final)
+
+
+def test_batch_windows_double_where_a_single_window_grows_a_rung(monkeypatch):
+    # the benchmark's ramp for two polar states at N = 200 (offsets 0 and
+    # 0.1 Hz): in a batch one regrowth redoes every block's step, so the
+    # windows double, 16 -> 32, where the single chain's grows to 24
+    n = 200
+    p = PhysicsParams(25.0, n)
+    st = polar_state(PairBasis(n))
+    seg = ParabolicRamp(277.0, 0.955, 0.0, 0.005)
+    windows = []
+
+    class RecordingBand(_kernels._Band):
+        def __init__(self, diag0, qdiag, off, ms):
+            windows.append(list(ms))
+            super().__init__(diag0, qdiag, off, ms)
+
+    monkeypatch.setattr(_kernels, "_Band", RecordingBand)
+    sectors = [Sector(st.basis, p)] * 2
+    batched = evolve_ramp([st, st], seg, sectors, [0.0, 0.1], [seg.duration])
+    assert windows == [[16, 16], [32, 32]]
+    del windows[:]
+    alone, _ = _ramp(st, seg, p)
+    assert windows == [[16], [24]]
+    # both windows certify the same 1e-12 leakage budget
+    assert np.max(np.abs(batched[0][:, 0] - alone)) <= 1e-12
+
+
+def test_prepared_steps_per_chunk_change_no_bit(monkeypatch):
+    # 100 steps of 2 fine steps from the ground state at q(0.8 s), N = 200:
+    # the window grows from 56 to 88 levels inside the first chunk of 64 steps
+    n = 200
+    p = PhysicsParams(25.0, n)
+    seg = REF_RAMP.between(0.8, 0.85)
+    st = _ground(n, float(seg.q_hz_at(0.0)))
+    prepared = []  # (window, exponentials) of every prepare call
+
+    class RecordingBand(_kernels._Band):
+        def prepare(self, qs, tau):
+            prepared.append((self.ms.tolist(), qs.shape[0]))
+            return super().prepare(qs, tau)
+
+    monkeypatch.setattr(_kernels, "_Band", RecordingBand)
+    runs = []
+    for chunk in (_kernels._CHUNK_STEPS, 1):
+        monkeypatch.setattr(_kernels, "_CHUNK_STEPS", chunk)
+        del prepared[:]
+        counts = Counter()
+        (cols,) = evolve_ramp([st], seg, [Sector(st.basis, p)], [0.0], [seg.duration], counts=counts)
+        runs.append((cols[:, 0], counts, list(prepared)))
+    (chunked, counts, prepared_chunked), (stepwise, counts_stepwise, prepared_stepwise) = runs
+    assert counts["ramp_steps.2"] == 100 and counts["ramp_regrowths"] == 1
+    assert prepared_chunked[:2] == [([56], 128), ([88], 128)]
+    assert prepared_stepwise[0] == ([56], 2) and len(prepared_stepwise) == 101
+    assert np.array_equal(chunked, stepwise)
+    assert counts == counts_stepwise
 
 
 def test_off_grid_samples_branch_from_the_main_line(monkeypatch):
